@@ -172,9 +172,13 @@ class Catalog:
     def fixture(self, name: str, table: str) -> dict | None:
         return self.fixtures.get(name, {}).get(table)
 
-    def is_documented_discrepancy(self, table: str, row: str, column: str) -> bool:
+    def is_documented_discrepancy(self, table: str, row: str, column: str,
+                                  computed) -> bool:
+        """True when the cell is listed with exactly this computed value; a
+        drifted value is an undocumented mismatch."""
         return any(
             d["table"] == table and d["row"] == row and d["column"] == column
+            and d["computed"] == computed
             for d in self.discrepancies
         )
 

@@ -19,10 +19,17 @@ integer interval and narrowing all of them to a fixpoint preserves the
 coupling between degrees that naive bound-chasing loses; whatever remains
 undetermined stays an honest interval.  This is nothing but exactness
 bookkeeping: no spectral-sequence differential is ever guessed.
+
+Inside the solver an interval vector over degrees 0..top is a pair of int
+lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the two
+end slots are the exact zeros at degrees -1 and top + 1.  ``INF`` is the one
+unbounded marker.  The equations of sequence i form block i; a worklist
+re-runs a block only when one of its variables narrowed.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -60,9 +67,6 @@ class Iv:
         return f"[{self.lo},{'inf' if self.hi is None else self.hi}]"
 
 
-EXACT_ZERO = Iv(0, 0)
-
-
 def exact(n: int) -> Iv:
     return Iv(n, n)
 
@@ -71,51 +75,56 @@ def unknown() -> Iv:
     return Iv(0, None)
 
 
-def _add(*vals) -> tuple[int, int | None]:
-    lo = sum(v.lo for v in vals)
-    hi = 0
-    for v in vals:
-        if v.hi is None:
-            return lo, None
-        hi += v.hi
+# An upper bound equal to INF means "no bound".  Finite bounds stay far below
+# _HUGE, so an upper bound computed from an INF operand (INF minus a few
+# lower bounds) is recognised and ignored, and a lower bound computed from
+# one goes negative, below the standing lower bound 0.
+INF = 1 << 62
+_HUGE = INF >> 1
+
+
+def _vec(top: int):
+    return [0] * (top + 3), [0] + [INF] * (top + 1) + [0]
+
+
+def _narrow(lo, hi, s: int, nlo: int, nhi: int) -> bool:
+    """Meet slot ``s`` with [nlo, nhi]; True when it narrowed."""
+    changed = False
+    if nlo > lo[s]:
+        lo[s] = nlo
+        changed = True
+    if nhi < hi[s] and nhi < _HUGE:
+        hi[s] = nhi
+        changed = True
+    if changed and lo[s] > hi[s]:
+        raise ChaseError(f"empty interval [{lo[s]},{hi[s]}] in degree {s - 1}")
+    return changed
+
+
+def _bounds(v) -> tuple[int, int]:
+    """(lo, hi) of an Iv or an int, with hi = INF when unbounded."""
+    if isinstance(v, Iv):
+        return v.lo, INF if v.hi is None else v.hi
+    return v, v
+
+
+def _to_vec(t, top: int):
+    """Interval vector of a dict q -> Iv/int (missing degrees are 0) or a
+    list of top + 1 entries."""
+    if isinstance(t, dict):
+        for q, v in t.items():
+            if (q < 0 or q > top) and _bounds(v)[0] > 0:
+                raise ChaseError(f"term cohomology outside degree window: q={q}")
+        t = [t.get(q, 0) for q in range(top + 1)]
+    assert len(t) == top + 1
+    lo, hi = _vec(top)
+    for s, v in enumerate(t, 1):
+        _narrow(lo, hi, s, *_bounds(v))
     return lo, hi
 
 
-def _sub(a: Iv, b: Iv) -> tuple[int, int | None]:
-    lo = a.lo - (0 if b.hi is None else b.hi)  # a.lo - b.hi, -inf clamped later
-    hi = None if a.hi is None else a.hi - b.lo
-    if b.hi is None:
-        lo = -(10**18)
-    return lo, hi
-
-
-class _Vec:
-    """Interval vector over degrees 0..top; exact zero outside."""
-
-    __slots__ = ("top", "vals")
-
-    def __init__(self, top: int, vals=None):
-        self.top = top
-        self.vals = list(vals) if vals is not None else [unknown() for _ in range(top + 1)]
-
-    def __getitem__(self, q: int) -> Iv:
-        if 0 <= q <= self.top:
-            return self.vals[q]
-        return EXACT_ZERO
-
-    def meet(self, q: int, lo, hi) -> bool:
-        if not (0 <= q <= self.top):
-            # outside the window everything is exactly zero; a positive lower
-            # bound there means the model is inconsistent
-            if lo > 0 or (hi is not None and hi < 0):
-                raise ChaseError(f"nonzero forced outside degree window at q={q}")
-            return False
-        lo = max(lo, 0)
-        new = self.vals[q].meet(lo, hi)
-        if new != self.vals[q]:
-            self.vals[q] = new
-            return True
-        return False
+def _ivs(lo, hi) -> list[Iv]:
+    return [Iv(l, None if h == INF else h) for l, h in zip(lo[1:-1], hi[1:-1])]
 
 
 def solve_exact_complex(terms, target_seed, top: int):
@@ -129,111 +138,83 @@ def solve_exact_complex(terms, target_seed, top: int):
 
     Returns the narrowed target as a list of Iv, indices 0..top.
     """
-    tvecs = [_to_vec(t, top) for t in terms]
-    m = len(tvecs) - 1
-    target = _Vec(top)
-    if target_seed:
-        for q, v in target_seed.items():
-            iv = v if isinstance(v, Iv) else exact(v)
-            if 0 <= q <= top:
-                target.meet(q, iv.lo, iv.hi)
-            elif iv.lo > 0:
-                raise ChaseError("seed outside degree window")
+    T = [_to_vec(t, top) for t in terms]
+    m = len(T) - 1
+    slots = range(1, top + 2)
+    target = _vec(top)
+    for q, v in (target_seed or {}).items():
+        nlo, nhi = _bounds(v)
+        if 0 <= q <= top:
+            _narrow(*target, q + 1, nlo, nhi)
+        elif nlo > 0:
+            raise ChaseError("seed outside degree window")
     if m < 0:
-        for q in range(top + 1):
-            target.meet(q, 0, 0)
-        return target.vals
+        for s in slots:
+            _narrow(*target, s, 0, 0)
+        return _ivs(*target)
 
-    # images B_0..B_m; B_m is the target itself
-    images = [_Vec(top) for _ in range(m)] + [target]
-    # initial finite upper bounds, telescoped from the left end
-    for q in range(top + 1):
-        ub = tvecs[0][q].hi
-        images[0].meet(q, 0, ub)
+    B = [_vec(top) for _ in range(m)] + [target]
+    # R[i][q]: rank of H^q(B_i) -> H^{q+1}(B_{i-1}), i = 1..m
+    R = [None] + [_vec(top) for _ in range(m)]
+    # initial upper bounds, telescoped from the left end:
+    # B_0 <= T_0 and h^q(B_i) <= h^{q+1}(B_{i-1}) + h^q(T_i)
+    for s in slots:
+        _narrow(*B[0], s, 0, T[0][1][s])
     for i in range(1, m + 1):
-        for q in range(top + 1):
-            left = images[i - 1][q + 1].hi
-            own = tvecs[i][q].hi
-            ub = None if (left is None or own is None) else left + own
-            images[i].meet(q, 0, ub)
-    # connecting ranks r_i[q]: H^q(B_i) -> H^{q+1}(B_{i-1}), i = 1..m
-    ranks = {i: _Vec(top) for i in range(1, m + 1)}
-    for i in range(1, m + 1):
-        for q in range(top + 1):
-            ranks[i].meet(q, 0, None)
+        for s in slots:
+            _narrow(*B[i], s, 0, B[i - 1][1][s + 1] + T[i][1][s])
 
-    def pass_once() -> bool:
-        changed = False
-        # B_0 = T_0 exactly (the complex starts with an injection)
-        for q in range(top + 1):
-            iv = tvecs[0][q]
-            changed |= images[0].meet(q, iv.lo, iv.hi)
-            changed |= tvecs[0].meet(q, images[0][q].lo, images[0][q].hi)
-        for i in range(1, m + 1):
-            A, C, R, T = images[i - 1], images[i], ranks[i], tvecs[i]
-            for q in range(top + 1):
-                # h^q(T_i) = A[q] - R[q-1] + C[q] - R[q]
-                t, a, c, r0, r1 = T[q], A[q], C[q], R[q - 1], R[q]
-                lo, hi = _add(a, c)
-                s_lo, s_hi = _add(r0, r1)
-                # T = a + c - (r0 + r1)
-                t_lo = lo - (10**18 if s_hi is None else s_hi)
-                t_hi = None if hi is None else hi - s_lo
-                changed |= T.meet(q, max(t_lo, 0), t_hi)
-                t = T[q]
-                # C = t - a + r0 + r1
-                lo1, hi1 = _add(t, r0, r1)
-                lo2, hi2 = _sub(Iv(lo1, hi1), a)
-                changed |= C.meet(q, lo2, hi2)
-                # A = t - c + r0 + r1
-                lo2, hi2 = _sub(Iv(lo1, hi1), c)
-                changed |= A.meet(q, lo2, hi2)
-                # r1 = a + c - t - r0 ; r0 = a + c - t - r1
-                lo3, hi3 = _add(a, c)
-                lo4, hi4 = _sub(Iv(lo3, hi3), t)
-                lo5, hi5 = _sub(Iv(lo4, hi4), r0)
-                if 0 <= q <= top:
-                    changed |= R.meet(q, lo5, hi5)
-                lo6, hi6 = _sub(Iv(lo4, hi4), r1)
-                if 0 <= q - 1 <= top:
-                    changed |= R.meet(q - 1, lo6, hi6)
-                # rank bounds from the map's two ends
-                cq, aq1 = C[q], A[q + 1]
-                cap = None
-                if cq.hi is not None:
-                    cap = cq.hi
-                if aq1.hi is not None:
-                    cap = aq1.hi if cap is None else min(cap, aq1.hi)
-                changed |= R.meet(q, 0, cap)
-        return changed
+    def block(i: int) -> tuple[bool, bool, bool]:
+        """One sweep of the equations of block i; reports whether B_{i-1},
+        B_i, and T_i or R_i narrowed."""
+        clo, chi = B[i]
+        tlo, thi = T[i]
+        if i == 0:  # B_0 = T_0: the complex starts with an injection
+            c_ch = own_ch = False
+            for s in slots:
+                c_ch |= _narrow(clo, chi, s, tlo[s], thi[s])
+                own_ch |= _narrow(tlo, thi, s, clo[s], chi[s])
+            return False, c_ch, own_ch
+        alo, ahi = B[i - 1]
+        rlo, rhi = R[i]
+        a_ch = c_ch = own_ch = False
+        for s in slots:
+            # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
+            own_ch |= _narrow(tlo, thi, s,
+                              alo[s] + clo[s] - rhi[s - 1] - rhi[s],
+                              ahi[s] + chi[s] - rlo[s - 1] - rlo[s])
+            # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
+            u_lo = tlo[s] + rlo[s - 1] + rlo[s]
+            u_hi = thi[s] + rhi[s - 1] + rhi[s]
+            c_ch |= _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s])
+            a_ch |= _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s])
+            # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
+            d_lo = alo[s] + clo[s] - thi[s]
+            d_hi = ahi[s] + chi[s] - tlo[s]
+            own_ch |= _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1])
+            if s > 1:
+                own_ch |= _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s])
+            # a rank is bounded by both ends of its map
+            own_ch |= _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1]))
+        return a_ch, c_ch, own_ch
 
-    guard = 0
-    while pass_once():
-        guard += 1
-        assert guard < 10000, "chase failed to reach a fixpoint"
-    return target.vals
-
-
-def _to_vec(t, top: int) -> _Vec:
-    if isinstance(t, _Vec):
-        return t
-    vec = _Vec(top)
-    if isinstance(t, dict):
-        for q in range(top + 1):
-            v = t.get(q, 0)
-            iv = v if isinstance(v, Iv) else exact(v)
-            vec.meet(q, iv.lo, iv.hi)
-        for q, v in t.items():
-            iv = v if isinstance(v, Iv) else exact(v)
-            if (q < 0 or q > top) and iv.lo > 0:
-                raise ChaseError(f"term cohomology outside degree window: q={q}")
-    else:
-        vals = list(t)
-        assert len(vals) == top + 1
-        for q, v in enumerate(vals):
-            iv = v if isinstance(v, Iv) else exact(v)
-            vec.meet(q, iv.lo, iv.hi)
-    return vec
+    # Worklist: a change to B_{i-1} re-queues blocks i-1 and i, a change to
+    # B_i blocks i and i+1, a change to T_i or R_i block i alone.
+    queued = [True] * (m + 1)
+    work = deque(range(m + 1))
+    visits = 0
+    while work:
+        i = work.popleft()
+        queued[i] = False
+        visits += 1
+        assert visits < 10000 * (m + 1), "chase failed to reach a fixpoint"
+        a_ch, c_ch, own_ch = block(i)
+        if a_ch or c_ch or own_ch:
+            for j in range(i - a_ch, min(i + c_ch, m) + 1):
+                if not queued[j]:
+                    queued[j] = True
+                    work.append(j)
+    return _ivs(*target)
 
 
 def ses_middle(left, right, top: int):
@@ -242,25 +223,10 @@ def ses_middle(left, right, top: int):
     ``left`` / ``right`` are interval vectors (dict or list) for A and C.
     h^q(B) = A[q] - r[q-1] + C[q] - r[q] with r[q] <= min(C[q], A[q+1]).
     """
-    A = _to_vec(left, top)
-    C = _to_vec(right, top)
-    out = []
-    for q in range(top + 1):
-        a, c = A[q], C[q]
-        r0_cap = _cap(C[q - 1], A[q])
-        r1_cap = _cap(C[q], A[q + 1])
-        lo_sum, hi_sum = _add(a, c)
-        lo = lo_sum - ((r0_cap if r0_cap is not None else 10**18)
-                       + (r1_cap if r1_cap is not None else 10**18))
-        out.append(Iv(max(lo, 0), hi_sum))
-    return out
-
-
-def _cap(c: Iv, a: Iv) -> int | None:
-    if c.hi is None and a.hi is None:
-        return None
-    if c.hi is None:
-        return a.hi
-    if a.hi is None:
-        return c.hi
-    return min(c.hi, a.hi)
+    alo, ahi = _to_vec(left, top)
+    clo, chi = _to_vec(right, top)
+    cap = [min(chi[s], ahi[s + 1]) for s in range(top + 2)]
+    lo = [0] + [max(alo[s] + clo[s] - cap[s - 1] - cap[s], 0)
+                for s in range(1, top + 2)] + [0]
+    hi = [0] + [min(ahi[s] + chi[s], INF) for s in range(1, top + 2)] + [0]
+    return _ivs(lo, hi)

@@ -300,7 +300,7 @@ def _cmd_jacring(args) -> int:
 
 def _cmd_verify(args) -> int:
     cat = load_catalog()
-    rep = run_verify(cat, tables=tuple(args.table or ()), jobs=args.jobs)
+    rep = run_verify(cat, tables=tuple(args.table or ()))
     fmt = _format(args)
     out = _stamp(args, fmt)
     out.append(render_cells(rep.cells, fmt))
@@ -366,7 +366,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="recompute all reference cells and diff")
     p.add_argument("--table", action="append", metavar="ID",
                    help="restrict to one reference table (repeatable)")
-    p.add_argument("--jobs", type=int, default=1)
     fmt_flags(p)
     p.set_defaults(func=_cmd_verify)
 

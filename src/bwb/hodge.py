@@ -251,13 +251,29 @@ def section_forms(spec: SectionSpec, p: int, down=0) -> tuple[Iv, ...]:
 # Full Hodge tables
 
 
+def _symmetrize(table, n: int) -> bool:
+    """One sweep meeting every h^{p,q} with h^{q,p} and h^{n-p,n-q}, in
+    place; True when some entry narrowed."""
+    changed = False
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for v in (table[q][p], table[n - p][n - q]):
+                new = table[p][q].meet(v.lo, v.hi)
+                if new != table[p][q]:
+                    table[p][q] = new
+                    changed = True
+    return changed
+
+
 @lru_cache(maxsize=None)
 def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
     """H[p][q] = h^{p,q}(X) as intervals, narrowed to a fixpoint.
 
-    Each round re-runs every per-p chase seeded with the current table, then
-    meets the Hodge-symmetry transpose and the Serre reflection.  All three
-    steps only ever narrow intervals, so this terminates.
+    Each round re-runs the per-p chase of every row that narrowed since its
+    last chase, seeded with the current row, then meets the Hodge-symmetry
+    transpose and the Serre reflection.  All three steps only ever narrow
+    intervals, so this terminates.  A chase seeded with its own last result
+    returns that result again, so skipping unchanged rows changes nothing.
     """
     if spec.branch_degree is not None:
         raise ValueError("branched specs are handled by double_cover_hodge")
@@ -265,24 +281,19 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
     n_x = spec.dim
     zero = (0,) * len(space.factors)
     table = [[unknown() for _ in range(n_x + 1)] for _ in range(n_x + 1)]
+    chased = [None] * (n_x + 1)  # row p right after its last chase
 
     for _ in range(60):
         changed = False
         for p in range(n_x + 1):
-            seed = {q: table[p][q] for q in range(n_x + 1)}
-            res = chase_section_forms(space, cuts, p, zero, seed)
-            for q in range(n_x + 1):
-                new = table[p][q].meet(res[q].lo, res[q].hi)
-                if new != table[p][q]:
-                    table[p][q] = new
-                    changed = True
-        for p in range(n_x + 1):
-            for q in range(n_x + 1):
-                for v in (table[q][p], table[n_x - p][n_x - q]):
-                    new = table[p][q].meet(v.lo, v.hi)
-                    if new != table[p][q]:
-                        table[p][q] = new
-                        changed = True
+            row = tuple(table[p])
+            if row == chased[p]:
+                continue
+            res = chase_section_forms(space, cuts, p, zero, dict(enumerate(row)))
+            table[p] = [v.meet(r.lo, r.hi) for v, r in zip(row, res)]
+            chased[p] = tuple(table[p])
+            changed |= chased[p] != row
+        changed |= _symmetrize(table, n_x)
         if not changed:
             break
     return tuple(tuple(row) for row in table)
@@ -432,15 +443,7 @@ def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
                              None if (b.hi is None or res[q].hi is None)
                              else b.hi + res[q].hi)
     for _ in range(4):
-        changed = False
-        for p in range(n_y + 1):
-            for q in range(n_y + 1):
-                for v in (table[q][p], table[n_y - p][n_y - q]):
-                    new = table[p][q].meet(v.lo, v.hi)
-                    if new != table[p][q]:
-                        table[p][q] = new
-                        changed = True
-        if not changed:
+        if not _symmetrize(table, n_y):
             break
 
     prov = _consumed_facts(base, n_y, downs=(half, _vneg(half)))

@@ -11,7 +11,6 @@ are still reported as mismatches, but flagged, and do not fail the run.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .bott import forms_cohomology
@@ -275,23 +274,17 @@ class VerifyReport:
         return 1 if self.undocumented else 0
 
 
-def run_verify(cat: Catalog | None = None, tables: tuple[str, ...] = (),
-               jobs: int = 1) -> VerifyReport:
+def run_verify(cat: Catalog | None = None, tables: tuple[str, ...] = ()) -> VerifyReport:
     """Recompute every reference cell; canonical (table,row,column) order."""
     cat = cat or default_catalog()
-    crops = [c for c in _CROPS
-             if not tables or c.__name__[1:].removesuffix("_cells") in tables]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(lambda f: f(cat), crops))
-    else:
-        batches = [f(cat) for f in crops]
-    cells = sorted((c for batch in batches for c in batch), key=lambda c: c.key)
+    crops = [f for f in _CROPS
+             if not tables or f.__name__[1:].removesuffix("_cells") in tables]
+    cells = sorted((c for f in crops for c in f(cat)), key=lambda c: c.key)
     flagged, undocumented = [], []
     out = []
     for c in cells:
         if c.status == "mismatch":
-            if cat.is_documented_discrepancy(c.table, c.row, c.column):
+            if cat.is_documented_discrepancy(c.table, c.row, c.column, c.computed):
                 note = (c.note + "; " if c.note else "") + "documented discrepancy"
                 c = ReportCell(c.table, c.row, c.column, c.fixture, c.computed,
                                c.status, note)

@@ -127,7 +127,7 @@ def test_criterion_04_quadric_section_row_and_moduli():
     assert all(v.exact for v in head)
     assert tuple(v.lo for v in head) == (0, 0, 0, 1, 70)
     assert CAT.fixture("S10", "quadric34")["h54"] == 80
-    assert CAT.is_documented_discrepancy("quadric34", "S10", "h54")
+    assert CAT.is_documented_discrepancy("quadric34", "S10", "h54", 70)
     rc, out = run_cli(["verify", "--table", "quadric34"])
     assert rc == 0  # flagged, not a failure
     assert "documented discrepancy" in out
@@ -142,7 +142,7 @@ def test_criterion_05_hyperplane_section_moduli_column():
     assert rows[6] == "G(3,11)"
     assert computed[6] == 44
     assert CAT.fixture("G(3,11)", "linear33")["moduli"] == 45
-    assert CAT.is_documented_discrepancy("linear33", "G(3,11)", "moduli")
+    assert CAT.is_documented_discrepancy("linear33", "G(3,11)", "moduli", 44)
     rc, out = run_cli(["verify", "--table", "linear33"])
     assert rc == 0  # flagged, not a failure
     assert "documented discrepancy" in out

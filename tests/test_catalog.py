@@ -81,9 +81,11 @@ def test_documented_discrepancies_registry():
     cat = default_catalog()
     keys = {(d["table"], d["row"], d["column"]) for d in cat.discrepancies}
     assert keys == DOCUMENTED
-    for table, row, column in DOCUMENTED:
-        assert cat.is_documented_discrepancy(table, row, column)
-    assert not cat.is_documented_discrepancy("moduli43", "OP2", "moduli")
+    for d in cat.discrepancies:
+        key = (d["table"], d["row"], d["column"])
+        assert cat.is_documented_discrepancy(*key, d["computed"])
+        assert not cat.is_documented_discrepancy(*key, "some other value")
+    assert not cat.is_documented_discrepancy("moduli43", "OP2", "moduli", 84)
     # every discrepancy carries both values and an explanation
     for d in cat.discrepancies:
         assert {"fixture", "computed", "note"} <= set(d)
