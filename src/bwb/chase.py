@@ -84,6 +84,7 @@ _HUGE = INF >> 1
 
 
 def _vec(top: int):
+    """An unknown vector: [0, INF] in degrees 0..top, 0 in both pads."""
     return [0] * (top + 3), [0] + [INF] * (top + 1) + [0]
 
 

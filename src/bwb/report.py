@@ -274,7 +274,8 @@ class VerifyReport:
         return 1 if self.undocumented else 0
 
 
-def run_verify(cat: Catalog | None = None, tables: tuple[str, ...] = ()) -> VerifyReport:
+def run_verify(cat: Catalog | None = None,
+               tables: tuple[str, ...] = ()) -> VerifyReport:
     """Recompute every reference cell; canonical (table,row,column) order."""
     cat = cat or default_catalog()
     crops = [f for f in _CROPS
