@@ -8,7 +8,9 @@ from importlib import resources
 
 import pytest
 
+from bwb.catalog import load_catalog
 from bwb.cli import main
+from bwb.hodge import section_hodge, section_spec
 
 
 def run_cli(capsys, argv):
@@ -237,3 +239,129 @@ BOTT_LINES = [
     (["bott", "--space", "S10", "--form", "0", "--twist", "-10"],
      "H^10, dim 126\n"),
 ]
+
+
+# Every subcommand in every output format, byte for byte.  The hodge JSON
+# record carries the full provenance list, so it is compared as a parsed
+# object (and as its sorted-key encoding) rather than spelled out here.
+S10_QUADRIC = ["--space", "S10", "--cut", "2"]
+FORMAT_COMMANDS = {
+    "bott": ["bott", "--space", "S10", "--form", "2", "--twist", "-6"],
+    "hodge": ["hodge", *S10_QUADRIC],
+    "moduli": ["moduli", *S10_QUADRIC],
+    "moduli-all": ["moduli", *S10_QUADRIC, "--all-routes"],
+    "jacring": ["jacring", "--weights", "1,1,1,1,1,1,2", "--degree", "4"],
+    "scan": ["jacring", "--scan", "7", "2", "4"],
+    "verify": ["verify", "--table", "quadric34"],
+}
+VERIFY_SUMMARY = ("\n5 cells: 4 match, 1 mismatch; "
+                  "1 documented discrepancies, 0 undocumented\n")
+FORMAT_BYTES = {
+    ("bott", "text"): "H^9, dim 10\n",
+    ("bott", "json"):
+        '{"cohomology": {"9": 10}, "schema_version": 1, "space": "S10"}\n',
+    ("bott", "csv"): "q,dim\n9,10\n",
+    ("bott", "markdown"): "| q | dim |\n|---|---|\n| 9 | 10 |\n",
+    ("hodge", "text"): "S10, cut (2,): dim 9\n"
+                       "middle row h^{9,0} .. h^{5,4}: 0 0 0 1 70\n",
+    ("hodge", "csv"): "p,q,h\n9,0,0\n8,1,0\n7,2,0\n6,3,1\n5,4,70\n",
+    ("hodge", "markdown"): "| p | q | h |\n|---|---|---|\n| 9 | 0 | 0 |\n"
+                           "| 8 | 1 | 0 |\n| 7 | 2 | 0 |\n| 6 | 3 | 1 |\n"
+                           "| 5 | 4 | 70 |\n",
+    ("moduli", "text"): "80  (cohomological)\n",
+    ("moduli", "json"):
+        '{"assumptions": ["assumes the ambient automorphisms inject into the '
+        'section count (finite generic stabilizer)"], "inputs": {"delta": 45, '
+        '"h0(cut)": 126, "s": 1}, "route": "cohomological", '
+        '"schema_version": 1, "value": 80}\n',
+    ("moduli", "csv"): "route,value\ncohomological,80\n",
+    ("moduli", "markdown"):
+        "| route | value |\n|---|---|\n| cohomological | 80 |\n",
+    ("moduli-all", "text"): "80 = 70  (cohomological, hodge-middle)\n",
+    ("moduli-all", "json"): '{"routes": {"cohomological": 80, '
+                            '"hodge-middle": 70}, "schema_version": 1}\n',
+    ("moduli-all", "csv"): "route,value\ncohomological,80\nhodge-middle,70\n",
+    ("moduli-all", "markdown"): "| route | value |\n|---|---|\n"
+                                "| cohomological | 80 |\n"
+                                "| hodge-middle | 70 |\n",
+    ("jacring", "text"):
+        "weights (1,1,1,1,1,1,2) degree 4 dim 5: 0 1 90 90 1 0  (moduli 90)\n",
+    ("jacring", "json"):
+        '{"degree": 4, "dim": 5, "middle": [0, 1, 90, 90, 1, 0], "moduli": 90, '
+        '"schema_version": 1, "weights": [1, 1, 1, 1, 1, 1, 2]}\n',
+    ("jacring", "csv"): 'weights,degree,dim,middle,moduli\n'
+                        '"1,1,1,1,1,1,2",4,5,0 1 90 90 1 0,90\n',
+    ("jacring", "markdown"):
+        "| weights | degree | dim | middle | moduli |\n|---|---|---|---|---|\n"
+        "| 1,1,1,1,1,1,2 | 4 | 5 | 0 1 90 90 1 0 | 90 |\n",
+    ("scan", "text"):
+        "weights (1,1,1,1,1,1,2) degree 4 dim 5: 0 1 90 90 1 0  (moduli 90)\n"
+        "weights (1,1,1,1,1,1,1,1,1) degree 3 dim 7: 0 0 1 84 84 1 0 0  "
+        "(moduli 84)\n"
+        "weights (1,1,1,1,1,1,2,2,2) degree 4 dim 7: 0 0 1 90 90 1 0 0  "
+        "(moduli 90)\n",
+    ("scan", "json"):
+        '{"degree": 4, "dim": 5, "middle": [0, 1, 90, 90, 1, 0], "moduli": 90, '
+        '"schema_version": 1, "weights": [1, 1, 1, 1, 1, 1, 2]}\n'
+        '{"degree": 3, "dim": 7, "middle": [0, 0, 1, 84, 84, 1, 0, 0], '
+        '"moduli": 84, "schema_version": 1, '
+        '"weights": [1, 1, 1, 1, 1, 1, 1, 1, 1]}\n'
+        '{"degree": 4, "dim": 7, "middle": [0, 0, 1, 90, 90, 1, 0, 0], '
+        '"moduli": 90, "schema_version": 1, '
+        '"weights": [1, 1, 1, 1, 1, 1, 2, 2, 2]}\n',
+    ("scan", "csv"): 'weights,degree,dim,middle,moduli\n'
+                     '"1,1,1,1,1,1,2",4,5,0 1 90 90 1 0,90\n'
+                     '"1,1,1,1,1,1,1,1,1",3,7,0 0 1 84 84 1 0 0,84\n'
+                     '"1,1,1,1,1,1,2,2,2",4,7,0 0 1 90 90 1 0 0,90\n',
+    ("scan", "markdown"):
+        "| weights | degree | dim | middle | moduli |\n|---|---|---|---|---|\n"
+        "| 1,1,1,1,1,1,2 | 4 | 5 | 0 1 90 90 1 0 | 90 |\n"
+        "| 1,1,1,1,1,1,1,1,1 | 3 | 7 | 0 0 1 84 84 1 0 0 | 84 |\n"
+        "| 1,1,1,1,1,1,2,2,2 | 4 | 7 | 0 0 1 90 90 1 0 0 | 90 |\n",
+    ("verify", "text"):
+        "table      row  column  fixture  computed  status    note\n"
+        "quadric34  S10  h54     80       70        mismatch  "
+        "documented discrepancy\n"
+        "quadric34  S10  h63     1        1         match\n"
+        "quadric34  S10  h72     0        0         match\n"
+        "quadric34  S10  h81     0        0         match\n"
+        "quadric34  S10  h90     0        0         match\n" + VERIFY_SUMMARY,
+    ("verify", "json"):
+        '{"column": "h54", "computed": 70, "fixture": 80, '
+        '"note": "documented discrepancy", "row": "S10", "schema_version": 1, '
+        '"status": "mismatch", "table": "quadric34"}\n'
+        + "".join('{"column": "%s", "computed": %d, "fixture": %d, "note": "", '
+                  '"row": "S10", "schema_version": 1, "status": "match", '
+                  '"table": "quadric34"}\n' % (c, v, v)
+                  for c, v in (("h63", 1), ("h72", 0), ("h81", 0), ("h90", 0))),
+    ("verify", "csv"): "table,row,column,fixture,computed,status,note\n"
+                       "quadric34,S10,h54,80,70,mismatch,documented discrepancy\n"
+                       "quadric34,S10,h63,1,1,match,\n"
+                       "quadric34,S10,h72,0,0,match,\n"
+                       "quadric34,S10,h81,0,0,match,\n"
+                       "quadric34,S10,h90,0,0,match,\n",
+    ("verify", "markdown"):
+        "| table | row | column | fixture | computed | status | note |\n"
+        "|---|---|---|---|---|---|---|\n"
+        "| quadric34 | S10 | h54 | 80 | 70 | mismatch | documented discrepancy |\n"
+        "| quadric34 | S10 | h63 | 1 | 1 | match |  |\n"
+        "| quadric34 | S10 | h72 | 0 | 0 | match |  |\n"
+        "| quadric34 | S10 | h81 | 0 | 0 | match |  |\n"
+        "| quadric34 | S10 | h90 | 0 | 0 | match |  |\n" + VERIFY_SUMMARY,
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "markdown"])
+@pytest.mark.parametrize("name", list(FORMAT_COMMANDS))
+def test_every_format_byte_for_byte(capsys, name, fmt):
+    argv = FORMAT_COMMANDS[name] + ([] if fmt == "text" else [f"--{fmt}"])
+    rc, out = run_cli(capsys, argv)
+    assert rc == 0
+    if (name, fmt) != ("hodge", "json"):
+        assert out == FORMAT_BYTES[name, fmt]
+        return
+    payload = json.loads(out)
+    row = section_hodge(section_spec(load_catalog().space("S10"), (2,)))
+    assert payload == {"schema_version": 1, **row.as_json()}
+    assert payload["middle"] == [0, 0, 0, 1, 70, 70, 1, 0, 0, 0]
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
