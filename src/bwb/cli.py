@@ -11,6 +11,8 @@ Subcommands
 ``verify``   recompute every stored reference cell and diff (exit 0 iff the
              mismatches are all documented discrepancies).
 
+Each subcommand prints text, or one of ``--json``, ``--csv`` and
+``--markdown``; every format is written by :func:`bwb.report.render`.
 Identical invocations produce byte-identical output unless ``--timestamp``
 is given.  The environment variable ``BWB_CATALOG`` overrides the catalog
 file path.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 
 from .bott import bott, grassmann_bundle, kostant_forms, spinor_bundle
@@ -34,7 +37,7 @@ from .hodge import (
     section_spec,
 )
 from .jacring import jacobian_hilbert, steenbrink_hodge, weighted_cy_scan
-from .report import REPORT_SCHEMA_VERSION, render_cells, run_verify
+from .report import render, render_cells, run_verify
 from .rootsys import simple_reflection, to_dominant, weyl_dim
 
 _LETTERS = {10: "A", 11: "B"}
@@ -103,31 +106,22 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _format(args) -> str:
-    if getattr(args, "json", False):
-        return "json"
-    if getattr(args, "csv", False):
-        return "csv"
-    if getattr(args, "markdown", False):
-        return "markdown"
-    return "text"
-
-
-def _stamp(args, fmt: str) -> list[str]:
-    if not getattr(args, "timestamp", False):
-        return []
-    now = datetime.now(timezone.utc).isoformat()
-    if fmt == "json":
-        return [json.dumps({"timestamp": now})]
-    return [f"# generated {now}"]
+def _emit(args, *blocks: str) -> None:
+    """Print rendered blocks, after a generation timestamp if one was asked."""
+    if args.timestamp:
+        now = datetime.now(timezone.utc).isoformat()
+        blocks = (json.dumps({"timestamp": now}) if args.fmt == "json"
+                  else f"# generated {now}",) + blocks
+    print("\n".join(blocks))
 
 
 # ------------------------------------------------------------- subcommands
 
 def _cmd_bott(args) -> int:
+    if args.trace and args.fmt != "text":
+        raise SystemExit(f"bott: --trace prints text only, not --{args.fmt}")
     cat = load_catalog()
     space = cat.space(args.space)
-    out = _stamp(args, _format(args))
     if args.schur is not None:
         bundles = [_parse_schur(space, args.schur, args.twist)]
     elif args.form is not None:
@@ -135,35 +129,22 @@ def _cmd_bott(args) -> int:
         bundles = [b.twisted(shift) for b in kostant_forms(space, args.form)]
     else:
         raise SystemExit("bott needs --form or --schur")
+    text: list[str] = []
     total: dict[int, int] = {}
     for b in bundles:
         if args.trace:
-            out.extend(_trace_lines(space, b))
-            out.append("")
+            text += _trace_lines(space, b) + [""]
         for q, d in bott(b).dims().items():
             total[q] = total.get(q, 0) + d
-    fmt = _format(args)
-    if fmt == "json":
-        out.append(json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
-                               "space": space.name,
-                               "cohomology": {str(q): d for q, d in
-                                              sorted(total.items())}},
-                              sort_keys=True))
-    elif fmt == "csv":
-        out.append("q,dim")
-        out.extend(f"{q},{d}" for q, d in sorted(total.items()))
-    elif fmt == "markdown":
-        out.append("| q | dim |")
-        out.append("|---|---|")
-        out.extend(f"| {q} | {d} |" for q, d in sorted(total.items()))
-    elif not total:
-        out.append("acyclic")
-    elif len(total) == 1:
-        ((q, d),) = total.items()
-        out.append(f"H^{q}, dim {d}")
+    rows = sorted(total.items())
+    if not rows:
+        text.append("acyclic")
+    elif len(rows) == 1:
+        text.append(f"H^{rows[0][0]}, dim {rows[0][1]}")
     else:
-        out.extend(f"H^{q}: dim {d}" for q, d in sorted(total.items()))
-    print("\n".join(out))
+        text += [f"H^{q}: dim {d}" for q, d in rows]
+    payload = {"space": space.name, "cohomology": {str(q): d for q, d in rows}}
+    _emit(args, render(("q", "dim"), rows, args.fmt, [payload], text))
     return 0
 
 
@@ -180,45 +161,27 @@ def _cmd_hodge(args) -> int:
     cat = load_catalog()
     spec = _spec_from_args(cat, args)
     row = section_hodge(spec)
-    fmt = _format(args)
-    out = _stamp(args, fmt)
     n = row.n
-    half = [row.entry(p, n - p) for p in range(n, (n - 1) // 2, -1)]
+    rows = [(p, n - p, row.entry(p, n - p)) for p in range(n, (n - 1) // 2, -1)]
     cells = " ".join(str(iv.lo) if iv.exact else f"[{iv.lo},{iv.hi}]"
-                     for iv in half)
-    if fmt == "json":
-        out.append(json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
-                               **row.as_json()}, sort_keys=True))
-    elif fmt == "csv":
-        out.append("p,q,h")
-        out.extend(f"{p},{n - p},{iv}" for p, iv in
-                   zip(range(n, (n - 1) // 2, -1), half))
-    elif fmt == "markdown":
-        out.append("| p | q | h |")
-        out.append("|---|---|---|")
-        out.extend(f"| {p} | {n - p} | {iv} |" for p, iv in
-                   zip(range(n, (n - 1) // 2, -1), half))
-    else:
-        out.append(f"{spec.describe()}: dim {n}")
-        out.append(f"middle row h^{{{n},0}} .. h^{{{(n + 1) // 2},"
-                   f"{n - (n + 1) // 2}}}: {cells}")
-    print("\n".join(out))
+                     for _, _, iv in rows)
+    text = [f"{spec.describe()}: dim {n}",
+            f"middle row h^{{{n},0}} .. h^{{{(n + 1) // 2},"
+            f"{n - (n + 1) // 2}}}: {cells}"]
+    _emit(args, render(("p", "q", "h"), rows, args.fmt,
+                       (r.as_json() for r in [row]), text))
     return 0
 
 
 def _cmd_moduli(args) -> int:
     cat = load_catalog()
     spec = _spec_from_args(cat, args)
-    fmt = _format(args)
-    out = _stamp(args, fmt)
     if args.all_routes:
-        reports = list(moduli_routes(spec))
-        values = [r.value for r in reports]
-        labels = [r.route for r in reports]
+        routes = [(r.route, r.value) for r in moduli_routes(spec)]
         if args.linear is not None:
             try:
-                values.append(closed_form_hcc1(spec.ambient, args.linear))
-                labels.append("closed-form")
+                routes.append(("closed-form",
+                               closed_form_hcc1(spec.ambient, args.linear)))
             except ValueError:
                 pass
         try:
@@ -226,94 +189,53 @@ def _cmd_moduli(args) -> int:
             m = (row.n - 1) // 2
             iv = row.entry(m + 1, m)
             if iv.exact:
-                values.append(iv.lo)
-                labels.append("hodge-middle")
+                routes.append(("hodge-middle", iv.lo))
         except ValueError:
             pass
-        if fmt == "json":
-            out.append(json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
-                                   "routes": dict(zip(labels, values))},
-                                  sort_keys=True))
-        elif fmt in ("csv", "markdown"):
-            out.extend(_route_rows(fmt, zip(labels, values)))
-        else:
-            out.append(" = ".join(str(v) for v in values)
-                       + "  (" + ", ".join(labels) + ")")
+        payloads = [{"routes": dict(routes)}]
+        text = [" = ".join(str(v) for _, v in routes)
+                + "  (" + ", ".join(r for r, _ in routes) + ")"]
     else:
         rep = deformation_moduli(spec, route=args.route)
-        if fmt == "json":
-            out.append(json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
-                                   **rep.as_json()}, sort_keys=True))
-        elif fmt in ("csv", "markdown"):
-            out.extend(_route_rows(fmt, [(rep.route, rep.value)]))
-        else:
-            out.append(f"{rep.value}  ({rep.route})")
-    print("\n".join(out))
+        routes = [(rep.route, rep.value)]
+        payloads = (r.as_json() for r in [rep])
+        text = [f"{rep.value}  ({rep.route})"]
+    _emit(args, render(("route", "value"), routes, args.fmt, payloads, text))
     return 0
 
 
-def _route_rows(fmt: str, pairs) -> list[str]:
-    if fmt == "csv":
-        return ["route,value"] + [f"{route},{value}" for route, value in pairs]
-    return (["| route | value |", "|---|---|"]
-            + [f"| {route} | {value} |" for route, value in pairs])
-
-
 def _cmd_jacring(args) -> int:
-    fmt = _format(args)
-    out = _stamp(args, fmt)
     if args.scan:
         rows = weighted_cy_scan(*args.scan)
     elif args.weights is None:
         raise SystemExit("jacring needs --weights or --scan")
     else:
-        try:
-            rows = [steenbrink_hodge(_csv_ints(args.weights), args.degree)]
-            if args.at is not None:
-                print("\n".join(out + [str(jacobian_hilbert(
-                    _csv_ints(args.weights), args.degree, args.at))]))
-                return 0
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    if fmt == "csv":
-        out.append("weights,degree,dim,middle,moduli")
-    elif fmt == "markdown":
-        out.append("| weights | degree | dim | middle | moduli |")
-        out.append("|---|---|---|---|---|")
-    for row in rows:
-        ws = ",".join(str(w) for w in row.weights)
-        mid = " ".join(str(h) for h in row.entries)
-        if fmt == "json":
-            out.append(json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
-                                   **row.as_json()}, sort_keys=True))
-        elif fmt == "csv":
-            out.append(f'"{ws}",{row.degree},{row.dim},{mid},{row.moduli}')
-        elif fmt == "markdown":
-            out.append(f"| {ws} | {row.degree} | {row.dim} | {mid} "
-                       f"| {row.moduli} |")
-        else:
-            out.append(f"weights ({ws}) degree {row.degree} dim {row.dim}: "
-                       f"{mid}  (moduli {row.moduli})")
-    print("\n".join(out))
+        weights = _csv_ints(args.weights)
+        rows = [steenbrink_hodge(weights, args.degree)]
+        if args.at is not None:
+            _emit(args, str(jacobian_hilbert(weights, args.degree, args.at)))
+            return 0
+    table = [(",".join(map(str, r.weights)), r.degree, r.dim,
+              " ".join(map(str, r.entries)), r.moduli) for r in rows]
+    text = [f"weights ({ws}) degree {deg} dim {dim}: {mid}  (moduli {mod})"
+            for ws, deg, dim, mid, mod in table]
+    _emit(args, render(("weights", "degree", "dim", "middle", "moduli"), table,
+                       args.fmt, (r.as_json() for r in rows), text))
     return 0
 
 
 def _cmd_verify(args) -> int:
     cat = load_catalog()
     rep = run_verify(cat, tables=tuple(args.table or ()))
-    fmt = _format(args)
-    out = _stamp(args, fmt)
-    out.append(render_cells(rep.cells, fmt))
-    if fmt in ("text", "markdown"):
-        counts = {}
-        for c in rep.cells:
-            counts[c.status] = counts.get(c.status, 0) + 1
+    out = [render_cells(rep.cells, args.fmt)]
+    if args.fmt in ("text", "markdown"):
+        counts = Counter(c.status for c in rep.cells)
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
         out.append("")
         out.append(f"{len(rep.cells)} cells: {summary}; "
                    f"{len(rep.documented)} documented discrepancies, "
                    f"{len(rep.undocumented)} undocumented")
-    print("\n".join(out))
+    _emit(args, *out)
     return rep.exit_code
 
 
@@ -325,9 +247,14 @@ def main(argv=None) -> int:
     sub = top.add_subparsers(dest="command", required=True)
 
     def fmt_flags(p):
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--csv", action="store_true", help="CSV output")
-        p.add_argument("--markdown", action="store_true", help="markdown output")
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_const", const="json", dest="fmt",
+                         help="JSON-lines output")
+        fmt.add_argument("--csv", action="store_const", const="csv", dest="fmt",
+                         help="CSV output")
+        fmt.add_argument("--markdown", action="store_const", const="markdown",
+                         dest="fmt", help="markdown table output")
+        p.set_defaults(fmt="text")
         p.add_argument("--timestamp", action="store_true",
                        help="prepend a generation timestamp")
 
@@ -338,7 +265,7 @@ def main(argv=None) -> int:
                    help="line-bundle twist k in O(k) (negative = downward)")
     p.add_argument("--schur", help='Schur label, e.g. "Q*:1111;E:4"')
     p.add_argument("--trace", action="store_true",
-                   help="print the reflection walk")
+                   help="print the reflection walk (text output only)")
     fmt_flags(p)
     p.set_defaults(func=_cmd_bott)
 

@@ -150,13 +150,11 @@ def linear_section(space: HomogSpace, s: int) -> SectionSpec:
 
 
 @lru_cache(maxsize=None)
-def _koszul_groups(cuts, j: int):
+def _koszul_groups(cuts, nf: int, j: int):
     """Twist vectors of wedge^j(O(-d_1) + ... + O(-d_s)) with multiplicity."""
     groups: dict[tuple, int] = {}
     for subset in combinations(range(len(cuts)), j):
-        v = tuple(sum(cuts[i][f] for i in subset) for f in range(len(cuts[0]) if cuts else 0))
-        if not cuts:
-            v = ()
+        v = tuple(sum(cuts[i][f] for i in subset) for f in range(nf))
         groups[v] = groups.get(v, 0) + 1
     return tuple(sorted(groups.items()))
 
@@ -188,9 +186,7 @@ def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
     terms = []
     for j in range(len(cuts), -1, -1):
         total: dict[int, int] = {}
-        for vec, mult in _koszul_groups(cuts, j):
-            if not vec:
-                vec = (0,) * len(space.factors)
+        for vec, mult in _koszul_groups(cuts, len(space.factors), j):
             for q, d in forms_cohomology(space, a, _vadd(down, vec)).items():
                 total[q] = total.get(q, 0) + mult * d
         terms.append(total)
@@ -359,8 +355,7 @@ def _consumed_facts(spec: SectionSpec, pmax: int, downs=((),)) -> tuple[str, ...
             for k in range(p + 1):
                 for v1, _ in _sym_groups(cuts, nf, k):
                     for j in range(len(cuts) + 1):
-                        for v2, _ in _koszul_groups(cuts, j):
-                            v2 = v2 or zero
+                        for v2, _ in _koszul_groups(cuts, nf, j):
                             pairs.add((p - k, _vadd(d0, _vadd(v1, v2))))
     out = []
     for a, v in sorted(pairs):
@@ -473,8 +468,7 @@ def chi_section_forms(spec: SectionSpec, p: int, down=0) -> int:
         for v1, m1 in _sym_groups(cuts, nf, k):
             for j in range(len(cuts) + 1):
                 sign_j = -1 if j % 2 else 1
-                for v2, m2 in _koszul_groups(cuts, j):
-                    v2 = v2 or (0,) * nf
+                for v2, m2 in _koszul_groups(cuts, nf, j):
                     v = _vadd(down, _vadd(v1, v2))
                     total += sign_k * sign_j * m1 * m2 * euler_char(space, p - k, v)
     return total
@@ -695,14 +689,6 @@ def lemma_van_scan(space: HomogSpace) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def dual_degree_scan(space: HomogSpace) -> list[tuple[int, dict]]:
-    """For each degree d of a would-be dual hypersurface, the cohomology of
-    Omega^{d-1}(d-r).  Reported raw, without verdict: only d = c-1 is known
-    to produce the one-dimensional group."""
-    r, c = _series_facts(space)
-    return [(d, forms_cohomology(space, d - 1, r - d)) for d in range(2, c + 1)]
-
-
 _DEGREE_WORDS = {2: "quadric", 3: "cubic", 4: "quartic", 5: "quintic",
                  6: "sextic", 7: "septic", 8: "octic"}
 _DIM_WORDS = {2: "surface", 3: "threefold", 4: "fourfold", 5: "fivefold",
@@ -863,7 +849,6 @@ __all__ = [
     "closed_form_hcc1",
     "lemma_nonvan_check",
     "lemma_van_scan",
-    "dual_degree_scan",
     "dual_correspondence",
     "cy_type_verdict",
     "projective_space",

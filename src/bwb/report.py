@@ -30,7 +30,8 @@ from .hodge import (
 )
 from .jacring import steenbrink_hodge
 
-__all__ = ["ReportCell", "run_verify", "render_cells", "REPORT_SCHEMA_VERSION"]
+__all__ = ["ReportCell", "run_verify", "render", "render_cells",
+           "REPORT_SCHEMA_VERSION"]
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -296,27 +297,31 @@ def run_verify(cat: Catalog | None = None,
     return VerifyReport(tuple(out), tuple(undocumented), tuple(flagged))
 
 
-def render_cells(cells, fmt: str = "text") -> str:
-    """Render a cell stream as text, markdown, json lines, or csv."""
+def render(head, rows, fmt: str, payloads, text=None) -> str:
+    """The one output renderer: ``rows`` under the column names ``head``.
+
+    ``json`` writes one line per payload dict (an iterable, consumed only
+    here), stamped with ``schema_version`` and key-sorted; ``csv`` writes
+    ``head`` and ``rows`` through :mod:`csv` (RFC quoting); ``markdown`` is a
+    pipe table; ``text`` is the caller's ``text`` lines, or the rows as
+    left-aligned columns when ``text`` is None.
+    """
     if fmt == "json":
         import json
         return "\n".join(
-            json.dumps({"schema_version": REPORT_SCHEMA_VERSION, **c.as_json()},
-                       sort_keys=True)
-            for c in cells)
+            json.dumps({"schema_version": REPORT_SCHEMA_VERSION, **p}, sort_keys=True)
+            for p in payloads)
     if fmt == "csv":
         import csv
         import io
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["table", "row", "column", "fixture", "computed", "status", "note"])
-        for c in cells:
-            w.writerow([c.table, c.row, c.column, c.fixture, c.computed,
-                        c.status, c.note])
+        w.writerow(head)
+        w.writerows(rows)
         return buf.getvalue().rstrip("\n")
-    rows = [(c.table, c.row, c.column, str(c.fixture), str(c.computed),
-             c.status, c.note) for c in cells]
-    head = ("table", "row", "column", "fixture", "computed", "status", "note")
+    if fmt == "text" and text is not None:
+        return "\n".join(text)
+    rows = [[str(v) for v in r] for r in rows]
     if fmt == "markdown":
         lines = ["| " + " | ".join(head) + " |",
                  "|" + "|".join("---" for _ in head) + "|"]
@@ -326,3 +331,13 @@ def render_cells(cells, fmt: str = "text") -> str:
     lines = ["  ".join(h.ljust(w) for h, w in zip(head, widths)).rstrip()]
     lines += ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in rows]
     return "\n".join(lines)
+
+
+_CELL_HEAD = ("table", "row", "column", "fixture", "computed", "status", "note")
+
+
+def render_cells(cells, fmt: str = "text") -> str:
+    """Render a sequence of cells as text, markdown, json lines, or csv."""
+    rows = [(c.table, c.row, c.column, c.fixture, c.computed, c.status, c.note)
+            for c in cells]
+    return render(_CELL_HEAD, rows, fmt, (c.as_json() for c in cells))

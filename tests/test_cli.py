@@ -1,6 +1,8 @@
 """Command-line interface: frozen output strings, the byte-exact reflection
 trace, and the verify driver's exit-code contract."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -213,6 +215,33 @@ def test_csv_and_markdown_formats(capsys):
     assert out.splitlines()[0] == "| p | q | h |"
     assert out.splitlines()[-1] == "| 5 | 4 | 70 |"
 
+
+
+def test_csv_quotes_interval_cells(capsys):
+    rc, out = run_cli(capsys, ["hodge", "--space", "S12", "--cut", "2", "--csv"])
+    assert rc == 0
+    assert "8,6,\"[8547,8624]\"" in out.splitlines()
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["p", "q", "h"]
+    assert all(len(r) == 3 for r in rows)
+    assert ["8", "6", "[8547,8624]"] in rows
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv", "--markdown"])
+def test_trace_is_text_only(capsys, flag):
+    argv = ["bott", "--space", "OP2", "--form", "2", "--twist", "-9", "--trace"]
+    with pytest.raises(SystemExit, match=f"--trace prints text only, not {flag}"):
+        main(argv + [flag])
+    assert capsys.readouterr().out == ""
+
+
+def test_format_flags_are_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bott", "--space", "S10", "--form", "2", "--json", "--csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --json" in captured.err
 
 def test_module_entry_point():
     proc = subprocess.run(
