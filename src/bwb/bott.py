@@ -121,6 +121,16 @@ class CohomologyTable:
         return q, mu, dim
 
 
+def _factor_bott(f, lam):
+    """Borel-Weil-Bott on one factor: (degree, mu, dim), or None when the
+    dominance walk of lambda + rho meets a wall."""
+    walk = to_dominant(f.rs, [c + 1 for c in lam])
+    if walk.singular:
+        return None
+    mu = tuple(c - 1 for c in walk.dominant)
+    return walk.length, mu, weyl_dim(f.rs, mu)
+
+
 def bott(b: Bundle) -> CohomologyTable:
     """Borel-Weil-Bott: dominance walk of lambda + rho on every factor."""
     table = CohomologyTable()
@@ -128,12 +138,12 @@ def bott(b: Bundle) -> CohomologyTable:
     dim = 1
     mus = []
     for f, lam in zip(b.space.factors, b.weights):
-        walk = to_dominant(f.rs, tuple(c + 1 for c in lam))
-        if walk.singular:
+        group = _factor_bott(f, lam)
+        if group is None:
             return table
-        mu = tuple(c - 1 for c in walk.dominant)
-        degree += walk.length
-        dim *= weyl_dim(f.rs, mu)
+        q, mu, d = group
+        degree += q
+        dim *= d
         mus.append(mu)
     table.add(degree, tuple(mus), dim)
     return table
@@ -161,6 +171,14 @@ def _factor_form_weights(f) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(rep.shifted_rho for rep in level) for level in levels)
 
 
+def _require_cominuscule(space: HomogSpace) -> None:
+    if not space.cominuscule:
+        raise ValueError(
+            f"{space.name} has a non-cominuscule factor; "
+            "form bundles are not multiplicity-free irreducible sums there"
+        )
+
+
 @lru_cache(maxsize=None)
 def kostant_forms(space: HomogSpace, p: int) -> tuple[Bundle, ...]:
     """Summands of Omega^p as a sum of irreducible bundles.
@@ -171,11 +189,7 @@ def kostant_forms(space: HomogSpace, p: int) -> tuple[Bundle, ...]:
     """
     if p == 0:
         return (trivial_bundle(space),)
-    if not space.cominuscule:
-        raise ValueError(
-            f"{space.name} has a non-cominuscule factor; "
-            "form bundles are not multiplicity-free irreducible sums there"
-        )
+    _require_cominuscule(space)
     per_factor = [_factor_form_weights(f) for f in space.factors]
     out = []
 
@@ -195,16 +209,52 @@ def kostant_forms(space: HomogSpace, p: int) -> tuple[Bundle, ...]:
 
 @lru_cache(maxsize=None)
 def _forms_cohomology(space: HomogSpace, p: int, k) -> tuple[tuple[int, int], ...]:
+    """Kuenneth: Omega^p(-k) is the sum over splittings p = p_1 + ... + p_m
+    of the outer products of Omega^{p_i}(-k_i) on the factors, so its
+    cohomology is the convolution of per-factor Bott sums over the factor's
+    own Kostant weights.  Splittings the remaining factors cannot fill are
+    never visited; per-factor sums are shared within the call only."""
+    if p != 0:
+        _require_cominuscule(space)
     if isinstance(k, int):
         down = tuple(-k * a for a in space.ample)
     else:
         down = tuple(-v for v in k)
-    total: dict[int, int] = {}
-    for summand in kostant_forms(space, p):
-        tab = bott(summand.twisted(down))
-        for q, d in tab.dims().items():
-            total[q] = total.get(q, 0) + d
-    return tuple(sorted(total.items()))
+        if len(down) != len(space.factors):
+            raise ValueError("need one twist per factor")
+    sums: dict[tuple, dict[int, int]] = {}
+
+    def factor_sum(f, pf, inc):
+        key = (f, pf, inc)
+        if key not in sums:
+            acc: dict[int, int] = {}
+            for w in _factor_form_weights(f)[pf]:
+                lam = list(w)
+                lam[f.node] += inc
+                group = _factor_bott(f, lam)
+                if group is not None:
+                    q, _, d = group
+                    acc[q] = acc.get(q, 0) + d
+            sums[key] = acc
+        return sums[key]
+
+    partial: dict[int, dict[int, int]] = {0: {0: 1}}  # degrees used -> H^*
+    rest = space.dim  # form degrees the factors after f can still hold
+    for f, inc in zip(space.factors, down):
+        rest -= f.dim
+        nxt: dict[int, dict[int, int]] = {}
+        for used, coh in partial.items():
+            left = p - used
+            for pf in range(max(0, left - rest), min(left, f.dim) + 1):
+                fc = factor_sum(f, pf, inc)
+                if not fc:
+                    continue
+                acc = nxt.setdefault(used + pf, {})
+                for q1, d1 in coh.items():
+                    for q2, d2 in fc.items():
+                        acc[q1 + q2] = acc.get(q1 + q2, 0) + d1 * d2
+        partial = nxt
+    return tuple(sorted(partial.get(p, {}).items()))
 
 
 def forms_cohomology(space: HomogSpace, p: int, k=0) -> dict[int, int]:

@@ -41,9 +41,10 @@ verification layer cross-checks against the Hodge-theoretic route.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from .bott import euler_char, forms_cohomology
@@ -161,15 +162,21 @@ def _koszul_groups(cuts, nf: int, j: int):
 
 @lru_cache(maxsize=None)
 def _sym_groups(cuts, nf: int, k: int):
-    """Twist vectors of Sym^k(O(-d_1) + ... + O(-d_s)) with multiplicity."""
-    groups: dict[tuple, int] = {}
-    for ms in combinations_with_replacement(range(len(cuts)), k):
-        v = [0] * nf
-        for i in ms:
-            for f, c in enumerate(cuts[i]):
-                v[f] += c
-        groups[tuple(v)] = groups.get(tuple(v), 0) + 1
-    return tuple(sorted(groups.items()))
+    """Twist vectors of Sym^k(O(-d_1) + ... + O(-d_s)) with multiplicity.
+
+    Equal cut vectors are grouped: a monomial of degree k_v in the n_v cuts
+    equal to v can be chosen in C(n_v + k_v - 1, k_v) ways (stars and bars),
+    so only the splittings k = sum k_v are walked, not every multiset.
+    """
+    states = {(0, (0,) * nf): 1}  # (degree used, twist vector) -> count
+    for v, n in Counter(cuts).items():
+        nxt: dict[tuple, int] = {}
+        for (used, w), m in states.items():
+            for t in range(k - used + 1):
+                key = (used + t, tuple(a + t * b for a, b in zip(w, v)))
+                nxt[key] = nxt.get(key, 0) + m * comb(n + t - 1, t)
+        states = nxt
+    return tuple(sorted((w, m) for (used, w), m in states.items() if used == k))
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ coordinates.  Conventions, fixed once and used by every other module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 SERIES = ("A", "B", "C", "D", "E", "G")
@@ -104,18 +104,32 @@ EXPECTED_POSITIVE_COUNTS = {
 
 @dataclass(frozen=True)
 class RootSystem:
+    """A root system is determined by its series and rank, so equality and
+    hashing look at those two fields only; every derived field below is
+    built once by :func:`root_system` and marked ``compare=False``."""
+
     series: str
     rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
+    cartan: tuple[tuple[int, ...], ...] = field(compare=False)
+    lengths: tuple[int, ...] = field(compare=False)
     # positive roots: coefficient vectors over simple roots, sorted by height
-    positive_roots: tuple[tuple[int, ...], ...]
+    positive_roots: tuple[tuple[int, ...], ...] = field(compare=False)
     # fundamental coordinates of each positive root
-    root_coords: tuple[tuple[int, ...], ...]
+    root_coords: tuple[tuple[int, ...], ...] = field(compare=False)
     # integer coroot coordinates of each positive root
-    coroot_coords: tuple[tuple[int, ...], ...]
-    root_length: tuple[int, ...]
-    node_degree: tuple[int, ...]
+    coroot_coords: tuple[tuple[int, ...], ...] = field(compare=False)
+    root_length: tuple[int, ...] = field(compare=False)
+    node_degree: tuple[int, ...] = field(compare=False)
+    # per node i: (j, cartan[j][i]) for the Dynkin neighbours j of i, the
+    # off-diagonal nonzeros of column i that a reflection at i touches
+    neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False)
+    # nodes ordered by (degree, index): the default pivot's tie-break
+    pivot_order: tuple[int, ...] = field(compare=False)
+    # one step (k, j) per positive coroot, in order of height: the coroot is
+    # alpha_j^vee plus the one of step k (1-based; k = 0 means zero)
+    dim_steps: tuple[tuple[int, int], ...] = field(compare=False)
+    # prod over positive roots of <rho, alpha^vee>, the Weyl denominator
+    dim_den: int = field(compare=False)
 
     @property
     def num_positive(self) -> int:
@@ -132,6 +146,10 @@ class RootSystem:
 
     def __repr__(self) -> str:  # keep pytest output readable
         return f"RootSystem({self.series}{self.rank})"
+
+
+def _lower(v: tuple[int, ...], j: int) -> tuple[int, ...]:
+    return v[:j] + (v[j] - 1,) + v[j + 1:]
 
 
 @lru_cache(maxsize=None)
@@ -206,6 +224,22 @@ def root_system(series: str, rank: int) -> RootSystem:
         deg[i] += 1
         deg[j] += 1
 
+    neighbours = tuple(
+        tuple((j, cartan[j][i]) for j in range(rank) if j != i and cartan[j][i])
+        for i in range(rank)
+    )
+    # The coroots form a root system, so every positive coroot is a smaller
+    # one (or zero) plus a simple coroot, and in order of height each pairing
+    # <w, alpha^vee> is one addition to an earlier one.
+    slot = {(0,) * rank: 0}  # coroot -> its slot in weyl_dim's pairing list
+    dim_steps = []
+    dim_den = 1
+    for cv in sorted(coroots, key=sum):
+        j = next(j for j, c in enumerate(cv) if c and _lower(cv, j) in slot)
+        dim_steps.append((slot[_lower(cv, j)], j))
+        slot[cv] = len(dim_steps)
+        dim_den *= sum(cv)
+
     return RootSystem(
         series=series,
         rank=rank,
@@ -216,6 +250,10 @@ def root_system(series: str, rank: int) -> RootSystem:
         coroot_coords=tuple(coroots),
         root_length=tuple(length_of[a] for a in positives),
         node_degree=tuple(deg),
+        neighbours=neighbours,
+        pivot_order=tuple(sorted(range(rank), key=lambda i: (deg[i], i))),
+        dim_steps=tuple(dim_steps),
+        dim_den=dim_den,
     )
 
 
@@ -259,15 +297,12 @@ class DominanceWalk:
 
 def default_pivot(rs: RootSystem, w) -> int:
     """Deterministic pivot: most negative coordinate, ties broken by smaller
-    diagram vertex degree (leaves first), then by smaller node index."""
-    best = -1
-    key = None
-    for i, wi in enumerate(w):
-        if wi < 0:
-            k = (wi, rs.node_degree[i], i)
-            if key is None or k < key:
-                key, best = k, i
-    return best
+    diagram vertex degree (leaves first), then by smaller node index; -1
+    when no coordinate is negative."""
+    low = min(w)
+    if low >= 0:
+        return -1
+    return next(i for i in rs.pivot_order if w[i] == low)
 
 
 def to_dominant(rs: RootSystem, w, pivot=None) -> DominanceWalk:
@@ -280,40 +315,49 @@ def to_dominant(rs: RootSystem, w, pivot=None) -> DominanceWalk:
 
     ``pivot`` may be a callable ``(rs, w) -> node`` overriding the default
     pivot rule; it must return a node with negative coordinate.
+
+    The walk runs on one int list: a reflection at node ``i`` negates
+    coordinate ``i`` and updates only its Dynkin neighbours.  Without a
+    ``pivot`` the default rule is applied inline: the most negative
+    coordinate, ties resolved by ``rs.pivot_order``.
     """
-    cur = tuple(w)
-    rule = pivot or default_pivot
+    cur = list(w)
     pivots = []
-    cap = rs.num_positive
-    while True:
-        if any(c == 0 for c in cur):
+    neighbours = rs.neighbours
+    for _ in range(rs.num_positive + 1):
+        low = min(cur)
+        if low > 0:
+            return DominanceWalk(tuple(cur), len(pivots), False, tuple(pivots))
+        if 0 in cur:
             return DominanceWalk(None, len(pivots), True, tuple(pivots))
-        if all(c > 0 for c in cur):
-            return DominanceWalk(cur, len(pivots), False, tuple(pivots))
-        i = rule(rs, cur)
-        assert cur[i] < 0, "pivot rule must pick a negative coordinate"
-        cur = simple_reflection(rs, i, cur)
+        if pivot is None:
+            for i in rs.pivot_order:
+                if cur[i] == low:
+                    break
+        else:
+            i = pivot(rs, tuple(cur))
+            assert cur[i] < 0, "pivot rule must pick a negative coordinate"
+        wi = cur[i]
+        cur[i] = -wi
+        for j, c in neighbours[i]:
+            cur[j] -= wi * c
         pivots.append(i)
-        assert len(pivots) <= cap, "dominance walk exceeded the longest element"
+    raise AssertionError("dominance walk exceeded the longest element")
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible module with highest weight ``lam``
-    (dominant, fundamental coordinates), by the Weyl dimension formula.
+    (dominant, fundamental coordinates), by the Weyl dimension formula
+    prod <lam + rho, alpha^vee> / prod <rho, alpha^vee>.
     Exact integer arithmetic throughout."""
+    pairings = [0]
     num = 1
-    den = 1
-    for cv in rs.coroot_coords:
-        n = d = 0
-        for j in range(rs.rank):
-            c = cv[j]
-            if c:
-                n += (lam[j] + 1) * c
-                d += c
-        num *= n
-        den *= d
-    assert num % den == 0, "Weyl dimension must be an integer"
-    return num // den
+    for k, j in rs.dim_steps:
+        v = pairings[k] + lam[j] + 1
+        pairings.append(v)
+        num *= v
+    assert num % rs.dim_den == 0, "Weyl dimension must be an integer"
+    return num // rs.dim_den
 
 
 def weyl_dim_levi(rs: RootSystem, unmarked: frozenset[int], lam) -> int:

@@ -111,6 +111,10 @@ def test_forms_on_non_cominuscule_spaces():
         assert bott(kostant_forms(space, 0)[0]).dims() == {0: 1}
         with pytest.raises(ValueError, match="cominuscule"):
             kostant_forms(space, 1)
+        assert forms_cohomology(space, 0, 1) == bott(
+            kostant_forms(space, 0)[0].twisted(-1)).dims()
+        with pytest.raises(ValueError, match="cominuscule"):
+            forms_cohomology(space, 1, 0)
 
 
 def test_diagonal_hodge_numbers():
@@ -257,6 +261,41 @@ def test_raw_twist_vectors_on_products():
     assert forms_cohomology(space, 0, (3, 3, 3, 3)) == {4: 16}
     assert forms_cohomology(space, 0, (-1, -1, -1, -1)) == {0: 16}
     assert forms_cohomology(space, 0, (1, 0, 0, 0)) == {}
+    with pytest.raises(ValueError, match="one twist per factor"):
+        forms_cohomology(space, 1, (1, 1))
+
+
+PRODUCT_SPACES = ("P3xP3", "(P1)^4", "(P1)^6", "(P1)^3xP3", "(P2)^4", "(P4)^3",
+                  "G(2,5)xG(2,5)")
+
+
+def summed_bott(space, p, k):
+    """H^*(Omega^p(-k)) summand by summand: the Kostant decomposition of the
+    whole product, one full Bott computation per summand."""
+    if isinstance(k, int):
+        down = tuple(-k * a for a in space.ample)
+    else:
+        down = tuple(-v for v in k)
+    total = {}
+    for summand in kostant_forms(space, p):
+        for q, d in bott(summand.twisted(down)).dims().items():
+            total[q] = total.get(q, 0) + d
+    return dict(sorted(total.items()))
+
+
+def test_kuenneth_matches_summed_bott_on_every_product():
+    products = [name for name in sorted(CAT.spaces)
+                if len(CAT.space(name).factors) > 1]
+    assert sorted(products) == sorted(PRODUCT_SPACES)
+    for name in PRODUCT_SPACES:
+        space = CAT.space(name)
+        n, m = space.dim, len(space.factors)
+        raw = [tuple(range(m)), tuple(range(-1, m - 1)), space.index_vector,
+               tuple(1 + (-1) ** i for i in range(m)), tuple(-2 * i for i in range(m))]
+        for p in range(-1, n + 2):
+            for k in list(range(-n - 2, n + 3)) + raw:
+                assert forms_cohomology(space, p, k) == summed_bott(space, p, k), (
+                    name, p, k)
 
 
 TOP_CASES = [

@@ -2,11 +2,16 @@
 exact-sequence chase, with Euler characteristics and deformation counts as
 independent oracles."""
 
+from itertools import combinations_with_replacement
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwb.catalog import default_catalog, projective_space, space_facts
 from bwb.hodge import (
     SectionSpec,
+    _sym_groups,
     chi_section_forms,
     ci_moduli,
     closed_form_hcc1,
@@ -304,3 +309,27 @@ SCAN_CELLS = {
     "G(2,10)": (4, 5, 12),
     "S14": (7, 4, 14),
 }
+
+
+def brute_sym_groups(cuts, nf, k):
+    """Sym^k twist vectors by listing every multiset of k cuts."""
+    groups = {}
+    for ms in combinations_with_replacement(range(len(cuts)), k):
+        v = tuple(sum(cuts[i][f] for i in ms) for f in range(nf))
+        groups[v] = groups.get(v, 0) + 1
+    return tuple(sorted(groups.items()))
+
+
+@st.composite
+def cut_list(draw):
+    nf = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(1, 3)] * nf)
+    cuts = draw(st.lists(vec, max_size=8))
+    return tuple(cuts), nf, draw(st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_list())
+def test_sym_groups_match_multiset_enumeration(case):
+    cuts, nf, k = case
+    assert _sym_groups(cuts, nf, k) == brute_sym_groups(cuts, nf, k)

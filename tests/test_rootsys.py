@@ -184,6 +184,94 @@ def test_reflection_preserves_orbit_data(case):
         assert other.dominant == walk.dominant
 
 
+# Every supported root system the walk oracle below draws from.
+ORACLE_SYSTEMS = (
+    [("A", r) for r in range(1, 11)]
+    + [(s, r) for s in ("B", "C") for r in range(2, 6)]
+    + [("D", r) for r in range(4, 8)]
+    + [("E", 6), ("E", 7), ("G", 2)]
+)
+
+
+def reference_walk(rs, w):
+    """Reference dominance walk sharing no code with ``to_dominant``: a pivot
+    scan over every node, a dense reflection through the whole Cartan column
+    and a new tuple per step."""
+
+    def pivot(cur):
+        best, key = -1, None
+        for i, wi in enumerate(cur):
+            if wi < 0:
+                k = (wi, rs.node_degree[i], i)
+                if key is None or k < key:
+                    key, best = k, i
+        return best
+
+    def reflect(i, cur):
+        return tuple(cur[j] - cur[i] * rs.cartan[j][i] for j in range(rs.rank))
+
+    cur, pivots = tuple(w), []
+    while True:
+        if any(c == 0 for c in cur):
+            return None, len(pivots), True, tuple(pivots)
+        if all(c > 0 for c in cur):
+            return cur, len(pivots), False, tuple(pivots)
+        i = pivot(cur)
+        cur = reflect(i, cur)
+        pivots.append(i)
+        assert len(pivots) <= rs.num_positive
+
+
+def reference_weyl_dim(rs, lam):
+    """Dense Weyl dimension formula over the coroot coordinates."""
+    num = den = 1
+    for cv in rs.coroot_coords:
+        num *= sum((lam[j] + 1) * cv[j] for j in range(rs.rank))
+        den *= sum(cv)
+    assert num % den == 0
+    return num // den
+
+
+@st.composite
+def oracle_weight(draw):
+    ser, rk = draw(st.sampled_from(ORACLE_SYSTEMS))
+    return ser, rk, tuple(draw(st.integers(-7, 7)) for _ in range(rk))
+
+
+@settings(max_examples=600, deadline=None)
+@given(oracle_weight())
+def test_walk_matches_reference_walk(case):
+    ser, rk, w = case
+    rs = root_system(ser, rk)
+    want = reference_walk(rs, w)
+    for walk in (to_dominant(rs, w), to_dominant(rs, w, pivot=default_pivot)):
+        assert (walk.dominant, walk.length, walk.singular, walk.pivots) == want
+    if not walk.singular:
+        mu = tuple(c - 1 for c in walk.dominant)
+        assert weyl_dim(rs, mu) == reference_weyl_dim(rs, mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_weight())
+def test_weyl_dim_matches_dense_formula(case):
+    # dominant or not: the formula is a polynomial identity in lam
+    ser, rk, lam = case
+    rs = root_system(ser, rk)
+    assert weyl_dim(rs, lam) == reference_weyl_dim(rs, lam)
+
+
+def test_root_system_identity_is_series_and_rank():
+    for ser, rk in ORACLE_SYSTEMS:
+        rs = root_system(ser, rk)
+        fresh = root_system.__wrapped__(ser, rk)  # a second, uncached build
+        assert fresh is not rs
+        assert fresh == rs and hash(fresh) == hash(rs)
+        assert fresh.dim_steps == rs.dim_steps and fresh.neighbours == rs.neighbours
+    assert root_system("A", 3) != root_system("A", 4)
+    assert root_system("B", 3) != root_system("C", 3)
+    assert root_system("D", 5) != root_system("D", 6)
+
+
 def test_coset_reps_count_and_top_length():
     # |W| / |W_P| representatives; top length = codimension of the parabolic
     for ser, rk, node, count in COSET_COUNTS:
