@@ -65,6 +65,8 @@ class Bundle:
             incs = tuple(k * a for a in self.space.ample)
         else:
             incs = tuple(k)
+            if len(incs) != len(self.space.factors):
+                raise ValueError("need one twist per factor")
         new = []
         for f, w, inc in zip(self.space.factors, self.weights, incs):
             w = list(w)
@@ -85,7 +87,7 @@ def bundle(space: HomogSpace, weights, twist=0) -> Bundle:
             if j != f.node and c < 0:
                 raise ValueError(f"weight {w} is not Levi-dominant at node {j + 1}")
     b = Bundle(space, weights)
-    return b.twisted(twist) if twist else b
+    return b if twist == 0 else b.twisted(twist)
 
 
 def trivial_bundle(space: HomogSpace) -> Bundle:

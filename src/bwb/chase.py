@@ -40,7 +40,8 @@ class ChaseError(Exception):
 
 @dataclass(frozen=True)
 class Iv:
-    """Closed integer interval [lo, hi]; hi may be None for unbounded."""
+    """Closed integer interval [lo, hi]; hi may be None for unbounded.  The
+    one place outside the solver that knows how an interval is stored."""
 
     lo: int
     hi: int | None
@@ -49,17 +50,30 @@ class Iv:
     def exact(self) -> bool:
         return self.hi is not None and self.lo == self.hi
 
-    def meet(self, lo: int, hi: int | None) -> "Iv":
-        nlo = max(self.lo, lo)
+    def meet(self, other: "Iv") -> "Iv":
+        nlo = max(self.lo, other.lo)
         if self.hi is None:
-            nhi = hi
-        elif hi is None:
+            nhi = other.hi
+        elif other.hi is None:
             nhi = self.hi
         else:
-            nhi = min(self.hi, hi)
+            nhi = min(self.hi, other.hi)
         if nhi is not None and nlo > nhi:
-            raise ChaseError(f"empty interval: [{self.lo},{self.hi}] meet [{lo},{hi}]")
+            raise ChaseError(f"empty interval: {self} meet {other}")
         return Iv(nlo, nhi)
+
+    def __add__(self, other: "Iv") -> "Iv":
+        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
+        return Iv(self.lo + other.lo, hi)
+
+    def __rmul__(self, k: int) -> "Iv":
+        """k copies summed, for a multiplicity k >= 0."""
+        if k == 0:
+            return Iv(0, 0)
+        return Iv(k * self.lo, None if self.hi is None else k * self.hi)
+
+    def __contains__(self, x: int) -> bool:
+        return self.lo <= x and (self.hi is None or x <= self.hi)
 
     def __repr__(self) -> str:
         if self.exact:

@@ -163,8 +163,7 @@ def _cmd_hodge(args) -> int:
     row = section_hodge(spec)
     n = row.n
     rows = [(p, n - p, row.entry(p, n - p)) for p in range(n, (n - 1) // 2, -1)]
-    cells = " ".join(str(iv.lo) if iv.exact else f"[{iv.lo},{iv.hi}]"
-                     for _, _, iv in rows)
+    cells = " ".join(str(iv) for _, _, iv in rows)
     text = [f"{spec.describe()}: dim {n}",
             f"middle row h^{{{n},0}} .. h^{{{(n + 1) // 2},"
             f"{n - (n + 1) // 2}}}: {cells}"]

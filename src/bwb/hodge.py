@@ -189,7 +189,7 @@ def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
     n_amb = space.dim
     n_x = n_amb - len(cuts)
     if a < 0 or a > n_amb:
-        return tuple(Iv(0, 0) for _ in range(n_x + 1))
+        return (exact(0),) * (n_x + 1)
     terms = []
     for j in range(len(cuts), -1, -1):
         total: dict[int, int] = {}
@@ -199,7 +199,7 @@ def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
         terms.append(total)
     seed = {q: 0 for q in range(n_x + 1, n_amb + 1)}
     vec = solve_exact_complex(terms, seed, n_amb)
-    assert all(v.exact and v.lo == 0 for v in vec[n_x + 1:])
+    assert all(v == exact(0) for v in vec[n_x + 1:])
     return tuple(vec[: n_x + 1])
 
 
@@ -210,15 +210,11 @@ def _cotangent_terms(space, cuts, p: int, down):
     nf = len(space.factors)
     out = []
     for k in range(p, -1, -1):
-        lo = [0] * (n_x + 1)
-        hi: list[int | None] = [0] * (n_x + 1)
+        acc = (exact(0),) * (n_x + 1)
         for vec, mult in _sym_groups(cuts, nf, k):
             rv = restricted_forms(space, cuts, p - k, _vadd(down, vec))
-            for q in range(n_x + 1):
-                lo[q] += mult * rv[q].lo
-                if hi[q] is not None:
-                    hi[q] = None if rv[q].hi is None else hi[q] + mult * rv[q].hi
-        out.append(tuple(Iv(l, h) for l, h in zip(lo, hi)))
+            acc = tuple(a + mult * r for a, r in zip(acc, rv))
+        out.append(acc)
     return tuple(out)
 
 
@@ -230,7 +226,7 @@ def chase_section_forms(space, cuts, p: int, down, seed=None) -> tuple[Iv, ...]:
     """
     n_x = space.dim - len(cuts)
     if p < 0 or p > n_x:
-        return tuple(Iv(0, 0) for _ in range(n_x + 1))
+        return (exact(0),) * (n_x + 1)
     terms = [list(t) for t in _cotangent_terms(space, cuts, p, down)]
     return tuple(solve_exact_complex(terms, seed or {}, n_x))
 
@@ -242,12 +238,9 @@ def section_forms(spec: SectionSpec, p: int, down=0) -> tuple[Iv, ...]:
     if isinstance(down, int):
         down = _vscale(down, space.ample)
     n_x = spec.dim
-    direct = list(chase_section_forms(space, cuts, p, down))
+    direct = chase_section_forms(space, cuts, p, down)
     mirror = chase_section_forms(space, cuts, n_x - p, _vneg(down))
-    for q in range(n_x + 1):
-        m = mirror[n_x - q]
-        direct[q] = direct[q].meet(m.lo, m.hi)
-    return tuple(direct)
+    return tuple(d.meet(m) for d, m in zip(direct, reversed(mirror)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +253,9 @@ def _symmetrize(table, n: int) -> bool:
     changed = False
     for p in range(n + 1):
         for q in range(n + 1):
-            for v in (table[q][p], table[n - p][n - q]):
-                new = table[p][q].meet(v.lo, v.hi)
-                if new != table[p][q]:
-                    table[p][q] = new
-                    changed = True
+            new = table[p][q].meet(table[q][p]).meet(table[n - p][n - q])
+            if new != table[p][q]:
+                table[p][q], changed = new, True
     return changed
 
 
@@ -274,9 +265,11 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
 
     Each round re-runs the per-p chase of every row that narrowed since its
     last chase, seeded with the current row, then meets the Hodge-symmetry
-    transpose and the Serre reflection.  All three steps only ever narrow
-    intervals, so this terminates.  A chase seeded with its own last result
-    returns that result again, so skipping unchanged rows changes nothing.
+    transpose and the Serre reflection.  The chase starts its target from
+    the seed and only narrows it, so its result replaces the row with no
+    meet.  All three steps only ever narrow intervals, so this terminates.
+    A chase seeded with its own last result returns that result again, so
+    skipping unchanged rows changes nothing.
     """
     if spec.branch_degree is not None:
         raise ValueError("branched specs are handled by double_cover_hodge")
@@ -293,9 +286,8 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
             if row == chased[p]:
                 continue
             res = chase_section_forms(space, cuts, p, zero, dict(enumerate(row)))
-            table[p] = [v.meet(r.lo, r.hi) for v, r in zip(row, res)]
-            chased[p] = tuple(table[p])
-            changed |= chased[p] != row
+            table[p], chased[p] = list(res), res
+            changed |= res != row
         changed |= _symmetrize(table, n_x)
         if not changed:
             break
@@ -322,7 +314,7 @@ class HodgeRow:
     def entry(self, p: int, q: int) -> Iv:
         if 0 <= p <= self.n and 0 <= q <= self.n:
             return self.table[p][q]
-        return Iv(0, 0)
+        return exact(0)
 
     def exact_middle(self):
         """List of ints for resolved entries, (lo, hi) pairs otherwise."""
@@ -431,19 +423,13 @@ def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
 
     divisor = SectionSpec(space, cuts + (branch,))
     base_table = hodge_table(base)
-    table = [[unknown() for _ in range(n_y + 1)] for _ in range(n_y + 1)]
+    table = []
     for p in range(n_y + 1):
-        amb = section_forms(base, p, half)
-        if p == 0:
-            res = list(amb)
-        else:
+        res = section_forms(base, p, half)
+        if p > 0:
             div = section_forms(divisor, p - 1, half)
-            res = ses_middle(list(amb), list(div) + [Iv(0, 0)], n_y)
-        for q in range(n_y + 1):
-            b = base_table[p][q]
-            table[p][q] = Iv(b.lo + res[q].lo,
-                             None if (b.hi is None or res[q].hi is None)
-                             else b.hi + res[q].hi)
+            res = ses_middle(res, div + (exact(0),), n_y)
+        table.append([b + r for b, r in zip(base_table[p], res)])
     for _ in range(4):
         if not _symmetrize(table, n_y):
             break
@@ -781,7 +767,7 @@ class CYTypeReport:
 def _check_entry(v: Iv, want: int):
     if v.exact:
         return ("pass", "") if v.lo == want else ("fail", f"got {v.lo}")
-    return "inconclusive", f"got [{v.lo},{v.hi}]"
+    return "inconclusive", f"got {v}"
 
 
 def cy_type_verdict(row: HodgeRow, h1tx: ModuliReport | None = None) -> CYTypeReport:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .bott import forms_cohomology
 from .catalog import Catalog, HomogSpace, default_catalog, space_facts
-from .chase import Iv
+from .chase import Iv, exact
 from .hodge import (
     SectionSpec,
     ci_moduli,
@@ -66,11 +66,9 @@ def _cell(table, row, column, fixture, computed, note="") -> ReportCell:
         if computed.exact:
             computed = computed.lo
         else:
-            status = ("indeterminate"
-                      if fixture is None or computed.lo <= fixture <= computed.hi
+            status = ("indeterminate" if fixture is None or fixture in computed
                       else "mismatch")
-            return ReportCell(table, row, column, fixture,
-                              f"[{computed.lo},{computed.hi}]", status, note)
+            return ReportCell(table, row, column, fixture, str(computed), status, note)
     if fixture is None:
         return ReportCell(table, row, column, None, computed, "fixture-absent", note)
     status = "match" if fixture == computed else "mismatch"
@@ -235,7 +233,7 @@ def _theta_cells(cat: Catalog) -> list[ReportCell]:
     n = row.n
     cells = [_cell("theta35", "Theta", f"h{p}{p}", 1, row.entry(p, p))
              for p in range(1, n + 1)]
-    off = sum(row.entry(p, n - p).hi for p in range(n + 1) if 2 * p != n)
+    off = sum((row.entry(p, n - p) for p in range(n + 1) if 2 * p != n), exact(0))
     cells.append(_cell("theta35", "Theta", "middle_offdiag", 0, off))
     return cells
 

@@ -263,6 +263,12 @@ def test_raw_twist_vectors_on_products():
     assert forms_cohomology(space, 0, (1, 0, 0, 0)) == {}
     with pytest.raises(ValueError, match="one twist per factor"):
         forms_cohomology(space, 1, (1, 1))
+    p3p3 = CAT.space("P3xP3")
+    with pytest.raises(ValueError, match="one twist per factor"):
+        trivial_bundle(p3p3).twisted((-4,))
+    for short in ((-4,), ()):
+        with pytest.raises(ValueError, match="one twist per factor"):
+            bundle(p3p3, trivial_bundle(p3p3).weights, twist=short)
 
 
 PRODUCT_SPACES = ("P3xP3", "(P1)^4", "(P1)^6", "(P1)^3xP3", "(P2)^4", "(P4)^3",

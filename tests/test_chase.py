@@ -1,5 +1,6 @@
 """Interval chase: soundness on random exact complexes built from the model
-itself, plus fixed cases for ses_middle and for an inconsistent seed."""
+itself, fixed cases for ses_middle and for an inconsistent seed, and the
+arithmetic of the interval type."""
 
 import pytest
 from hypothesis import given, settings
@@ -78,3 +79,36 @@ def test_inconsistent_seed_raises():
         solve_exact_complex(terms, {0: 2}, 1)
     with pytest.raises(ChaseError):
         solve_exact_complex(terms, {3: 1}, 1)  # outside the degree window
+
+
+@st.composite
+def intervals(draw):
+    """A small interval, bounded or unbounded, and one of its members."""
+    lo = draw(st.integers(0, 6))
+    hi = draw(st.one_of(st.none(), st.integers(lo, lo + 6)))
+    x = draw(st.integers(lo, lo + 6 if hi is None else hi))
+    return Iv(lo, hi), x
+
+
+@given(intervals(), intervals(), st.integers(0, 4), st.integers(0, 20))
+def test_interval_sum_multiple_meet_and_membership(ax, by, k, z):
+    (a, x), (b, y) = ax, by
+    assert (z in a) == (a.lo <= z and (a.hi is None or z <= a.hi))
+    assert x in a and y in b
+    assert x + y in a + b
+    assert k * x in k * a and 0 * a == exact(0)
+    probes = [*range(20), 100]
+    common = [v for v in probes if v in a and v in b]
+    if not common:
+        with pytest.raises(ChaseError):
+            a.meet(b)
+    else:
+        assert [v for v in probes if v in a.meet(b)] == common
+
+
+@given(st.integers(0, 50), st.integers(0, 50))
+def test_interval_prints_like_the_old_formatters(lo, width):
+    hi = lo + width
+    old = str(lo) if width == 0 else f"[{lo},{hi}]"
+    assert str(Iv(lo, hi)) == repr(Iv(lo, hi)) == old
+    assert str(Iv(lo, None)) == f"[{lo},inf]"

@@ -11,8 +11,10 @@ from importlib import resources
 import pytest
 
 from bwb.catalog import load_catalog
+from bwb.chase import Iv
 from bwb.cli import main
 from bwb.hodge import section_hodge, section_spec
+from bwb.report import _cell
 
 
 def run_cli(capsys, argv):
@@ -225,6 +227,17 @@ def test_csv_quotes_interval_cells(capsys):
     assert rows[0] == ["p", "q", "h"]
     assert all(len(r) == 3 for r in rows)
     assert ["8", "6", "[8547,8624]"] in rows
+
+
+def test_report_cell_with_unbounded_interval():
+    """An unbounded interval is indeterminate whether or not a fixture is
+    stored, and prints as `hodge --csv` prints it."""
+    for fixture in (5, None):
+        cell = _cell("t", "r", "c", fixture, Iv(0, None))
+        assert (cell.status, cell.computed) == ("indeterminate", "[0,inf]")
+    assert _cell("t", "r", "c", 7, Iv(3, 5)).status == "mismatch"
+    assert _cell("t", "r", "c", 4, Iv(3, 5)).computed == "[3,5]"
+    assert _cell("t", "r", "c", 4, Iv(4, 4)).computed == 4
 
 
 @pytest.mark.parametrize("flag", ["--json", "--csv", "--markdown"])
