@@ -205,9 +205,13 @@ def _cmd_moduli(args) -> int:
 
 def _cmd_jacring(args) -> int:
     if args.scan:
+        if args.at is not None:
+            raise SystemExit("jacring: --at needs --weights, not --scan")
         rows = weighted_cy_scan(*args.scan)
     elif args.weights is None:
         raise SystemExit("jacring needs --weights or --scan")
+    elif args.degree is None:
+        raise SystemExit("jacring --weights needs --degree")
     else:
         weights = _csv_ints(args.weights)
         rows = [steenbrink_hodge(weights, args.degree)]

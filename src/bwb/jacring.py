@@ -25,7 +25,6 @@ above it, while staying Fano (|w| > d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 
 def _validated(weights, degree: int) -> tuple[int, ...]:
@@ -60,41 +59,54 @@ def socle_degree(weights, degree: int) -> int:
     return len(w) * degree - 2 * sum(w)
 
 
-def _ci_hilbert_poly(weights, degree: int) -> list[int] | None:
-    """The full Hilbert polynomial of the Jacobian ring, by exact division of
-    prod (1 - t^{d-w_i}) by prod (1 - t^{w_i}); None when the division leaves
-    a remainder, i.e. no regular sequence exists in those degrees and the
-    quotient ring is not a finite complete intersection."""
-    w = _validated(weights, degree)
-    num = [1]
-    for wi in w:
-        e = degree - wi
-        ext = num + [0] * e
-        for j, c in enumerate(num):
-            ext[j + e] -= c
-        num = ext
-    for wi in w:
-        # series division by 1 - t^{wi}: q_j = num_j + q_{j-wi}; the result
-        # is a polynomial exactly when the top wi series coefficients vanish
-        q = [0] * len(num)
-        for j, c in enumerate(num):
-            q[j] = c + (q[j - wi] if j >= wi else 0)
-        if any(q[len(num) - wi:]):
-            return None
-        num = q[: len(num) - wi]
-    if any(c < 0 for c in num):
-        return None  # exact division but no ring has that Hilbert function
-    return num
+def _polynomial_series(w: tuple[int, ...], degree: int) -> bool:
+    """Whether prod (1 - t^{d-w_i}) / prod (1 - t^{w_i}) is a polynomial.
+
+    1 - t^a is the product of the cyclotomic polynomials Phi_m over m | a,
+    so the quotient is a polynomial exactly when every Phi_m with m >= 2
+    divides the numerator at least as often as the denominator; only
+    m <= max(w) divide the denominator at all.  Phi_m divides 1 - t^{w_i}
+    when w_i = 0 (mod m), and 1 - t^{d-w_i} when w_i = d (mod m)."""
+    for m in range(2, max(w) + 1):
+        residues = [x % m for x in w]
+        if residues.count(0) > residues.count(degree % m):
+            return False
+    return True
+
+
+def _jacobian_poly(w: tuple[int, ...], degree: int) -> list[int]:
+    """The Hilbert polynomial of the Jacobian ring of validated weights
+    ``w``, by exact division of prod (1 - t^{d-w_i}) by prod (1 - t^{w_i}).
+
+    Raises ValueError when no regular sequence exists in those degrees: the
+    series is not a polynomial (rejected before any arithmetic), or it is
+    one with a negative coefficient, which no graded ring has."""
+    if _polynomial_series(w, degree):
+        num = [1]
+        for wi in w:
+            e = degree - wi
+            ext = num + [0] * e
+            for j, c in enumerate(num):
+                ext[j + e] -= c
+            num = ext
+        for wi in w:
+            # series division by 1 - t^{wi}: q_j = num_j + q_{j-wi}; every
+            # partial quotient is a polynomial, so its top wi terms vanish
+            q = [0] * len(num)
+            for j, c in enumerate(num):
+                q[j] = c + (q[j - wi] if j >= wi else 0)
+            num = q[: len(num) - wi]
+        if min(num) >= 0:
+            return num
+    raise ValueError(
+        f"weights {w} admit no regular sequence in degree {degree}: the "
+        f"Hilbert series is not a polynomial with nonnegative coefficients"
+    )
 
 
 def jacobian_hilbert(weights, degree: int, k: int) -> int:
     """dim R_k of the generic Jacobian ring; 0 outside 0..socle."""
-    poly = _ci_hilbert_poly(weights, degree)
-    if poly is None:
-        raise ValueError(
-            f"weights {tuple(weights)} admit no regular sequence in degree "
-            f"{degree}: the Hilbert series is not a polynomial"
-        )
+    poly = _jacobian_poly(_validated(weights, degree), degree)
     return poly[k] if 0 <= k < len(poly) else 0
 
 
@@ -126,12 +138,7 @@ def steenbrink_hodge(weights, degree: int) -> WeightedHodgeRow:
     n = len(w) - 1
     dim = n - 1
     total = sum(w)
-    poly = _ci_hilbert_poly(w, degree)
-    if poly is None:
-        raise ValueError(
-            f"weights {w} admit no regular sequence in degree {degree}: "
-            f"the Hilbert series is not a polynomial"
-        )
+    poly = _jacobian_poly(w, degree)
 
     def piece(k: int) -> int:
         return poly[k] if 0 <= k < len(poly) else 0
@@ -144,6 +151,24 @@ def steenbrink_hodge(weights, degree: int) -> WeightedHodgeRow:
         entries=entries,
         moduli=piece(degree),
     )
+
+
+def _weight_tuples(length: int, top: int, total: int, low: int = 1):
+    """The nondecreasing tuples of ``length`` entries in low..top that sum to
+    ``total``, in lexicographic order: the tuples of
+    ``combinations_with_replacement(range(low, top + 1), length)`` with that
+    sum, without enumerating the others."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for x in range(low, top + 1):
+        rest = total - x
+        if rest < x * (length - 1):
+            return  # the rest cannot stay >= x: larger x only make it worse
+        if rest <= top * (length - 1):
+            for tail in _weight_tuples(length - 1, top, rest, x):
+                yield (x,) + tail
 
 
 def weighted_cy_scan(max_dim: int, max_weight: int, max_degree: int) -> list[WeightedHodgeRow]:
@@ -159,13 +184,8 @@ def weighted_cy_scan(max_dim: int, max_weight: int, max_degree: int) -> list[Wei
         n = dim + 1
         k = (dim - 1) // 2
         for degree in range(2, max_degree + 1):
-            need = k * degree
             top = min(max_weight, degree - 1)
-            if not n + 1 <= need <= (n + 1) * top:
-                continue
-            for w in combinations_with_replacement(range(1, top + 1), n + 1):
-                if sum(w) != need:
-                    continue
+            for w in _weight_tuples(n + 1, top, k * degree):
                 try:
                     rows.append(steenbrink_hodge(w, degree))
                 except ValueError:

@@ -116,6 +116,18 @@ def test_jacring_rejects_bad_weights(capsys):
         main(["jacring", "--weights", "2,2,2,2,2,2,2", "--degree", "7"])
 
 
+def test_jacring_weights_need_a_degree(capsys):
+    with pytest.raises(SystemExit, match="^jacring --weights needs --degree$"):
+        main(["jacring", "--weights", "1,1,1,1"])
+    assert capsys.readouterr().out == ""
+
+
+def test_jacring_scan_refuses_at(capsys):
+    with pytest.raises(SystemExit, match="--at .* not --scan$"):
+        main(["jacring", "--scan", "7", "2", "4", "--at", "3"])
+    assert capsys.readouterr().out == ""
+
+
 def test_errors_exit_cleanly(capsys):
     with pytest.raises(SystemExit, match="unknown space 'NOPE'"):
         main(["bott", "--space", "NOPE", "--form", "1"])

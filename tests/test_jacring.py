@@ -1,11 +1,15 @@
 """Jacobian-ring Hilbert series and the middle Hodge rows of weighted
 hypersurfaces."""
 
+from itertools import combinations_with_replacement
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bwb.jacring import (
+    _polynomial_series,
+    _weight_tuples,
     hilbert_coefficients,
     jacobian_hilbert,
     socle_degree,
@@ -107,6 +111,40 @@ def test_rows_are_symmetric_whenever_defined(weights, degree):
     want = coeffs[degree] if degree <= top else 0
     assert row.moduli == want
     assert jacobian_hilbert(w, degree, degree) == want
+
+
+def series_is_polynomial(w, degree):
+    """Oracle sharing no code with the cyclotomic test: a polynomial series
+    has degree sigma = (n+1)d - 2|w|, and a non-polynomial one has no run of
+    |w| zero coefficients past sigma (the denominator's recurrence would
+    continue it forever), so coefficients sigma+1..(n+1)d decide."""
+    top = len(w) * degree
+    sigma = top - 2 * sum(w)
+    return not any(hilbert_coefficients(w, degree, top)[max(sigma + 1, 0):])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=9), st.integers(2, 14))
+def test_cyclotomic_test_accepts_exactly_the_polynomial_series(weights, degree):
+    assume(degree > max(weights))
+    w = tuple(weights)
+    assert _polynomial_series(w, degree) == series_is_polynomial(w, degree)
+
+
+def test_cyclotomic_test_rejects_even_weights_in_odd_degree():
+    # Phi_2 divides all seven denominator factors and no numerator factor
+    assert not series_is_polynomial((2,) * 7, 7)
+    assert not _polynomial_series((2,) * 7, 7)
+
+
+def test_weight_tuples_match_filtered_combinations():
+    for length in range(9):
+        for top in range(7):
+            for total in range(-1, length * top + 2):
+                every = combinations_with_replacement(range(1, top + 1), length)
+                want = [w for w in every if sum(w) == total]
+                got = list(_weight_tuples(length, top, total))
+                assert got == want, (length, top, total)
 
 
 STEENBRINK_ROWS = [
