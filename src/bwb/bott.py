@@ -61,14 +61,9 @@ class Bundle:
     def twisted(self, k) -> "Bundle":
         """Tensor with O(k).  Integer ``k`` means k copies of the primitive
         ample class L; a tuple gives the raw per-factor marked increments."""
-        if isinstance(k, int):
-            incs = tuple(k * a for a in self.space.ample)
-        else:
-            incs = tuple(k)
-            if len(incs) != len(self.space.factors):
-                raise ValueError("need one twist per factor")
         new = []
-        for f, w, inc in zip(self.space.factors, self.weights, incs):
+        for f, w, inc in zip(self.space.factors, self.weights,
+                             self.space.degree_vector(k)):
             w = list(w)
             w[f.node] += inc
             new.append(tuple(w))
@@ -218,12 +213,7 @@ def _forms_cohomology(space: HomogSpace, p: int, k) -> tuple[tuple[int, int], ..
     never visited; per-factor sums are shared within the call only."""
     if p != 0:
         _require_cominuscule(space)
-    if isinstance(k, int):
-        down = tuple(-k * a for a in space.ample)
-    else:
-        down = tuple(-v for v in k)
-        if len(down) != len(space.factors):
-            raise ValueError("need one twist per factor")
+    down = tuple(-v for v in space.degree_vector(k))
     sums: dict[tuple, dict[int, int]] = {}
 
     def factor_sum(f, pf, inc):
@@ -286,11 +276,7 @@ def euler_char(space: HomogSpace, p: int, k=0) -> int:
     factor, so chi is a signed sum of Weyl dimensions.  Works on any marked
     space; cost is binomial in the factor dimension (guarded).
     """
-    if isinstance(k, int):
-        down = tuple(-k * a for a in space.ample)
-    else:
-        down = tuple(-v for v in k)
-
+    down = tuple(-v for v in space.degree_vector(k))
     per_factor = []
     for f, inc in zip(space.factors, down):
         if f.dim > 16:

@@ -102,6 +102,16 @@ class HomogSpace:
         i = self.picard_index
         return tuple(r // i for r in self.index_vector)
 
+    def degree_vector(self, k) -> tuple[int, ...]:
+        """Per-factor degrees of O(k): an integer counts copies of L, a
+        sequence gives one degree per factor."""
+        if isinstance(k, int):
+            return tuple(k * a for a in self.ample)
+        vec = tuple(k)
+        if len(vec) != len(self.factors):
+            raise ValueError(f"need one twist per factor of {self.name}, got {vec}")
+        return vec
+
     @property
     def coindex(self) -> int:
         return self.dim - self.picard_index

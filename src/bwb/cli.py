@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -107,12 +108,18 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 
 def _emit(args, *blocks: str) -> None:
-    """Print rendered blocks, after a generation timestamp if one was asked."""
+    """Print rendered blocks, after a generation timestamp if one was asked;
+    a reader that closes the pipe early (``| head``) ends the run with
+    status 1 and no traceback."""
     if args.timestamp:
         now = datetime.now(timezone.utc).isoformat()
         blocks = (json.dumps({"timestamp": now}) if args.fmt == "json"
                   else f"# generated {now}",) + blocks
-    print("\n".join(blocks))
+    try:
+        print("\n".join(blocks), flush=True)
+    except BrokenPipeError:  # keep the interpreter's final flush off the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 # ------------------------------------------------------------- subcommands
@@ -125,8 +132,7 @@ def _cmd_bott(args) -> int:
     if args.schur is not None:
         bundles = [_parse_schur(space, args.schur, args.twist)]
     elif args.form is not None:
-        shift = tuple(args.twist * a for a in space.ample)
-        bundles = [b.twisted(shift) for b in kostant_forms(space, args.form)]
+        bundles = [b.twisted(args.twist) for b in kostant_forms(space, args.form)]
     else:
         raise SystemExit("bott needs --form or --schur")
     text: list[str] = []
@@ -207,6 +213,8 @@ def _cmd_jacring(args) -> int:
     if args.scan:
         if args.at is not None:
             raise SystemExit("jacring: --at needs --weights, not --scan")
+        if args.weights is not None or args.degree is not None:
+            raise SystemExit("jacring: --scan takes no --weights or --degree")
         rows = weighted_cy_scan(*args.scan)
     elif args.weights is None:
         raise SystemExit("jacring needs --weights or --scan")

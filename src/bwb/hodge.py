@@ -69,10 +69,6 @@ def _vneg(a):
     return tuple(-x for x in a)
 
 
-def _vscale(k, a):
-    return tuple(k * x for x in a)
-
-
 # ---------------------------------------------------------------------------
 # Section specifications
 
@@ -120,12 +116,9 @@ class SectionSpec:
 def section_spec(space: HomogSpace, cuts=(), branch=None) -> SectionSpec:
     """Validated constructor.  Integer degrees mean multiples of the
     primitive ample class; vectors give per-factor degrees directly."""
-    nf = len(space.factors)
 
     def norm(c):
-        vec = _vscale(c, space.ample) if isinstance(c, int) else tuple(c)
-        if len(vec) != nf:
-            raise ValueError(f"degree vector {vec} needs {nf} components")
+        vec = space.degree_vector(c)
         if any(x < 1 for x in vec):
             raise ValueError(f"degree vector {vec} must be componentwise >= 1")
         return vec
@@ -235,8 +228,7 @@ def section_forms(spec: SectionSpec, p: int, down=0) -> tuple[Iv, ...]:
     """h^q(X, Omega^p_X(-down)), intervals, with the Serre-dual chase folded
     in: the same engine run on (n-p, +down) bounds degree n-q."""
     space, cuts = spec.ambient, spec.cut_degrees
-    if isinstance(down, int):
-        down = _vscale(down, space.ample)
+    down = space.degree_vector(down)
     n_x = spec.dim
     direct = chase_section_forms(space, cuts, p, down)
     mirror = chase_section_forms(space, cuts, n_x - p, _vneg(down))
@@ -342,24 +334,26 @@ def _fact_string(space, a, down, dims) -> str:
     return f"H*({space.name}, Omega^{a}{tw}) = {body}"
 
 
+def _ambient_terms(spec: SectionSpec, p: int, down):
+    """Yield (signed multiplicity, a, twist) for every ambient
+    Omega^a(-twist) that feeds Omega^p_X(-down): Sym^k of the conormal
+    bundle (a = p - k) against the j-th Koszul term, with sign (-1)^(k+j)."""
+    cuts, nf = spec.cut_degrees, len(spec.ambient.factors)
+    for k in range(p + 1):
+        for v1, m1 in _sym_groups(cuts, nf, k):
+            for j in range(len(cuts) + 1):
+                for v2, m2 in _koszul_groups(cuts, nf, j):
+                    yield (-1) ** (k + j) * m1 * m2, p - k, _vadd(down, _vadd(v1, v2))
+
+
 def _consumed_facts(spec: SectionSpec, pmax: int, downs=((),)) -> tuple[str, ...]:
     """Every ambient Bott fact the chases for p <= pmax consume."""
-    space, cuts = spec.ambient, spec.cut_degrees
-    nf = len(space.factors)
-    zero = (0,) * nf
-    pairs = set()
-    for p in range(pmax + 1):
-        for d0 in downs:
-            d0 = d0 or zero
-            for k in range(p + 1):
-                for v1, _ in _sym_groups(cuts, nf, k):
-                    for j in range(len(cuts) + 1):
-                        for v2, _ in _koszul_groups(cuts, nf, j):
-                            pairs.add((p - k, _vadd(d0, _vadd(v1, v2))))
-    out = []
-    for a, v in sorted(pairs):
-        out.append(_fact_string(space, a, v, forms_cohomology(space, a, v)))
-    return tuple(out)
+    space = spec.ambient
+    zero = (0,) * len(space.factors)
+    pairs = {(a, v) for p in range(pmax + 1) for d0 in downs
+             for _, a, v in _ambient_terms(spec, p, d0 or zero)}
+    return tuple(_fact_string(space, a, v, forms_cohomology(space, a, v))
+                 for a, v in sorted(pairs))
 
 
 SMOOTHNESS_NOTE = "cuts assumed generically smooth (not verified)"
@@ -388,11 +382,13 @@ def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
     """Hodge numbers of the double cover Y of X branched in |O(branch)|.
 
     Needs h^{p,q}(X) and two twisted rows per p, all through the section
-    engine; non-cominuscule ambients get an Euler-characteristic-only row
-    (every entry an unbounded interval, chi data in the provenance).
+    engine, so the ambient must be cominuscule (``chi_section_forms`` still
+    gives Euler characteristics on any ambient).
     """
     if spec.branch_degree is None:
         raise ValueError("double_cover_hodge needs a branch degree")
+    if not spec.ambient.cominuscule:
+        raise ValueError(f"{spec.ambient.name} is not cominuscule")
     if any(r < 0 for r in spec.residual_index):
         raise ValueError(f"{spec.describe()} is neither Fano nor Calabi-Yau")
     space, cuts = spec.ambient, spec.cut_degrees
@@ -400,27 +396,6 @@ def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
     branch = spec.branch_degree
     half = tuple(c // 2 for c in branch)
     base = SectionSpec(space, cuts)
-
-    if not space.cominuscule:
-        chi = [
-            chi_section_forms(base, p, half) + chi_section_forms(
-                SectionSpec(space, cuts + (branch,)), p - 1, half)
-            for p in range(n_y + 1)
-        ]
-        return HodgeRow(
-            spec=spec,
-            n=n_y,
-            table=tuple(tuple(unknown() for _ in range(n_y + 1)) for _ in range(n_y + 1)),
-            provenance=tuple(
-                f"chi({space.name}, Omega^{p}(log B)(-{half})) = {c}"
-                for p, c in enumerate(chi)
-            ),
-            assumptions=(
-                SMOOTHNESS_NOTE,
-                f"{space.name} is not cominuscule: Euler characteristics only",
-            ),
-        )
-
     divisor = SectionSpec(space, cuts + (branch,))
     base_table = hodge_table(base)
     table = []
@@ -449,22 +424,11 @@ def chi_section_forms(spec: SectionSpec, p: int, down=0) -> int:
     """Euler characteristic chi(X, Omega^p_X(-down)) by alternating sums of
     ambient characteristics over both complexes.  Works on any marked
     ambient, cominuscule or not; used as an independent oracle."""
-    space, cuts = spec.ambient, spec.cut_degrees
-    nf = len(space.factors)
-    if isinstance(down, int):
-        down = _vscale(down, space.ample)
+    space = spec.ambient
+    down = space.degree_vector(down)
     if p < 0 or p > spec.dim:
         return 0
-    total = 0
-    for k in range(p + 1):
-        sign_k = -1 if k % 2 else 1
-        for v1, m1 in _sym_groups(cuts, nf, k):
-            for j in range(len(cuts) + 1):
-                sign_j = -1 if j % 2 else 1
-                for v2, m2 in _koszul_groups(cuts, nf, j):
-                    v = _vadd(down, _vadd(v1, v2))
-                    total += sign_k * sign_j * m1 * m2 * euler_char(space, p - k, v)
-    return total
+    return sum(m * euler_char(space, a, v) for m, a, v in _ambient_terms(spec, p, down))
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +461,8 @@ AUT_INJECTIVITY_NOTE = (
 
 def section_line_h0(spec: SectionSpec, vec) -> int:
     """h^0(X, O(vec)) through the Koszul restriction (exact by chase)."""
-    space = spec.ambient
-    if isinstance(vec, int):
-        vec = _vscale(vec, space.ample)
-    iv = restricted_forms(space, spec.cut_degrees, 0, _vneg(vec))[0]
+    vec = spec.ambient.degree_vector(vec)
+    iv = restricted_forms(spec.ambient, spec.cut_degrees, 0, _vneg(vec))[0]
     if not iv.exact:
         raise ValueError(f"h^0({spec.describe()}, O({vec})) did not resolve")
     return iv.lo

@@ -269,6 +269,26 @@ def test_raw_twist_vectors_on_products():
     for short in ((-4,), ()):
         with pytest.raises(ValueError, match="one twist per factor"):
             bundle(p3p3, trivial_bundle(p3p3).weights, twist=short)
+    for bad in ((0,), (0, 0, 5)):
+        with pytest.raises(ValueError, match="one twist per factor"):
+            euler_char(p3p3, 1, bad)
+    assert euler_char(p3p3, 1, (0, 0)) == -2  # chi(Omega^1) = -h^{1,1}
+
+
+def test_int_twist_equals_its_degree_vector_on_every_space():
+    for space in CAT.spaces.values():
+        small = all(f.dim <= 16 for f in space.factors)
+        for k in (-2, 1):
+            vec = space.degree_vector(k)
+            b = trivial_bundle(space)
+            assert b.twisted(k) == b.twisted(vec), space.name
+            for p in (0, 1, 2):
+                if p == 0 or space.cominuscule:
+                    assert forms_cohomology(space, p, k) == \
+                        forms_cohomology(space, p, vec), (space.name, p, k)
+                if small:
+                    assert euler_char(space, p, k) == euler_char(space, p, vec), \
+                        (space.name, p, k)
 
 
 PRODUCT_SPACES = ("P3xP3", "(P1)^4", "(P1)^6", "(P1)^3xP3", "(P2)^4", "(P4)^3",

@@ -55,6 +55,15 @@ def test_ample_vector_of_mixed_product():
     assert sp.picard_index == 2
 
 
+def test_degree_vector_scales_ample_and_checks_length():
+    sp = default_catalog().space("(P1)^3xP3")
+    assert sp.degree_vector(-2) == (-2, -2, -2, -4)
+    assert sp.degree_vector([1, 0, 0, 3]) == (1, 0, 0, 3)
+    for bad in ((1,), (1, 1, 1, 2, 0), ()):
+        with pytest.raises(ValueError, match="one twist per factor"):
+            sp.degree_vector(bad)
+
+
 def test_spinor_ample_is_half_spin():
     s10 = default_catalog().space("S10")
     f = s10.factors[0]

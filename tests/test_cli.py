@@ -128,6 +128,27 @@ def test_jacring_scan_refuses_at(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_jacring_scan_refuses_weights_and_degree(capsys):
+    for extra in (["--weights", "1,1,1"], ["--degree", "2"],
+                  ["--weights", "1,1,1", "--degree", "2"]):
+        with pytest.raises(SystemExit,
+                           match="^jacring: --scan takes no --weights or --degree$"):
+            main(["jacring", "--scan", "7", "2", "4", *extra])
+    assert capsys.readouterr().out == ""
+
+
+def test_closed_stdout_ends_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bwb.cli", "jacring", "--scan", "13", "7", "14"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.readline()
+    proc.stdout.close()  # like `| head -1`
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
+    assert err == ""
+
+
 def test_errors_exit_cleanly(capsys):
     with pytest.raises(SystemExit, match="unknown space 'NOPE'"):
         main(["bott", "--space", "NOPE", "--form", "1"])

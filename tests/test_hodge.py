@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwb.bott import euler_char
 from bwb.catalog import default_catalog, projective_space, space_facts
 from bwb.hodge import (
     SectionSpec,
@@ -24,6 +25,7 @@ from bwb.hodge import (
     lemma_van_scan,
     linear_section,
     moduli_routes,
+    section_forms,
     section_hodge,
     section_line_h0,
     section_spec,
@@ -72,6 +74,26 @@ def test_cy_type_verdict_on_maximal_sections():
 def test_section_hodge_rejects_non_cominuscule():
     with pytest.raises(ValueError, match="cominuscule"):
         section_hodge(section_spec(CAT.space("G2ad"), (2,)))
+
+
+def test_double_cover_hodge_rejects_non_cominuscule():
+    spec = section_spec(CAT.space("G2ad"), (), branch=2)
+    with pytest.raises(ValueError, match="^G2ad is not cominuscule$"):
+        double_cover_hodge(spec)
+    base = section_spec(CAT.space("G2ad"), ())
+    assert chi_section_forms(base, 1, 1) == euler_char(CAT.space("G2ad"), 1, 1)
+
+
+def test_section_layer_refuses_wrong_length_twists():
+    spec = section_spec(CAT.space("P3xP3"), (1,))
+    for bad in ((0,), (0, 0, 5)):
+        for call in (lambda: chi_section_forms(spec, 1, bad),
+                     lambda: section_forms(spec, 1, bad),
+                     lambda: section_line_h0(spec, bad)):
+            with pytest.raises(ValueError, match="one twist per factor"):
+                call()
+    with pytest.raises(ValueError, match="one twist per factor"):
+        section_spec(CAT.space("P3xP3"), ((1,),))
 
 
 # ------------------------------------------------------- the spinor tenfold
