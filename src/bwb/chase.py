@@ -23,8 +23,14 @@ bookkeeping: no spectral-sequence differential is ever guessed.
 Inside the solver an interval vector over degrees 0..top is a pair of int
 lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the two
 end slots are the exact zeros at degrees -1 and top + 1.  ``INF`` is the one
-unbounded marker.  The equations of sequence i form block i; a worklist
-re-runs a block only when one of its variables narrowed.
+unbounded marker.  The equations of sequence i in degree q form slot (i, q),
+and a dirty mask re-runs a slot only when one of the variables it reads
+narrowed: a narrowed h^q(B_i) dirties slot q of blocks i and i + 1 and slot
+q - 1 of block i + 1 (whose rank cap reads it), a narrowed r_i[q] slots q and
+q + 1 of block i, a narrowed h^q(T_i) slot q of block i.  Every narrowing is
+a monotone contraction, so by the chaotic-iteration theorem the fixpoint does
+not depend on the order the slots run in, and an empty interval is reached
+in every order or in none.
 """
 
 from __future__ import annotations
@@ -131,7 +137,8 @@ def _to_vec(t, top: int):
             if (q < 0 or q > top) and _bounds(v)[0] > 0:
                 raise ChaseError(f"term cohomology outside degree window: q={q}")
         t = [t.get(q, 0) for q in range(top + 1)]
-    assert len(t) == top + 1
+    if len(t) != top + 1:
+        raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
     lo, hi = _vec(top)
     for s, v in enumerate(t, 1):
         _narrow(lo, hi, s, *_bounds(v))
@@ -179,56 +186,70 @@ def solve_exact_complex(terms, target_seed, top: int):
         for s in slots:
             _narrow(*B[i], s, 0, B[i - 1][1][s + 1] + T[i][1][s])
 
-    def block(i: int) -> tuple[bool, bool, bool]:
-        """One sweep of the equations of block i; reports whether B_{i-1},
-        B_i, and T_i or R_i narrowed."""
-        clo, chi = B[i]
-        tlo, thi = T[i]
-        if i == 0:  # B_0 = T_0: the complex starts with an injection
-            c_ch = own_ch = False
-            for s in slots:
-                c_ch |= _narrow(clo, chi, s, tlo[s], thi[s])
-                own_ch |= _narrow(tlo, thi, s, clo[s], chi[s])
-            return False, c_ch, own_ch
-        alo, ahi = B[i - 1]
-        rlo, rhi = R[i]
-        a_ch = c_ch = own_ch = False
-        for s in slots:
-            # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
-            own_ch |= _narrow(tlo, thi, s,
-                              alo[s] + clo[s] - rhi[s - 1] - rhi[s],
-                              ahi[s] + chi[s] - rlo[s - 1] - rlo[s])
-            # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
-            u_lo = tlo[s] + rlo[s - 1] + rlo[s]
-            u_hi = thi[s] + rhi[s - 1] + rhi[s]
-            c_ch |= _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s])
-            a_ch |= _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s])
-            # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
-            d_lo = alo[s] + clo[s] - thi[s]
-            d_hi = ahi[s] + chi[s] - tlo[s]
-            own_ch |= _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1])
-            if s > 1:
-                own_ch |= _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s])
-            # a rank is bounded by both ends of its map
-            own_ch |= _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1]))
-        return a_ch, c_ch, own_ch
-
-    # Worklist: a change to B_{i-1} re-queues blocks i-1 and i, a change to
-    # B_i blocks i and i+1, a change to T_i or R_i block i alone.
+    # dirty[i][s]: slot s of block i must run.  It reads A[s], A[s+1] (in the
+    # rank cap), C[s], T_i[s], R_i[s-1] and R_i[s], where A = B_{i-1} and
+    # C = B_i, and is marked whenever one of them narrows.  A block stays
+    # queued while it has a dirty slot, and its sweep runs only those; marks
+    # that land on the pads are dropped.  The visit limit is a guard only.
+    dirty = [[False] + [True] * (top + 1) + [False] for _ in range(m + 1)]
     queued = [True] * (m + 1)
     work = deque(range(m + 1))
-    visits = 0
+    visits, limit = 0, 10000 * (m + 1) * (top + 1)
     while work:
         i = work.popleft()
-        queued[i] = False
-        visits += 1
-        assert visits < 10000 * (m + 1), "chase failed to reach a fixpoint"
-        a_ch, c_ch, own_ch = block(i)
-        if a_ch or c_ch or own_ch:
-            for j in range(i - a_ch, min(i + c_ch, m) + 1):
-                if not queued[j]:
-                    queued[j] = True
-                    work.append(j)
+        mask = dirty[i]
+        clo, chi = B[i]
+        tlo, thi = T[i]
+        if i:
+            alo, ahi = B[i - 1]
+            rlo, rhi = R[i]
+            prev = dirty[i - 1]
+        nxt = dirty[i + 1] if i < m else None
+        for s in slots:
+            if not mask[s]:
+                continue
+            mask[s] = False
+            visits += 1
+            if visits > limit:
+                raise ChaseError("chase failed to reach a fixpoint")
+            if i == 0:  # B_0 = T_0: the complex starts with an injection;
+                # the two meets leave B_0[s] = T_0[s], so no re-run is due
+                c_ch = _narrow(clo, chi, s, tlo[s], thi[s])
+                _narrow(tlo, thi, s, clo[s], chi[s])
+            else:
+                # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
+                ch = _narrow(tlo, thi, s,
+                             alo[s] + clo[s] - rhi[s - 1] - rhi[s],
+                             ahi[s] + chi[s] - rlo[s - 1] - rlo[s])
+                # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
+                u_lo = tlo[s] + rlo[s - 1] + rlo[s]
+                u_hi = thi[s] + rhi[s - 1] + rhi[s]
+                c_ch = _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s])
+                if _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s]):
+                    ch = prev[s] = mask[s - 1] = True
+                    if not queued[i - 1]:
+                        queued[i - 1] = True
+                        work.append(i - 1)
+                # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
+                d_lo = alo[s] + clo[s] - thi[s]
+                d_hi = ahi[s] + chi[s] - tlo[s]
+                r_ch = _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1])
+                if s > 1 and _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s]):
+                    ch = mask[s - 1] = True
+                # a rank is bounded by both ends of its map
+                if _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1])) or r_ch:
+                    ch = mask[s + 1] = True
+                if ch or c_ch:
+                    mask[s] = True
+            if c_ch and nxt is not None:
+                nxt[s] = nxt[s - 1] = True
+                if not queued[i + 1]:
+                    queued[i + 1] = True
+                    work.append(i + 1)
+        mask[0] = mask[-1] = False
+        queued[i] = any(mask)
+        if queued[i]:
+            work.append(i)
     return _ivs(*target)
 
 

@@ -88,19 +88,24 @@ def _trace_lines(space, bundle) -> list[str]:
 
 
 def _parse_schur(space, spec: str, twist: int):
+    series = [f.rs.series for f in space.factors]
+    accepted = {"A": ("Q*", "E"), "D": ("E",)}.get(series[0]) \
+        if len(series) == 1 else None
+    if accepted is None:
+        raise SystemExit(f"--schur labels are not defined for {space.name}")
     blocks = {}
     for part in spec.split(";"):
         name, _, body = part.partition(":")
-        parts = tuple(int(x) for x in body.split(",")) if "," in body \
+        name = name.strip()
+        if name not in accepted:
+            raise SystemExit(f"--schur block {name!r} is not used on {space.name}; "
+                             f"accepted: {', '.join(accepted)}")
+        blocks[name] = tuple(int(x) for x in body.split(",")) if "," in body \
             else tuple(int(ch) for ch in body)
-        blocks[name.strip()] = parts
-    series = {f.rs.series for f in space.factors}
-    if series == {"A"}:
+    if series == ["A"]:
         return grassmann_bundle(space, blocks.get("Q*", ()), blocks.get("E", ()),
                                 twist)
-    if series == {"D"}:
-        return spinor_bundle(space, blocks.get("E", ()), twist)
-    raise SystemExit(f"--schur labels are not defined for {space.name}")
+    return spinor_bundle(space, blocks.get("E", ()), twist)
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -271,10 +276,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bott", help="cohomology of one bundle")
     p.add_argument("--space", required=True)
-    p.add_argument("--form", type=int, help="exterior power p of the cotangent bundle")
+    bundle = p.add_mutually_exclusive_group()
+    bundle.add_argument("--form", type=int,
+                        help="exterior power p of the cotangent bundle")
+    bundle.add_argument("--schur", help='Schur label, e.g. "Q*:1111;E:4"')
     p.add_argument("--twist", type=int, default=0,
                    help="line-bundle twist k in O(k) (negative = downward)")
-    p.add_argument("--schur", help='Schur label, e.g. "Q*:1111;E:4"')
     p.add_argument("--trace", action="store_true",
                    help="print the reflection walk (text output only)")
     fmt_flags(p)

@@ -1,6 +1,7 @@
 """Interval chase: soundness on random exact complexes built from the model
-itself, fixed cases for ses_middle and for an inconsistent seed, and the
-arithmetic of the interval type."""
+itself, agreement with a plain round-robin reference solver, fixed cases for
+ses_middle and for an inconsistent seed, and the arithmetic of the interval
+type."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,12 @@ from bwb.chase import ChaseError, Iv, exact, ses_middle, solve_exact_complex, un
 
 
 @st.composite
-def exact_complexes(draw):
+def exact_complexes(draw, max_top=4, max_m=3):
     """Image dimensions h^q(B_i) and connecting ranks r_i[q] <=
     min(h^q(B_i), h^{q+1}(B_{i-1})), and the terms they force:
     T_0 = B_0 and h^q(T_i) = B_{i-1}[q] - r_i[q-1] + B_i[q] - r_i[q]."""
-    top = draw(st.integers(0, 4))
-    m = draw(st.integers(0, 3))
+    top = draw(st.integers(0, max_top))
+    m = draw(st.integers(0, max_m))
     dims = st.lists(st.integers(0, 5), min_size=top + 1, max_size=top + 1)
     images = [draw(dims) + [0] for _ in range(m + 1)]  # degree top + 1 is 0
     terms = [images[0][: top + 1]]
@@ -61,6 +62,128 @@ def test_truth_lies_inside_every_returned_interval(model, data):
     for i in range(1, len(terms)):
         mid = ses_middle(images[i - 1], images[i], top)
         assert all(_inside(t, iv) for t, iv in zip(terms[i], mid))
+
+
+def _reference_solve(terms, seed, top):
+    """The solver's equations swept round-robin, every equation of every
+    block, until nothing narrows; intervals are Iv, None is unbounded."""
+    zero = exact(0)
+
+    def vec(t, missing):  # degrees -1 .. top + 1, zero at both ends
+        if isinstance(t, dict):
+            t = [t.get(q, missing) for q in range(top + 1)]
+        return [zero] + [v if isinstance(v, Iv) else exact(v) for v in t] + [zero]
+
+    def span(plus, minus):
+        """sum(plus) - sum(minus); None at an end that is unbounded."""
+        lo = None if any(v.hi is None for v in minus) else \
+            sum(v.lo for v in plus) - sum(v.hi for v in minus)
+        hi = None if any(v.hi is None for v in plus) else \
+            sum(v.hi for v in plus) - sum(v.lo for v in minus)
+        return lo, hi
+
+    changed = False
+
+    def narrow(vec, s, lo, hi):
+        nonlocal changed
+        new = vec[s].meet(Iv(max(lo or 0, 0), hi))  # raises ChaseError if empty
+        changed |= new != vec[s]
+        vec[s] = new
+
+    T = [vec(t, 0) for t in terms]
+    m = len(T) - 1
+    B = [vec([unknown()] * (top + 1), None) for _ in range(m)]
+    B.append(vec(seed, unknown()))
+    R = [None] + [vec([unknown()] * (top + 1), None) for _ in range(m)]
+    degrees = range(1, top + 2)
+    if m < 0:
+        return [Iv(0, 0).meet(v) for v in B[0][1:-1]]
+    for i in range(m + 1):  # the telescoped initial upper bounds
+        for s in degrees:
+            left = [B[i - 1][s + 1]] if i else []
+            narrow(B[i], s, 0, span(left + [T[i][s]], [])[1])
+    for rounds in range(10_000):
+        changed = False
+        for s in degrees:
+            narrow(B[0], s, *span([T[0][s]], []))
+            narrow(T[0], s, *span([B[0][s]], []))
+        for i in range(1, m + 1):
+            A, C, Ti, r = B[i - 1], B[i], T[i], R[i]
+            for s in degrees:
+                narrow(Ti, s, *span([A[s], C[s]], [r[s - 1], r[s]]))
+                narrow(C, s, *span([Ti[s], r[s - 1], r[s]], [A[s]]))
+                narrow(A, s, *span([Ti[s], r[s - 1], r[s]], [C[s]]))
+                narrow(r, s, *span([A[s], C[s]], [Ti[s], r[s - 1]]))
+                if s > 1:
+                    narrow(r, s - 1, *span([A[s], C[s]], [Ti[s], r[s]]))
+                caps = [v.hi for v in (C[s], A[s + 1]) if v.hi is not None]
+                narrow(r, s, 0, min(caps, default=None))
+        if not changed:
+            return B[m][1:-1]
+    raise AssertionError("the reference sweep found no fixpoint")
+
+
+def _same_as_reference(terms, seed, top):
+    try:
+        want = _reference_solve(terms, seed, top)
+    except ChaseError:
+        with pytest.raises(ChaseError):
+            solve_exact_complex(terms, seed, top)
+        return None
+    got = solve_exact_complex(terms, seed, top)
+    assert got == want
+    return got
+
+
+@settings(deadline=None)
+@given(exact_complexes(max_top=8, max_m=6), st.data())
+def test_solver_equals_round_robin_reference(model, data):
+    """Same intervals as the plain sweep, or ChaseError from both: the
+    order the slots run in cannot change a fixpoint of monotone narrowings."""
+    top, images, terms = model
+    hidden = [[_hide(data.draw, v) for v in t] for t in terms]
+    if data.draw(st.booleans()):  # knock one term off the model
+        t = data.draw(st.sampled_from(hidden))
+        t[data.draw(st.integers(0, top))] = data.draw(st.integers(0, 6))
+    target = images[-1]
+    seed = {q: _hide(data.draw, target[q]) if data.draw(st.booleans())
+            else data.draw(intervals())[0]
+            for q in data.draw(st.sets(st.integers(0, top)))}
+    _same_as_reference(hidden, seed, top)
+
+
+U = unknown()
+# One complex per dependency of the dirty mask, each of which the solver
+# gets wrong when that one re-run is left out (None: the system is
+# infeasible).  No complex is known that needs the remaining one, slot s - 1
+# of block i after its own A[s] narrowed.
+DEPENDENCY_CASES = [
+    # a narrowed B_i[s] re-runs slot s of block i + 1
+    ([[U, 0, 4], [0, U, 0], [U, 0, 0]], {}, 2, [Iv(4, None), exact(0), exact(0)]),
+    # ... and slot s - 1 of block i + 1, through the rank cap
+    ([[0, 0, 6, U], [U, 0, 6, 4], [3, 3, 0, 6]], {1: 5, 2: 1}, 3,
+     [Iv(0, 8), exact(5), exact(1), Iv(2, 6)]),
+    # a narrowed B_{i-1}[s] re-runs slot s of block i - 1
+    ([[3, U], [0, 0], [0, U]], {}, 1, None),
+    # a narrowed R_i[s] re-runs slot s + 1 of block i
+    ([[U, 3], [0, 2], [0, U]], {}, 1, None),
+    # a narrowed R_i[s - 1] re-runs slot s - 1 of block i
+    ([[0, 4], [0, 0]], {}, 1, [exact(4), exact(0)]),
+    # a slot that narrowed re-runs itself
+    ([[1], [3]], {}, 0, [exact(2)]),
+]
+
+
+@pytest.mark.parametrize("terms, seed, top, want", DEPENDENCY_CASES)
+def test_every_dirty_mask_dependency(terms, seed, top, want):
+    assert _same_as_reference(terms, seed, top) == want
+
+
+def test_term_of_the_wrong_length_raises():
+    with pytest.raises(ChaseError, match="term has 1 degrees, expected 3"):
+        solve_exact_complex([[1]], {}, 2)
+    with pytest.raises(ChaseError):
+        ses_middle([1, 0, 0, 0], {0: 1}, 2)
 
 
 def test_ses_middle_bounds():

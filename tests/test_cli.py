@@ -4,6 +4,7 @@ trace, and the verify driver's exit-code contract."""
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -288,6 +289,28 @@ def test_format_flags_are_mutually_exclusive(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not allowed with argument --json" in captured.err
+
+@pytest.mark.parametrize("space, label, message", [
+    ("S10", "Q*:2,1", "--schur block 'Q*' is not used on S10; accepted: E"),
+    ("G(2,6)", "Q:2,1",
+     "--schur block 'Q' is not used on G(2,6); accepted: Q*, E"),
+    ("G(2,6)", "E:1;Q:1",
+     "--schur block 'Q' is not used on G(2,6); accepted: Q*, E"),
+])
+def test_schur_refuses_unknown_blocks(capsys, space, label, message):
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        main(["bott", "--space", space, "--schur", label])
+    assert capsys.readouterr().out == ""
+
+
+def test_form_and_schur_are_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bott", "--space", "G(2,6)", "--form", "2", "--schur", "E:1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --form" in captured.err
+
 
 def test_module_entry_point():
     proc = subprocess.run(
