@@ -12,7 +12,9 @@ On top of that sit:
 * :func:`kostant_forms` — the p-forms of a cominuscule space decompose as a
   multiplicity-free sum of irreducible bundles E_{w(rho)-rho} over the
   length-p minimal coset representatives (products: all bidegree splittings);
-* :func:`forms_cohomology` — aggregated cohomology of Omega^p(-k);
+* :func:`forms_cohomology` — aggregated cohomology of Omega^p(-k).  It only
+  needs degrees and dimensions, so it never walks: ``rootsys.orbit_dim``
+  reads both off the Weyl product at the non-dominant weight itself;
 * closed-form epsilon-coordinate fast paths for Grassmannians G(k,n) and
   spinor varieties S_{2n} that avoid the dominance walk entirely, plus the
   Schur-label constructors that feed them;
@@ -47,7 +49,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .catalog import HomogSpace
-from .rootsys import to_dominant, weyl_dim, weyl_dim_levi
+from .rootsys import orbit_dim, to_dominant, weyl_dim, weyl_dim_levi
 
 
 @dataclass(frozen=True)
@@ -118,29 +120,20 @@ class CohomologyTable:
         return q, mu, dim
 
 
-def _factor_bott(f, lam):
-    """Borel-Weil-Bott on one factor: (degree, mu, dim), or None when the
-    dominance walk of lambda + rho meets a wall."""
-    walk = to_dominant(f.rs, [c + 1 for c in lam])
-    if walk.singular:
-        return None
-    mu = tuple(c - 1 for c in walk.dominant)
-    return walk.length, mu, weyl_dim(f.rs, mu)
-
-
 def bott(b: Bundle) -> CohomologyTable:
-    """Borel-Weil-Bott: dominance walk of lambda + rho on every factor."""
+    """Borel-Weil-Bott: dominance walk of lambda + rho on every factor; a
+    walk that meets a wall makes the bundle acyclic."""
     table = CohomologyTable()
     degree = 0
     dim = 1
     mus = []
     for f, lam in zip(b.space.factors, b.weights):
-        group = _factor_bott(f, lam)
-        if group is None:
+        walk = to_dominant(f.rs, [c + 1 for c in lam])
+        if walk.singular:
             return table
-        q, mu, d = group
-        degree += q
-        dim *= d
+        mu = tuple(c - 1 for c in walk.dominant)
+        degree += walk.length
+        dim *= weyl_dim(f.rs, mu)
         mus.append(mu)
     table.add(degree, tuple(mus), dim)
     return table
@@ -209,8 +202,10 @@ def _forms_cohomology(space: HomogSpace, p: int, k) -> tuple[tuple[int, int], ..
     """Kuenneth: Omega^p(-k) is the sum over splittings p = p_1 + ... + p_m
     of the outer products of Omega^{p_i}(-k_i) on the factors, so its
     cohomology is the convolution of per-factor Bott sums over the factor's
-    own Kostant weights.  Splittings the remaining factors cannot fill are
-    never visited; per-factor sums are shared within the call only."""
+    own Kostant weights.  Each summand's degree and dimension come from
+    :func:`orbit_dim` on ``w(rho) + inc * omega``, with no dominance walk.
+    Splittings the remaining factors cannot fill are never visited;
+    per-factor sums are shared within the call only."""
     if p != 0:
         _require_cominuscule(space)
     down = tuple(-v for v in space.degree_vector(k))
@@ -221,11 +216,11 @@ def _forms_cohomology(space: HomogSpace, p: int, k) -> tuple[tuple[int, int], ..
         if key not in sums:
             acc: dict[int, int] = {}
             for w in _factor_form_weights(f)[pf]:
-                lam = list(w)
-                lam[f.node] += inc
-                group = _factor_bott(f, lam)
+                v = [c + 1 for c in w]  # w(rho) + inc * omega_node
+                v[f.node] += inc
+                group = orbit_dim(f.rs, v)
                 if group is not None:
-                    q, _, d = group
+                    q, d = group
                     acc[q] = acc.get(q, 0) + d
             sums[key] = acc
         return sums[key]
@@ -274,7 +269,9 @@ def euler_char(space: HomogSpace, p: int, k=0) -> int:
     The class of Omega^p in K-theory is the sum of the lines with weights
     -(alpha_1 + ... + alpha_p) over p-subsets of the nilradical roots of each
     factor, so chi is a signed sum of Weyl dimensions.  Works on any marked
-    space; cost is binomial in the factor dimension (guarded).
+    space; cost is binomial in the factor dimension (guarded).  Each weight
+    is walked with ``to_dominant``, which :func:`forms_cohomology` never
+    calls, so the two share no Bott code.
     """
     down = tuple(-v for v in space.degree_vector(k))
     per_factor = []

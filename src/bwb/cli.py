@@ -100,6 +100,8 @@ def _parse_schur(space, spec: str, twist: int):
         if name not in accepted:
             raise SystemExit(f"--schur block {name!r} is not used on {space.name}; "
                              f"accepted: {', '.join(accepted)}")
+        if name in blocks:
+            raise SystemExit(f"--schur block {name!r} is given twice")
         blocks[name] = tuple(int(x) for x in body.split(",")) if "," in body \
             else tuple(int(ch) for ch in body)
     if series == ["A"]:

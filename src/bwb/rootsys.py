@@ -16,7 +16,9 @@ coordinates.  Conventions, fixed once and used by every other module:
 * ``rho`` is the all-ones weight.  ``to_dominant`` walks an arbitrary weight
   into the dominant chamber by simple reflections at negative coordinates and
   reports the number of reflections used, which for a regular weight equals
-  the inversion count of the unique Weyl element involved.
+  the inversion count of the unique Weyl element involved.  ``orbit_dim``
+  gets that count and the Weyl dimension of the dominant end without the
+  walk, when the end weight itself is not needed.
 """
 
 from __future__ import annotations
@@ -360,25 +362,55 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     return num // rs.dim_den
 
 
+def orbit_dim(rs: RootSystem, v) -> tuple[int, int] | None:
+    """Borel-Weil-Bott data of ``v = w(mu + rho)`` without walking to ``mu``.
+
+    W permutes the positive coroots up to sign, so the pairings
+    ``<v, alpha^vee>`` are those of ``mu + rho`` up to sign, and the negative
+    ones count the length of ``w`` (see :func:`inversions`).  Returns None at
+    the first zero pairing (``v`` singular), else ``(length, weyl_dim(mu))``,
+    from the same chain of pairings :func:`weyl_dim` uses.
+    """
+    pairings = [0]
+    num = 1
+    negative = 0
+    for k, j in rs.dim_steps:
+        s = pairings[k] + v[j]
+        if s <= 0:
+            if not s:
+                return None
+            negative += 1
+        num *= s
+        pairings.append(s)
+    num = abs(num)
+    assert num % rs.dim_den == 0, "Weyl dimension must be an integer"
+    return negative, num // rs.dim_den
+
+
+@lru_cache(maxsize=None)
+def _levi_coroots(rs: RootSystem, unmarked: frozenset[int]):
+    """Coroots of the positive roots supported on ``unmarked`` nodes, as
+    ``(j, c)`` pairs over their nonzero coordinates, with the product of
+    their heights (the Levi Weyl denominator)."""
+    out = []
+    den = 1
+    for alpha, cv in zip(rs.positive_roots, rs.coroot_coords):
+        if all(j in unmarked for j, a in enumerate(alpha) if a):
+            out.append(tuple((j, c) for j, c in enumerate(cv) if c))
+            den *= sum(cv)
+    return tuple(out), den
+
+
 def weyl_dim_levi(rs: RootSystem, unmarked: frozenset[int], lam) -> int:
     """Weyl dimension over the Levi subsystem spanned by ``unmarked`` nodes.
 
     Only the positive roots supported on unmarked nodes contribute, so marked
     coordinates of ``lam`` never enter and any twist leaves the value fixed.
     """
+    coroots, den = _levi_coroots(rs, unmarked)
     num = 1
-    den = 1
-    for alpha, cv in zip(rs.positive_roots, rs.coroot_coords):
-        if any(alpha[j] and j not in unmarked for j in range(rs.rank)):
-            continue
-        n = d = 0
-        for j in range(rs.rank):
-            c = cv[j]
-            if c:
-                n += (lam[j] + 1) * c
-                d += c
-        num *= n
-        den *= d
+    for cv in coroots:
+        num *= sum((lam[j] + 1) * c for j, c in cv)
     assert num % den == 0
     return num // den
 

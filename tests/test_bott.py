@@ -324,6 +324,22 @@ def test_kuenneth_matches_summed_bott_on_every_product():
                     name, p, k)
 
 
+def test_walk_free_forms_match_summed_bott_on_every_single_factor_space():
+    # forms_cohomology reads degrees and dimensions off orbit_dim and never
+    # walks, so the walking bott route is independent of it on every space
+    singles = sorted(name for name in CAT.spaces
+                     if len(CAT.space(name).factors) == 1
+                     and CAT.space(name).cominuscule and CAT.space(name).dim <= 16)
+    assert singles == ["G(2,10)", "G(2,6)", "LG(3,6)", "OP2", "S10", "S12"]
+    for name in singles:
+        space = CAT.space(name)
+        n = space.dim
+        for p in range(-1, n + 2):
+            for k in range(-n - 2, n + 3):
+                assert forms_cohomology(space, p, k) == summed_bott(space, p, k), (
+                    name, p, k)
+
+
 TOP_CASES = [
     ("OP2", 2, 9, 14),
     ("S12", 3, 6, 12),

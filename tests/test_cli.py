@@ -303,6 +303,17 @@ def test_schur_refuses_unknown_blocks(capsys, space, label, message):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("space, label, name", [
+    ("S10", "E:1;E:2", "E"),
+    ("G(2,6)", "Q*:1;E:1; Q*:2", "Q*"),
+])
+def test_schur_refuses_repeated_blocks(capsys, space, label, name):
+    message = f"--schur block {name!r} is given twice"
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        main(["bott", "--space", space, "--schur", label])
+    assert capsys.readouterr().out == ""
+
+
 def test_form_and_schur_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bott", "--space", "G(2,6)", "--form", "2", "--schur", "E:1"])

@@ -11,6 +11,7 @@ from bwb.rootsys import (
     default_pivot,
     inversions,
     minimal_coset_reps,
+    orbit_dim,
     root_system,
     simple_reflection,
     to_dominant,
@@ -258,6 +259,30 @@ def test_weyl_dim_matches_dense_formula(case):
     ser, rk, lam = case
     rs = root_system(ser, rk)
     assert weyl_dim(rs, lam) == reference_weyl_dim(rs, lam)
+
+
+def test_orbit_dim_matches_reference_walk_and_dimension():
+    # orbit_dim(v) must be (length, dim mu) of the walk v -> mu + rho, or None
+    # when the walk meets a wall; both cases occur on every system, and some
+    # walls are met only at a non-simple coroot (no coordinate of v is zero)
+    rng = random.Random(20261018)
+    hidden_walls = 0
+    for ser, rk in ORACLE_SYSTEMS:
+        rs = root_system(ser, rk)
+        seen = set()
+        for _ in range(250):
+            v = tuple(rng.randint(-7, 7) for _ in range(rk))
+            dominant, length, singular, _ = reference_walk(rs, v)
+            got = orbit_dim(rs, v)
+            if singular:
+                assert got is None, (rs, v)
+                hidden_walls += 0 not in v
+            else:
+                mu = tuple(c - 1 for c in dominant)
+                assert got == (length, reference_weyl_dim(rs, mu)), (rs, v)
+            seen.add(singular)
+        assert seen == {False, True}, rs
+    assert hidden_walls > 100
 
 
 def test_root_system_identity_is_series_and_rank():
