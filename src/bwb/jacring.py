@@ -24,21 +24,33 @@ above it, while staying Fano (|w| > d).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 
-def _validated(weights, degree: int) -> tuple[int, ...]:
-    w = tuple(int(x) for x in weights)
-    if len(w) < 2 or any(x < 1 for x in w):
+def _validated(weights, degree) -> tuple[tuple[int, ...], int]:
+    """The weights as a tuple of ints and the degree as an int, both checked:
+    every weight >= 1, at least two of them, and each below the degree.
+    Anything that is not an integer (1.5, but also 4.0) is refused rather
+    than rounded."""
+    try:
+        w = tuple(map(operator.index, weights))
+        degree = operator.index(degree)
+    except TypeError:
+        raise ValueError(
+            f"weights and degree must be integers, got {weights!r} and {degree!r}"
+        ) from None
+    if len(w) < 2 or min(w) < 1:
         raise ValueError(f"weights must be >= 1, got {w}")
-    if any(degree - x < 1 for x in w):
+    if degree - max(w) < 1:
         raise ValueError(f"degree {degree} must exceed every weight in {w}")
-    return w
+    return w, degree
 
 
 def hilbert_coefficients(weights, degree: int, upto: int) -> list[int]:
     """Coefficients 0..upto of prod (1 - t^{d-w_i}) / (1 - t^{w_i})."""
-    w = _validated(weights, degree)
+    w, degree = _validated(weights, degree)
     if upto < 0:
         raise ValueError("upto must be >= 0")
     coeffs = [0] * (upto + 1)
@@ -55,7 +67,7 @@ def hilbert_coefficients(weights, degree: int, upto: int) -> list[int]:
 
 
 def socle_degree(weights, degree: int) -> int:
-    w = _validated(weights, degree)
+    w, degree = _validated(weights, degree)
     return len(w) * degree - 2 * sum(w)
 
 
@@ -66,8 +78,9 @@ def _polynomial_series(w: tuple[int, ...], degree: int) -> bool:
     so the quotient is a polynomial exactly when every Phi_m with m >= 2
     divides the numerator at least as often as the denominator; only
     m <= max(w) divide the denominator at all.  Phi_m divides 1 - t^{w_i}
-    when w_i = 0 (mod m), and 1 - t^{d-w_i} when w_i = d (mod m)."""
-    for m in range(2, max(w) + 1):
+    when w_i = 0 (mod m), and 1 - t^{d-w_i} when w_i = d (mod m).  The
+    largest m go first: on the scan's tuples they reject sooner."""
+    for m in range(max(w), 1, -1):
         residues = [x % m for x in w]
         if residues.count(0) > residues.count(degree % m):
             return False
@@ -76,28 +89,49 @@ def _polynomial_series(w: tuple[int, ...], degree: int) -> bool:
 
 def _jacobian_poly(w: tuple[int, ...], degree: int) -> list[int]:
     """The Hilbert polynomial of the Jacobian ring of validated weights
-    ``w``, by exact division of prod (1 - t^{d-w_i}) by prod (1 - t^{w_i}).
+    ``w``: prod (1 - t^{d-w_i}) / prod (1 - t^{w_i}), coefficients 0..sigma.
+
+    Kronecker substitution: the series is evaluated at t = X = 2^B on one
+    Python int and reduced mod X^{sigma+1}, so every loop over coefficients
+    runs inside int arithmetic.  A numerator factor is one shift-subtract;
+    a denominator factor is the shift-adds by w, 2w, 4w, ... <= sigma, since
+    1/(1-u) = prod_k (1 + u^{2^k}) mod X^{sigma+1} for u = X^w.  Truncating
+    at sigma is exact because a polynomial quotient has degree sigma.
+
+    Every coefficient, of the quotient and of each partial product on the
+    way, is at most 2^{n+1} C(sigma+n, n) in absolute value: the numerator's
+    absolute coefficient sum times the number of (a_1..a_n) with
+    sum a_i <= sigma (a_0 is then fixed by the degree).  B is one bit more
+    than that, for the sign, rounded up to whole bytes.  The digits are read
+    back little-endian after adding 2^{B-1} to each, which turns the signed
+    digits into base-2^B ones.
 
     Raises ValueError when no regular sequence exists in those degrees: the
     series is not a polynomial (rejected before any arithmetic), or it is
     one with a negative coefficient, which no graded ring has."""
     if _polynomial_series(w, degree):
-        num = [1]
+        n = len(w) - 1
+        sigma = (n + 1) * degree - 2 * sum(w)
+        nbytes = (n + 2 + math.comb(sigma + n, n).bit_length() + 7) // 8
+        bits = 8 * nbytes
+        mask = (1 << bits * (sigma + 1)) - 1
+        x = 1
         for wi in w:
             e = degree - wi
-            ext = num + [0] * e
-            for j, c in enumerate(num):
-                ext[j + e] -= c
-            num = ext
+            if e <= sigma:
+                x = (x - (x << bits * e)) & mask
         for wi in w:
-            # series division by 1 - t^{wi}: q_j = num_j + q_{j-wi}; every
-            # partial quotient is a polynomial, so its top wi terms vanish
-            q = [0] * len(num)
-            for j, c in enumerate(num):
-                q[j] = c + (q[j - wi] if j >= wi else 0)
-            num = q[: len(num) - wi]
-        if min(num) >= 0:
-            return num
+            s = wi
+            while s <= sigma:
+                x = (x + (x << bits * s)) & mask
+                s += s
+        half = 1 << bits - 1
+        ones = int.from_bytes(b"\x01".ljust(nbytes, b"\x00") * (sigma + 1), "little")
+        raw = ((x + ones * half) & mask).to_bytes(nbytes * (sigma + 1), "little")
+        poly = [int.from_bytes(raw[i:i + nbytes], "little") - half
+                for i in range(0, len(raw), nbytes)]
+        if min(poly) >= 0:
+            return poly
     raise ValueError(
         f"weights {w} admit no regular sequence in degree {degree}: the "
         f"Hilbert series is not a polynomial with nonnegative coefficients"
@@ -106,7 +140,7 @@ def _jacobian_poly(w: tuple[int, ...], degree: int) -> list[int]:
 
 def jacobian_hilbert(weights, degree: int, k: int) -> int:
     """dim R_k of the generic Jacobian ring; 0 outside 0..socle."""
-    poly = _jacobian_poly(_validated(weights, degree), degree)
+    poly = _jacobian_poly(*_validated(weights, degree))
     return poly[k] if 0 <= k < len(poly) else 0
 
 
@@ -134,7 +168,7 @@ class WeightedHodgeRow:
 def steenbrink_hodge(weights, degree: int) -> WeightedHodgeRow:
     """Primitive middle Hodge row of the generic degree-``degree``
     hypersurface in the weighted projective space of ``weights``."""
-    w = _validated(weights, degree)
+    w, degree = _validated(weights, degree)
     n = len(w) - 1
     dim = n - 1
     total = sum(w)

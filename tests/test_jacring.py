@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bwb.jacring import (
+    _jacobian_poly,
     _polynomial_series,
     _weight_tuples,
     hilbert_coefficients,
@@ -64,6 +65,10 @@ def test_rejects_bad_input():
         steenbrink_hodge((1, 1, 1), 0)
     with pytest.raises(ValueError):
         steenbrink_hodge((1, 1, 5), 4)  # weight not smaller than the degree
+    with pytest.raises(ValueError, match="integers"):
+        steenbrink_hodge((1.5, 1, 1, 1), 4)  # not truncated to the K3 row
+    with pytest.raises(ValueError, match="integers"):
+        steenbrink_hodge((1, 1, 1, 1), 4.0)
 
 
 def test_scan_finds_expected_rows():
@@ -135,6 +140,45 @@ def test_cyclotomic_test_rejects_even_weights_in_odd_degree():
     # Phi_2 divides all seven denominator factors and no numerator factor
     assert not series_is_polynomial((2,) * 7, 7)
     assert not _polynomial_series((2,) * 7, 7)
+
+
+def divisors_below(d):
+    return [x for x in range(1, d) if d % x == 0]
+
+
+# random weight systems, and Fermat-type ones (every weight divides the
+# degree), whose series is always a polynomial
+weight_systems = st.one_of(
+    st.lists(st.integers(1, 12), min_size=2, max_size=16).flatmap(
+        lambda w: st.tuples(st.just(tuple(w)), st.integers(max(w) + 1, 30))),
+    st.integers(2, 30).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.sampled_from(divisors_below(d)), min_size=2, max_size=16).map(tuple),
+            st.just(d))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_systems)
+def test_packed_division_matches_the_truncated_series(system):
+    w, degree = system
+    if not _polynomial_series(w, degree):
+        with pytest.raises(ValueError, match="regular sequence"):
+            _jacobian_poly(w, degree)
+        return
+    coeffs = hilbert_coefficients(w, degree, socle_degree(w, degree))
+    if min(coeffs) < 0:
+        with pytest.raises(ValueError, match="regular sequence"):
+            _jacobian_poly(w, degree)
+    else:
+        assert _jacobian_poly(w, degree) == coeffs
+
+
+def test_packed_division_holds_coefficients_wider_than_64_bits():
+    w = (1,) * 16
+    coeffs = hilbert_coefficients(w, 30, socle_degree(w, 30))
+    assert max(coeffs).bit_length() == 72
+    assert _jacobian_poly(w, 30) == coeffs
 
 
 def test_weight_tuples_match_filtered_combinations():
