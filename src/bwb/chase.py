@@ -7,7 +7,7 @@ Given an exact complex of sheaves
 whose terms' cohomology is (partially) known, peeling off the images
 B_i = im(T_i -> T_{i+1}) produces short exact sequences
 
-    0 -> B_{i-1} -> T_i -> B_i -> 0,      B_{-1} = 0,  B_m = target,
+    0 -> B_{i-1} -> T_i -> B_i -> 0   (i = 1..m),   B_0 = T_0,  B_m = target,
 
 and each long exact cohomology sequence imposes, for every degree q,
 
@@ -19,18 +19,21 @@ integer interval and narrowing all of them to a fixpoint preserves the
 coupling between degrees that naive bound-chasing loses; whatever remains
 undetermined stays an honest interval.  This is nothing but exactness
 bookkeeping: no spectral-sequence differential is ever guessed.
+``ses_middle`` is the same chase on A -> B onto C with B unknown, read back
+at B, so there is one copy of these equations.
 
-Inside the solver an interval vector over degrees 0..top is a pair of int
-lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the two
-end slots are the exact zeros at degrees -1 and top + 1.  ``INF`` is the one
-unbounded marker.  The equations of sequence i in degree q form slot (i, q),
-and a dirty mask re-runs a slot only when one of the variables it reads
-narrowed: a narrowed h^q(B_i) dirties slot q of blocks i and i + 1 and slot
-q - 1 of block i + 1 (whose rank cap reads it), a narrowed r_i[q] slots q and
-q + 1 of block i, a narrowed h^q(T_i) slot q of block i.  Every narrowing is
-a monotone contraction, so by the chaotic-iteration theorem the fixpoint does
-not depend on the order the slots run in, and an empty interval is reached
-in every order or in none.
+A term is a list of top + 1 entries, one per degree, each an ``Iv`` or an
+int.  Inside the solver an interval vector over degrees 0..top is a pair of
+int lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the
+two end slots are the exact zeros at degrees -1 and top + 1.  ``INF`` is the
+one unbounded marker.  B_0 and T_0 share one vector.  The equations of
+sequence i in degree q form slot (i, q), and a dirty mask re-runs a slot only
+when one of the variables it reads narrowed: a narrowed h^q(B_i) dirties slot
+q of blocks i and i + 1 and slot q - 1 of block i + 1 (whose rank cap reads
+it), a narrowed r_i[q] slots q and q + 1 of block i, a narrowed h^q(T_i) slot
+q of block i.  Every narrowing is a monotone contraction, so by the
+chaotic-iteration theorem the fixpoint does not depend on the order the slots
+run in, and an empty interval is reached in every order or in none.
 """
 
 from __future__ import annotations
@@ -130,13 +133,7 @@ def _bounds(v) -> tuple[int, int]:
 
 
 def _to_vec(t, top: int):
-    """Interval vector of a dict q -> Iv/int (missing degrees are 0) or a
-    list of top + 1 entries."""
-    if isinstance(t, dict):
-        for q, v in t.items():
-            if (q < 0 or q > top) and _bounds(v)[0] > 0:
-                raise ChaseError(f"term cohomology outside degree window: q={q}")
-        t = [t.get(q, 0) for q in range(top + 1)]
+    """Interval vector of a term: top + 1 entries, each an Iv or an int."""
     if len(t) != top + 1:
         raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
     lo, hi = _vec(top)
@@ -152,8 +149,8 @@ def _ivs(lo, hi) -> list[Iv]:
 def solve_exact_complex(terms, target_seed, top: int):
     """Narrow the cohomology of the target of an exact complex.
 
-    ``terms``: list of interval vectors (dicts q -> int, or lists of Iv) for
-    T_0 .. T_m, left to right, T_m mapping onto the target.
+    ``terms``: the terms T_0 .. T_m, left to right, T_m mapping onto the
+    target; each a list of top + 1 entries, an Iv or an int per degree.
     ``target_seed``: dict q -> Iv (or int) of already-established target
     entries; missing degrees start unknown.
     ``top``: highest cohomological degree carried (sheaf dimension bound).
@@ -161,8 +158,6 @@ def solve_exact_complex(terms, target_seed, top: int):
     Returns the narrowed target as a list of Iv, indices 0..top.
     """
     T = [_to_vec(t, top) for t in terms]
-    m = len(T) - 1
-    slots = range(1, top + 2)
     target = _vec(top)
     for q, v in (target_seed or {}).items():
         nlo, nhi = _bounds(v)
@@ -170,18 +165,25 @@ def solve_exact_complex(terms, target_seed, top: int):
             _narrow(*target, q + 1, nlo, nhi)
         elif nlo > 0:
             raise ChaseError("seed outside degree window")
-    if m < 0:
-        for s in slots:
-            _narrow(*target, s, 0, 0)
-        return _ivs(*target)
+    _chase(T, target, top)
+    return _ivs(*target)
 
-    B = [_vec(top) for _ in range(m)] + [target]
+
+def _chase(T, target, top: int) -> None:
+    """Narrow the vectors of 0 -> T_0 -> ... -> T_m -> target -> 0 in place
+    to the fixpoint of the equations of its short exact sequences."""
+    m = len(T) - 1
+    slots = range(1, top + 2)
+    if m <= 0:  # the target is T_0, or 0 when there is no term
+        lo, hi = T[0] if T else ([0] * (top + 3),) * 2
+        for s in slots:
+            _narrow(*target, s, lo[s], hi[s])
+        return
+    B = [T[0]] + [_vec(top) for _ in range(m - 1)] + [target]  # B_0 = T_0
     # R[i][q]: rank of H^q(B_i) -> H^{q+1}(B_{i-1}), i = 1..m
     R = [None] + [_vec(top) for _ in range(m)]
     # initial upper bounds, telescoped from the left end:
-    # B_0 <= T_0 and h^q(B_i) <= h^{q+1}(B_{i-1}) + h^q(T_i)
-    for s in slots:
-        _narrow(*B[0], s, 0, T[0][1][s])
+    # h^q(B_i) <= h^{q+1}(B_{i-1}) + h^q(T_i)
     for i in range(1, m + 1):
         for s in slots:
             _narrow(*B[i], s, 0, B[i - 1][1][s + 1] + T[i][1][s])
@@ -190,20 +192,19 @@ def solve_exact_complex(terms, target_seed, top: int):
     # rank cap), C[s], T_i[s], R_i[s-1] and R_i[s], where A = B_{i-1} and
     # C = B_i, and is marked whenever one of them narrows.  A block stays
     # queued while it has a dirty slot, and its sweep runs only those; marks
-    # that land on the pads are dropped.  The visit limit is a guard only.
+    # that land on the pads, or on block 0 (B_0 = T_0 has no equations, and
+    # counts as queued forever), are dropped.  The visit limit is a guard only.
     dirty = [[False] + [True] * (top + 1) + [False] for _ in range(m + 1)]
     queued = [True] * (m + 1)
-    work = deque(range(m + 1))
+    work = deque(range(1, m + 1))
     visits, limit = 0, 10000 * (m + 1) * (top + 1)
     while work:
         i = work.popleft()
-        mask = dirty[i]
+        mask, prev = dirty[i], dirty[i - 1]
+        alo, ahi = B[i - 1]
         clo, chi = B[i]
         tlo, thi = T[i]
-        if i:
-            alo, ahi = B[i - 1]
-            rlo, rhi = R[i]
-            prev = dirty[i - 1]
+        rlo, rhi = R[i]
         nxt = dirty[i + 1] if i < m else None
         for s in slots:
             if not mask[s]:
@@ -212,35 +213,30 @@ def solve_exact_complex(terms, target_seed, top: int):
             visits += 1
             if visits > limit:
                 raise ChaseError("chase failed to reach a fixpoint")
-            if i == 0:  # B_0 = T_0: the complex starts with an injection;
-                # the two meets leave B_0[s] = T_0[s], so no re-run is due
-                c_ch = _narrow(clo, chi, s, tlo[s], thi[s])
-                _narrow(tlo, thi, s, clo[s], chi[s])
-            else:
-                # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
-                ch = _narrow(tlo, thi, s,
-                             alo[s] + clo[s] - rhi[s - 1] - rhi[s],
-                             ahi[s] + chi[s] - rlo[s - 1] - rlo[s])
-                # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
-                u_lo = tlo[s] + rlo[s - 1] + rlo[s]
-                u_hi = thi[s] + rhi[s - 1] + rhi[s]
-                c_ch = _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s])
-                if _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s]):
-                    ch = prev[s] = mask[s - 1] = True
-                    if not queued[i - 1]:
-                        queued[i - 1] = True
-                        work.append(i - 1)
-                # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
-                d_lo = alo[s] + clo[s] - thi[s]
-                d_hi = ahi[s] + chi[s] - tlo[s]
-                r_ch = _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1])
-                if s > 1 and _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s]):
-                    ch = mask[s - 1] = True
-                # a rank is bounded by both ends of its map
-                if _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1])) or r_ch:
-                    ch = mask[s + 1] = True
-                if ch or c_ch:
-                    mask[s] = True
+            # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
+            ch = _narrow(tlo, thi, s,
+                         alo[s] + clo[s] - rhi[s - 1] - rhi[s],
+                         ahi[s] + chi[s] - rlo[s - 1] - rlo[s])
+            # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
+            u_lo = tlo[s] + rlo[s - 1] + rlo[s]
+            u_hi = thi[s] + rhi[s - 1] + rhi[s]
+            c_ch = _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s])
+            if _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s]):
+                ch = prev[s] = mask[s - 1] = True
+                if not queued[i - 1]:
+                    queued[i - 1] = True
+                    work.append(i - 1)
+            # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
+            d_lo = alo[s] + clo[s] - thi[s]
+            d_hi = ahi[s] + chi[s] - tlo[s]
+            r_ch = _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1])
+            if s > 1 and _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s]):
+                ch = mask[s - 1] = True
+            # a rank is bounded by both ends of its map
+            if _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1])) or r_ch:
+                ch = mask[s + 1] = True
+            if ch or c_ch:
+                mask[s] = True
             if c_ch and nxt is not None:
                 nxt[s] = nxt[s - 1] = True
                 if not queued[i + 1]:
@@ -250,19 +246,12 @@ def solve_exact_complex(terms, target_seed, top: int):
         queued[i] = any(mask)
         if queued[i]:
             work.append(i)
-    return _ivs(*target)
 
 
 def ses_middle(left, right, top: int):
-    """Interval cohomology of B in 0 -> A -> B -> C -> 0 given A and C.
-
-    ``left`` / ``right`` are interval vectors (dict or list) for A and C.
-    h^q(B) = A[q] - r[q-1] + C[q] - r[q] with r[q] <= min(C[q], A[q+1]).
-    """
-    alo, ahi = _to_vec(left, top)
-    clo, chi = _to_vec(right, top)
-    cap = [min(chi[s], ahi[s + 1]) for s in range(top + 2)]
-    lo = [0] + [max(alo[s] + clo[s] - cap[s - 1] - cap[s], 0)
-                for s in range(1, top + 2)] + [0]
-    hi = [0] + [min(ahi[s] + chi[s], INF) for s in range(1, top + 2)] + [0]
-    return _ivs(lo, hi)
+    """Interval cohomology of B in 0 -> A -> B -> C -> 0 given the terms
+    ``left`` = A and ``right`` = C: the chase of A -> B onto C with B
+    unknown, read back at B."""
+    B = _vec(top)
+    _chase([_to_vec(left, top), B], _to_vec(right, top), top)
+    return _ivs(*B)

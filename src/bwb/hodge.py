@@ -185,15 +185,13 @@ def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
         return (exact(0),) * (n_x + 1)
     terms = []
     for j in range(len(cuts), -1, -1):
-        total: dict[int, int] = {}
+        total = [0] * (n_amb + 1)
         for vec, mult in _koszul_groups(cuts, len(space.factors), j):
             for q, d in forms_cohomology(space, a, _vadd(down, vec)).items():
-                total[q] = total.get(q, 0) + mult * d
+                total[q] += mult * d
         terms.append(total)
     seed = {q: 0 for q in range(n_x + 1, n_amb + 1)}
-    vec = solve_exact_complex(terms, seed, n_amb)
-    assert all(v == exact(0) for v in vec[n_x + 1:])
-    return tuple(vec[: n_x + 1])
+    return tuple(solve_exact_complex(terms, seed, n_amb)[: n_x + 1])
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +218,7 @@ def chase_section_forms(space, cuts, p: int, down, seed=None) -> tuple[Iv, ...]:
     n_x = space.dim - len(cuts)
     if p < 0 or p > n_x:
         return (exact(0),) * (n_x + 1)
-    terms = [list(t) for t in _cotangent_terms(space, cuts, p, down)]
+    terms = _cotangent_terms(space, cuts, p, down)
     return tuple(solve_exact_complex(terms, seed or {}, n_x))
 
 
@@ -585,21 +583,13 @@ def double_cover_ci_moduli(n: int, branch: int) -> ModuliReport:
 
 
 def closed_form_hcc1(space, s: int | None = None) -> int:
-    """dim Sym^{c-1}(C^s) - s^2 = C(s+c-2, c-1) - s^2: the closed form for
-    the count of moduli of a codimension-s linear section with coindex-c
-    ambient; independent oracle for the Hodge-theoretic route.
-
-    ``space`` is a catalog space (s defaults to index - coindex + 1) or the
-    coindex itself as an integer (then s is required)."""
-    if isinstance(space, int):
-        c = space
-        if s is None:
-            raise ValueError("s is required when passing the coindex directly")
-    else:
-        facts = space_facts(space)
-        c = facts["coindex"]
-        if s is None:
-            s = facts["index"] - c + 1
+    """dim Sym^{c-1}(C^s) - s^2 = C(s+c-2, c-1) - s^2, the moduli count of
+    a codimension-s linear section of the catalog space ``space`` (coindex c;
+    s defaults to index - c + 1): an oracle independent of the Hodge route."""
+    facts = space_facts(space)
+    c = facts["coindex"]
+    if s is None:
+        s = facts["index"] - c + 1
     return comb(s + c - 2, c - 1) - s * s
 
 

@@ -29,6 +29,14 @@ import operator
 from dataclasses import dataclass
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, refused (not rounded) when it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _validated(weights, degree) -> tuple[tuple[int, ...], int]:
     """The weights as a tuple of ints and the degree as an int, both checked:
     every weight >= 1, at least two of them, and each below the degree.
@@ -51,6 +59,7 @@ def _validated(weights, degree) -> tuple[tuple[int, ...], int]:
 def hilbert_coefficients(weights, degree: int, upto: int) -> list[int]:
     """Coefficients 0..upto of prod (1 - t^{d-w_i}) / (1 - t^{w_i})."""
     w, degree = _validated(weights, degree)
+    upto = _integer(upto, "upto")
     if upto < 0:
         raise ValueError("upto must be >= 0")
     coeffs = [0] * (upto + 1)
@@ -141,6 +150,7 @@ def _jacobian_poly(w: tuple[int, ...], degree: int) -> list[int]:
 def jacobian_hilbert(weights, degree: int, k: int) -> int:
     """dim R_k of the generic Jacobian ring; 0 outside 0..socle."""
     poly = _jacobian_poly(*_validated(weights, degree))
+    k = _integer(k, "k")
     return poly[k] if 0 <= k < len(poly) else 0
 
 

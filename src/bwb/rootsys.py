@@ -113,14 +113,12 @@ class RootSystem:
     series: str
     rank: int
     cartan: tuple[tuple[int, ...], ...] = field(compare=False)
-    lengths: tuple[int, ...] = field(compare=False)
     # positive roots: coefficient vectors over simple roots, sorted by height
     positive_roots: tuple[tuple[int, ...], ...] = field(compare=False)
     # fundamental coordinates of each positive root
     root_coords: tuple[tuple[int, ...], ...] = field(compare=False)
     # integer coroot coordinates of each positive root
     coroot_coords: tuple[tuple[int, ...], ...] = field(compare=False)
-    root_length: tuple[int, ...] = field(compare=False)
     node_degree: tuple[int, ...] = field(compare=False)
     # per node i: (j, cartan[j][i]) for the Dynkin neighbours j of i, the
     # off-diagonal nonzeros of column i that a reflection at i touches
@@ -246,11 +244,9 @@ def root_system(series: str, rank: int) -> RootSystem:
         series=series,
         rank=rank,
         cartan=cartan,
-        lengths=d,
         positive_roots=tuple(positives),
         root_coords=tuple(fund(a) for a in positives),
         coroot_coords=tuple(coroots),
-        root_length=tuple(length_of[a] for a in positives),
         node_degree=tuple(deg),
         neighbours=neighbours,
         pivot_order=tuple(sorted(range(rank), key=lambda i: (deg[i], i))),
@@ -265,12 +261,6 @@ def simple_reflection(rs: RootSystem, i: int, w) -> tuple[int, ...]:
     ``i`` to each neighbor and negates coordinate ``i``."""
     wi = w[i]
     return tuple(w[j] - wi * rs.cartan[j][i] for j in range(rs.rank))
-
-
-def pairing(rs: RootSystem, w, root_index: int) -> int:
-    """``<w, alpha^vee>`` for the ``root_index``-th positive root."""
-    cv = rs.coroot_coords[root_index]
-    return sum(w[j] * cv[j] for j in range(rs.rank))
 
 
 def inversions(rs: RootSystem, w) -> int:

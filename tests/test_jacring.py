@@ -69,6 +69,10 @@ def test_rejects_bad_input():
         steenbrink_hodge((1.5, 1, 1, 1), 4)  # not truncated to the K3 row
     with pytest.raises(ValueError, match="integers"):
         steenbrink_hodge((1, 1, 1, 1), 4.0)
+    with pytest.raises(ValueError, match="upto must be an integer"):
+        hilbert_coefficients((1, 1, 1, 1), 4, 4.0)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        jacobian_hilbert((1, 1, 1, 1), 4, 2.0)
 
 
 def test_scan_finds_expected_rows():
