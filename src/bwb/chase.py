@@ -31,9 +31,12 @@ sequence i in degree q form slot (i, q), and a dirty mask re-runs a slot only
 when one of the variables it reads narrowed: a narrowed h^q(B_i) dirties slot
 q of blocks i and i + 1 and slot q - 1 of block i + 1 (whose rank cap reads
 it), a narrowed r_i[q] slots q and q + 1 of block i, a narrowed h^q(T_i) slot
-q of block i.  Every narrowing is a monotone contraction, so by the
-chaotic-iteration theorem the fixpoint does not depend on the order the slots
-run in, and an empty interval is reached in every order or in none.
+q of block i.  After the telescoped upper bounds and rank caps, slot (i, q)
+starts dirty only when h^q(B_{i-1}), h^q(B_i), h^q(T_i), r_i[q-1] or r_i[q]
+is an interval; with all five exact it is checked once.  Every narrowing is
+a monotone contraction, so by the chaotic-iteration theorem the fixpoint does
+not depend on the order the slots run in, and an empty interval is reached in
+every order or in none.
 """
 
 from __future__ import annotations
@@ -125,20 +128,26 @@ def _narrow(lo, hi, s: int, nlo: int, nhi: int) -> bool:
     return changed
 
 
-def _bounds(v) -> tuple[int, int]:
-    """(lo, hi) of an Iv or an int, with hi = INF when unbounded."""
-    if isinstance(v, Iv):
-        return v.lo, INF if v.hi is None else v.hi
-    return v, v
-
-
 def _to_vec(t, top: int):
     """Interval vector of a term: top + 1 entries, each an Iv or an int."""
     if len(t) != top + 1:
         raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
-    lo, hi = _vec(top)
-    for s, v in enumerate(t, 1):
-        _narrow(lo, hi, s, *_bounds(v))
+    lo, hi = [0], [0]
+    for q, v in enumerate(t):  # each entry met with [0, INF], as in _narrow
+        if isinstance(v, Iv):
+            nlo, nhi = v.lo, INF if v.hi is None else v.hi
+        else:
+            nlo = nhi = v
+        if nlo < 0:
+            nlo = 0
+        if nhi >= _HUGE:
+            nhi = INF
+        if nlo > nhi:
+            raise ChaseError(f"empty interval [{nlo},{nhi}] in degree {q}")
+        lo.append(nlo)
+        hi.append(nhi)
+    lo.append(0)
+    hi.append(0)
     return lo, hi
 
 
@@ -158,13 +167,11 @@ def solve_exact_complex(terms, target_seed, top: int):
     Returns the narrowed target as a list of Iv, indices 0..top.
     """
     T = [_to_vec(t, top) for t in terms]
-    target = _vec(top)
-    for q, v in (target_seed or {}).items():
-        nlo, nhi = _bounds(v)
-        if 0 <= q <= top:
-            _narrow(*target, q + 1, nlo, nhi)
-        elif nlo > 0:
-            raise ChaseError("seed outside degree window")
+    seed, free = target_seed or {}, unknown()
+    if any((v.lo if isinstance(v, Iv) else v) > 0
+           for q, v in seed.items() if not 0 <= q <= top):
+        raise ChaseError("seed outside degree window")
+    target = _to_vec([seed.get(q, free) for q in range(top + 1)], top)
     _chase(T, target, top)
     return _ivs(*target)
 
@@ -182,21 +189,39 @@ def _chase(T, target, top: int) -> None:
     B = [T[0]] + [_vec(top) for _ in range(m - 1)] + [target]  # B_0 = T_0
     # R[i][q]: rank of H^q(B_i) -> H^{q+1}(B_{i-1}), i = 1..m
     R = [None] + [_vec(top) for _ in range(m)]
-    # initial upper bounds, telescoped from the left end:
-    # h^q(B_i) <= h^{q+1}(B_{i-1}) + h^q(T_i)
-    for i in range(1, m + 1):
-        for s in slots:
-            _narrow(*B[i], s, 0, B[i - 1][1][s + 1] + T[i][1][s])
-
     # dirty[i][s]: slot s of block i must run.  It reads A[s], A[s+1] (in the
     # rank cap), C[s], T_i[s], R_i[s-1] and R_i[s], where A = B_{i-1} and
     # C = B_i, and is marked whenever one of them narrows.  A block stays
     # queued while it has a dirty slot, and its sweep runs only those; marks
     # that land on the pads, or on block 0 (B_0 = T_0 has no equations, and
     # counts as queued forever), are dropped.  The visit limit is a guard only.
-    dirty = [[False] + [True] * (top + 1) + [False] for _ in range(m + 1)]
+    dirty = [[False] * (top + 3) for _ in range(m + 1)]
     queued = [True] * (m + 1)
-    work = deque(range(1, m + 1))
+    # The sparse start: telescoped upper bounds h^q(B_i) <= h^{q+1}(B_{i-1})
+    # + h^q(T_i) and rank caps, block by block; a slot whose A[s], C[s] and
+    # T_i[s] are exact and R_i[s-1] = R_i[s] = 0 (a rank is exact here only
+    # at 0) can narrow nothing, so its sum equation is checked once instead.
+    for i in range(1, m + 1):
+        alo, ahi = B[i - 1]
+        clo, chi = B[i]
+        tlo, thi = T[i]
+        rhi = R[i][1]
+        mask = dirty[i]
+        for s in slots:
+            a, b = ahi[s + 1], ahi[s + 1] + thi[s]
+            if b < chi[s]:  # only the target can come out empty
+                chi[s] = b
+                if clo[s] > b:
+                    raise ChaseError(
+                        f"empty interval [{clo[s]},{b}] in degree {s - 1}")
+            rhi[s] = a if a < chi[s] else chi[s]
+            if (alo[s] != ahi[s] or clo[s] != chi[s] or tlo[s] != thi[s]
+                    or rhi[s - 1] or rhi[s]):
+                mask[s] = True
+            elif tlo[s] != alo[s] + clo[s]:
+                raise ChaseError(f"inexact sequence {i} in degree {s - 1}")
+        queued[i] = any(mask)
+    work = deque(i for i in range(1, m + 1) if queued[i])
     visits, limit = 0, 10000 * (m + 1) * (top + 1)
     while work:
         i = work.popleft()

@@ -306,7 +306,8 @@ def to_dominant(rs: RootSystem, w, pivot=None) -> DominanceWalk:
     pivot sequence actually used.
 
     ``pivot`` may be a callable ``(rs, w) -> node`` overriding the default
-    pivot rule; it must return a node with negative coordinate.
+    pivot rule; it must return a node with negative coordinate, or
+    ``ValueError`` is raised.
 
     The walk runs on one int list: a reflection at node ``i`` negates
     coordinate ``i`` and updates only its Dynkin neighbours.  Without a
@@ -328,7 +329,9 @@ def to_dominant(rs: RootSystem, w, pivot=None) -> DominanceWalk:
                     break
         else:
             i = pivot(rs, tuple(cur))
-            assert cur[i] < 0, "pivot rule must pick a negative coordinate"
+            if not (0 <= i < len(cur) and cur[i] < 0):
+                raise ValueError(f"pivot rule picked node {i} of {tuple(cur)}, "
+                                 "not a negative coordinate")
         wi = cur[i]
         cur[i] = -wi
         for j, c in neighbours[i]:

@@ -11,14 +11,23 @@ from bwb.chase import ChaseError, Iv, exact, ses_middle, solve_exact_complex, un
 
 
 @st.composite
-def exact_complexes(draw, max_top=4, max_m=3):
+def exact_complexes(draw, max_top=4, max_m=3, nonzero=None):
     """Image dimensions h^q(B_i) and connecting ranks r_i[q] <=
     min(h^q(B_i), h^{q+1}(B_{i-1})), and the terms they force:
-    T_0 = B_0 and h^q(T_i) = B_{i-1}[q] - r_i[q-1] + B_i[q] - r_i[q]."""
+    T_0 = B_0 and h^q(T_i) = B_{i-1}[q] - r_i[q-1] + B_i[q] - r_i[q].
+    With ``nonzero`` = k the images are zero but in at most k cells, the
+    shape of the Koszul chases."""
     top = draw(st.integers(0, max_top))
     m = draw(st.integers(0, max_m))
-    dims = st.lists(st.integers(0, 5), min_size=top + 1, max_size=top + 1)
-    images = [draw(dims) + [0] for _ in range(m + 1)]  # degree top + 1 is 0
+    if nonzero is None:
+        dims = st.lists(st.integers(0, 5), min_size=top + 1, max_size=top + 1)
+        images = [draw(dims) + [0] for _ in range(m + 1)]  # degree top + 1 is 0
+    else:
+        images = [[0] * (top + 2) for _ in range(m + 1)]
+        cells = st.tuples(st.integers(0, m), st.integers(0, top))
+        for (i, q), v in draw(st.dictionaries(cells, st.integers(1, 5),
+                                              max_size=nonzero)).items():
+            images[i][q] = v
     terms = [images[0][: top + 1]]
     for i in range(1, m + 1):
         a, c = images[i - 1], images[i]
@@ -147,6 +156,54 @@ def test_solver_equals_round_robin_reference(model, data):
             else data.draw(intervals())[0]
             for q in data.draw(st.sets(st.integers(0, top)))}
     _same_as_reference(hidden, seed, top)
+
+
+@settings(deadline=None)
+@given(exact_complexes(max_top=22, max_m=6, nonzero=3), st.data())
+def test_sparse_complexes_hold_the_truth_and_equal_the_reference(model, data):
+    """Koszul-shaped complexes: exact terms but for at most two hidden
+    cells, so most slots start with all their variables exact."""
+    top, images, terms = model
+    hidden = [list(t) for t in terms]
+    cells = st.tuples(st.integers(0, len(terms) - 1), st.integers(0, top))
+    for i, q in data.draw(st.lists(cells, max_size=2)):
+        hidden[i][q] = _hide(data.draw, terms[i][q])
+    target = images[-1]
+    seed = {q: target[q] for q in data.draw(st.sets(st.integers(0, top)))}
+    out = solve_exact_complex(hidden, seed, top)  # consistent: must not raise
+    assert all(_inside(t, iv) for t, iv in zip(target, out))
+    assert _same_as_reference(hidden, seed, top) == out
+    i, q = data.draw(cells)  # knock one cell off the model
+    hidden[i][q] = data.draw(st.integers(0, 6))
+    _same_as_reference(hidden, seed, top)
+
+
+def test_inconsistent_exact_complexes_raise():
+    with pytest.raises(ChaseError):
+        solve_exact_complex([[0, 0], [1, 0], [0, 0]], {}, 1)
+    # every variable of the one slot is exact from the start
+    with pytest.raises(ChaseError, match="inexact sequence 1 in degree 0"):
+        solve_exact_complex([[0], [1]], {0: 0}, 0)
+
+
+def test_entries_meet_zero_to_infinity():
+    # a negative lower end is clamped to 0, an empty entry raises
+    assert solve_exact_complex([[Iv(-2, 3), 0], [1, 0]], {}, 1) == [Iv(0, 1), exact(0)]
+    assert ses_middle([Iv(-2, 3)], [5], 0) == [Iv(5, 8)]  # not [3,8]
+    with pytest.raises(ChaseError, match=r"empty interval \[3,1\] in degree 0"):
+        solve_exact_complex([[Iv(3, 1), 0]], {}, 1)
+    with pytest.raises(ChaseError, match=r"empty interval \[3,1\] in degree 0"):
+        solve_exact_complex([[3]], {0: Iv(3, 1)}, 0)
+    # a seed above its telescoped upper bound h^1 <= h^2(T_0) + h^1(T_1) = 1
+    with pytest.raises(ChaseError, match=r"empty interval \[2,1\] in degree 1"):
+        solve_exact_complex([[0, unknown()], [0, 1]], {1: 2}, 1)
+
+
+def test_which_slots_start_dirty():
+    assert solve_exact_complex([[0] * 22] * 5, {}, 21) == [exact(0)] * 22
+    # slot 0 has one interval, its own rank r[0] in [0,1], and must run to
+    # close it to 1: slot 1 alone leaves h^1 in [1,2]
+    assert solve_exact_complex([[0, 1], [0, 2]], {0: 1}, 1) == [exact(1), exact(2)]
 
 
 U = unknown()

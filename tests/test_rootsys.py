@@ -145,6 +145,16 @@ def test_default_pivot_rule_is_most_negative_then_leaf():
     assert default_pivot(rs, (1, -2, -2, -2)) == 2
 
 
+def test_walk_refuses_a_pivot_off_the_negative_coordinates():
+    # a node that is not a negative coordinate stops the walk, also under -O
+    rs = root_system("A", 2)
+    with pytest.raises(ValueError, match=r"node 1 of \(-1, 3\)"):
+        to_dominant(rs, (-1, 3), pivot=lambda rs_, cur: 1)
+    with pytest.raises(ValueError, match=r"node -1 of \(1, -3\)"):
+        to_dominant(rs, (1, -3), pivot=lambda rs_, cur: -1)
+    assert to_dominant(rs, (-1, 3), pivot=default_pivot).length == 1
+
+
 @st.composite
 def case_and_weight(draw):
     ser, rk = draw(st.sampled_from(SMALL))
