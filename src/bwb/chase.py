@@ -26,17 +26,18 @@ A term is a list of top + 1 entries, one per degree, each an ``Iv`` or an
 int.  Inside the solver an interval vector over degrees 0..top is a pair of
 int lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the
 two end slots are the exact zeros at degrees -1 and top + 1.  ``INF`` is the
-one unbounded marker.  B_0 and T_0 share one vector.  The equations of
-sequence i in degree q form slot (i, q), and a dirty mask re-runs a slot only
-when one of the variables it reads narrowed: a narrowed h^q(B_i) dirties slot
-q of blocks i and i + 1 and slot q - 1 of block i + 1 (whose rank cap reads
-it), a narrowed r_i[q] slots q and q + 1 of block i, a narrowed h^q(T_i) slot
-q of block i.  After the telescoped upper bounds and rank caps, slot (i, q)
-starts dirty only when h^q(B_{i-1}), h^q(B_i), h^q(T_i), r_i[q-1] or r_i[q]
-is an interval; with all five exact it is checked once.  Every narrowing is
-a monotone contraction, so by the chaotic-iteration theorem the fixpoint does
-not depend on the order the slots run in, and an empty interval is reached in
-every order or in none.
+one unbounded marker.  B_0 and T_0 share one vector, and a complex of fewer
+than two terms gets zero terms prepended.  The equations of sequence i in
+degree q form slot (i, q), and one FIFO of slots runs a slot again only when
+one of the variables it reads narrowed: a narrowed h^q(B_i) pushes slots
+(i, q), (i + 1, q) and (i + 1, q - 1) (whose rank cap reads it), a narrowed
+r_i[q] slots (i, q) and (i, q + 1), a narrowed h^q(T_i) slot (i, q).  After
+the telescoped upper bounds and rank caps, slot (i, q) is first pushed only
+when h^q(B_{i-1}), h^q(B_i), h^q(T_i), r_i[q-1] or r_i[q] is an interval;
+with all five exact it is checked once.  Every narrowing is a monotone
+contraction, so by the chaotic-iteration theorem the fixpoint does not depend
+on the order the slots run in, and an empty interval is reached in every
+order or in none.
 """
 
 from __future__ import annotations
@@ -179,24 +180,29 @@ def solve_exact_complex(terms, target_seed, top: int):
 def _chase(T, target, top: int) -> None:
     """Narrow the vectors of 0 -> T_0 -> ... -> T_m -> target -> 0 in place
     to the fixpoint of the equations of its short exact sequences."""
+    # 0 -> 0 -> T_0 -> target -> 0 pins the target to T_0, and with no term
+    # to 0; each zero term gets its own lists, since the chase narrows in place
+    T = [([0] * (top + 3), [0] * (top + 3)) for _ in range(2 - len(T))] + T
     m = len(T) - 1
-    slots = range(1, top + 2)
-    if m <= 0:  # the target is T_0, or 0 when there is no term
-        lo, hi = T[0] if T else ([0] * (top + 3),) * 2
-        for s in slots:
-            _narrow(*target, s, lo[s], hi[s])
-        return
     B = [T[0]] + [_vec(top) for _ in range(m - 1)] + [target]  # B_0 = T_0
     # R[i][q]: rank of H^q(B_i) -> H^{q+1}(B_{i-1}), i = 1..m
     R = [None] + [_vec(top) for _ in range(m)]
-    # dirty[i][s]: slot s of block i must run.  It reads A[s], A[s+1] (in the
-    # rank cap), C[s], T_i[s], R_i[s-1] and R_i[s], where A = B_{i-1} and
-    # C = B_i, and is marked whenever one of them narrows.  A block stays
-    # queued while it has a dirty slot, and its sweep runs only those; marks
-    # that land on the pads, or on block 0 (B_0 = T_0 has no equations, and
-    # counts as queued forever), are dropped.  The visit limit is a guard only.
-    dirty = [[False] * (top + 3) for _ in range(m + 1)]
-    queued = [True] * (m + 1)
+    # Slot (i, s) reads A[s], A[s+1] (in the rank cap), C[s], T_i[s], R_i[s-1]
+    # and R_i[s], where A = B_{i-1} and C = B_i, and is queued whenever one of
+    # them narrows.  Block 0 (B_0 = T_0 has no equations), block m + 1 and both
+    # pads count as queued forever, so a push there is dropped.  The visit
+    # limit is a guard only.
+    closed = [True] * (top + 3)
+    queued = [closed] + [[True] + [False] * (top + 1) + [True]
+                         for _ in range(m)] + [closed]
+    work = deque()
+
+    def push(*slots):
+        for i, s in slots:
+            if not queued[i][s]:
+                queued[i][s] = True
+                work.append((i, s))
+
     # The sparse start: telescoped upper bounds h^q(B_i) <= h^{q+1}(B_{i-1})
     # + h^q(T_i) and rank caps, block by block; a slot whose A[s], C[s] and
     # T_i[s] are exact and R_i[s-1] = R_i[s] = 0 (a rank is exact here only
@@ -206,8 +212,7 @@ def _chase(T, target, top: int) -> None:
         clo, chi = B[i]
         tlo, thi = T[i]
         rhi = R[i][1]
-        mask = dirty[i]
-        for s in slots:
+        for s in range(1, top + 2):
             a, b = ahi[s + 1], ahi[s + 1] + thi[s]
             if b < chi[s]:  # only the target can come out empty
                 chi[s] = b
@@ -217,60 +222,40 @@ def _chase(T, target, top: int) -> None:
             rhi[s] = a if a < chi[s] else chi[s]
             if (alo[s] != ahi[s] or clo[s] != chi[s] or tlo[s] != thi[s]
                     or rhi[s - 1] or rhi[s]):
-                mask[s] = True
+                push((i, s))
             elif tlo[s] != alo[s] + clo[s]:
                 raise ChaseError(f"inexact sequence {i} in degree {s - 1}")
-        queued[i] = any(mask)
-    work = deque(i for i in range(1, m + 1) if queued[i])
     visits, limit = 0, 10000 * (m + 1) * (top + 1)
     while work:
-        i = work.popleft()
-        mask, prev = dirty[i], dirty[i - 1]
+        i, s = work.popleft()
+        queued[i][s] = False
+        visits += 1
+        if visits > limit:
+            raise ChaseError("chase failed to reach a fixpoint")
         alo, ahi = B[i - 1]
         clo, chi = B[i]
         tlo, thi = T[i]
         rlo, rhi = R[i]
-        nxt = dirty[i + 1] if i < m else None
-        for s in slots:
-            if not mask[s]:
-                continue
-            mask[s] = False
-            visits += 1
-            if visits > limit:
-                raise ChaseError("chase failed to reach a fixpoint")
-            # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
-            ch = _narrow(tlo, thi, s,
-                         alo[s] + clo[s] - rhi[s - 1] - rhi[s],
-                         ahi[s] + chi[s] - rlo[s - 1] - rlo[s])
-            # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
-            u_lo = tlo[s] + rlo[s - 1] + rlo[s]
-            u_hi = thi[s] + rhi[s - 1] + rhi[s]
-            c_ch = _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s])
-            if _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s]):
-                ch = prev[s] = mask[s - 1] = True
-                if not queued[i - 1]:
-                    queued[i - 1] = True
-                    work.append(i - 1)
-            # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
-            d_lo = alo[s] + clo[s] - thi[s]
-            d_hi = ahi[s] + chi[s] - tlo[s]
-            r_ch = _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1])
-            if s > 1 and _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s]):
-                ch = mask[s - 1] = True
-            # a rank is bounded by both ends of its map
-            if _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1])) or r_ch:
-                ch = mask[s + 1] = True
-            if ch or c_ch:
-                mask[s] = True
-            if c_ch and nxt is not None:
-                nxt[s] = nxt[s - 1] = True
-                if not queued[i + 1]:
-                    queued[i + 1] = True
-                    work.append(i + 1)
-        mask[0] = mask[-1] = False
-        queued[i] = any(mask)
-        if queued[i]:
-            work.append(i)
+        # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
+        if _narrow(tlo, thi, s, alo[s] + clo[s] - rhi[s - 1] - rhi[s],
+                   ahi[s] + chi[s] - rlo[s - 1] - rlo[s]):
+            push((i, s))
+        # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
+        u_lo = tlo[s] + rlo[s - 1] + rlo[s]
+        u_hi = thi[s] + rhi[s - 1] + rhi[s]
+        if _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s]):
+            push((i, s), (i + 1, s), (i + 1, s - 1))
+        if _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s]):
+            push((i - 1, s), (i, s), (i, s - 1))
+        # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
+        d_lo = alo[s] + clo[s] - thi[s]
+        d_hi = ahi[s] + chi[s] - tlo[s]
+        r_ch = _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1])
+        if s > 1 and _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s]):
+            push((i, s - 1), (i, s))
+        # a rank is bounded by both ends of its map
+        if _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1])) or r_ch:
+            push((i, s), (i, s + 1))
 
 
 def ses_middle(left, right, top: int):

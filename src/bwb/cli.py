@@ -312,7 +312,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="recompute all reference cells and diff")
     p.add_argument("--table", action="append", metavar="ID",
-                   help="restrict to one reference table (repeatable)")
+                   help="restrict to the table with this id, as verify "
+                        "prints it (repeatable)")
     fmt_flags(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -136,6 +136,8 @@ def section_spec(space: HomogSpace, cuts=(), branch=None) -> SectionSpec:
 
 def linear_section(space: HomogSpace, s: int) -> SectionSpec:
     """Codimension-s intersection of hyperplanes in the minimal embedding."""
+    if s < 0:
+        raise ValueError(f"cannot cut by {s} hyperplanes")
     return section_spec(space, cuts=(1,) * s)
 
 

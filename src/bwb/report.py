@@ -253,11 +253,15 @@ def _middle41_cells(cat: Catalog) -> list[ReportCell]:
     return cells
 
 
-_CROPS = (
-    _linear33_cells, _mukai34_cells, _series41_cells, _moduli43_cells,
-    _dual44_cells, _weighted31_cells, _quadric34_cells, _lemma_cells,
-    _theta_cells, _middle41_cells,
-)
+# table id, as verify prints it -> the crop that computes its cells
+_CROPS = {
+    "linear33": _linear33_cells, "mukai34": _mukai34_cells,
+    "series41": _series41_cells, "moduli43": _moduli43_cells,
+    "dual44": _dual44_cells, "weighted31": _weighted31_cells,
+    "quadric34": _quadric34_cells, "lemma_nonvan": _lemma_cells,
+    "lemma_van": _lemma_cells, "theta35": _theta_cells,
+    "middle41": _middle41_cells,
+}
 
 
 # ------------------------------------------------------------------- driver
@@ -275,11 +279,17 @@ class VerifyReport:
 
 def run_verify(cat: Catalog | None = None,
                tables: tuple[str, ...] = ()) -> VerifyReport:
-    """Recompute every reference cell; canonical (table,row,column) order."""
+    """Recompute every reference cell, or those of the given table ids;
+    canonical (table,row,column) order."""
     cat = cat or default_catalog()
-    crops = [f for f in _CROPS
-             if not tables or f.__name__[1:].removesuffix("_cells") in tables]
-    cells = sorted((c for f in crops for c in f(cat)), key=lambda c: c.key)
+    missing = sorted(set(tables) - _CROPS.keys())
+    if missing:
+        raise ValueError(f"unknown table {', '.join(missing)}; "
+                         f"known: {', '.join(_CROPS)}")
+    # each crop runs once, though lemma_nonvan and lemma_van share one
+    crops = dict.fromkeys(_CROPS[t] for t in tables or _CROPS)
+    cells = sorted((c for f in crops for c in f(cat)
+                    if not tables or c.table in tables), key=lambda c: c.key)
     flagged, undocumented = [], []
     out = []
     for c in cells:

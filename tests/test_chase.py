@@ -11,23 +11,28 @@ from bwb.chase import ChaseError, Iv, exact, ses_middle, solve_exact_complex, un
 
 
 @st.composite
-def exact_complexes(draw, max_top=4, max_m=3, nonzero=None):
+def exact_complexes(draw, max_top=4, max_m=3, nonzero=None, paired=False):
     """Image dimensions h^q(B_i) and connecting ranks r_i[q] <=
     min(h^q(B_i), h^{q+1}(B_{i-1})), and the terms they force:
     T_0 = B_0 and h^q(T_i) = B_{i-1}[q] - r_i[q-1] + B_i[q] - r_i[q].
     With ``nonzero`` = k the images are zero but in at most k cells, the
-    shape of the Koszul chases."""
-    top = draw(st.integers(0, max_top))
-    m = draw(st.integers(0, max_m))
+    shape of the Koszul chases; ``paired`` gives each cell B_i[q] a nonzero
+    partner B_{i-1}[q+1], so that the rank r_i[q] between them may be
+    nonzero."""
+    low = 1 if paired else 0  # a pair needs two blocks and two degrees
+    top = draw(st.integers(low, max_top))
+    m = draw(st.integers(low, max_m))
     if nonzero is None:
         dims = st.lists(st.integers(0, 5), min_size=top + 1, max_size=top + 1)
         images = [draw(dims) + [0] for _ in range(m + 1)]  # degree top + 1 is 0
     else:
         images = [[0] * (top + 2) for _ in range(m + 1)]
-        cells = st.tuples(st.integers(0, m), st.integers(0, top))
+        cells = st.tuples(st.integers(low, m), st.integers(0, top - low))
         for (i, q), v in draw(st.dictionaries(cells, st.integers(1, 5),
                                               max_size=nonzero)).items():
             images[i][q] = v
+            if paired:
+                images[i - 1][q + 1] = draw(st.integers(1, 5))
     terms = [images[0][: top + 1]]
     for i in range(1, m + 1):
         a, c = images[i - 1], images[i]
@@ -158,11 +163,7 @@ def test_solver_equals_round_robin_reference(model, data):
     _same_as_reference(hidden, seed, top)
 
 
-@settings(deadline=None)
-@given(exact_complexes(max_top=22, max_m=6, nonzero=3), st.data())
-def test_sparse_complexes_hold_the_truth_and_equal_the_reference(model, data):
-    """Koszul-shaped complexes: exact terms but for at most two hidden
-    cells, so most slots start with all their variables exact."""
+def _check_sparse(model, data):
     top, images, terms = model
     hidden = [list(t) for t in terms]
     cells = st.tuples(st.integers(0, len(terms) - 1), st.integers(0, top))
@@ -176,6 +177,23 @@ def test_sparse_complexes_hold_the_truth_and_equal_the_reference(model, data):
     i, q = data.draw(cells)  # knock one cell off the model
     hidden[i][q] = data.draw(st.integers(0, 6))
     _same_as_reference(hidden, seed, top)
+
+
+@settings(deadline=None)
+@given(exact_complexes(max_top=22, max_m=6, nonzero=3), st.data())
+def test_sparse_complexes_hold_the_truth_and_equal_the_reference(model, data):
+    """Koszul-shaped complexes: exact terms but for at most two hidden
+    cells, so most slots are first pushed with all their variables exact."""
+    _check_sparse(model, data)
+
+
+@settings(deadline=None)
+@given(exact_complexes(max_top=22, max_m=6, nonzero=3, paired=True), st.data())
+def test_paired_sparse_complexes_hold_the_truth_and_equal_the_reference(model, data):
+    """The same with nonzero cells in pairs (B_i[q], B_{i-1}[q+1]): a slot
+    whose three dimensions are exact but whose own rank cap is nonzero must
+    still run, and hypothesis seldom draws one without the pairs."""
+    _check_sparse(model, data)
 
 
 def test_inconsistent_exact_complexes_raise():
@@ -200,6 +218,7 @@ def test_entries_meet_zero_to_infinity():
 
 
 def test_which_slots_start_dirty():
+    """Which slots the sparse start pushes onto the queue."""
     assert solve_exact_complex([[0] * 22] * 5, {}, 21) == [exact(0)] * 22
     # slot 0 has one interval, its own rank r[0] in [0,1], and must run to
     # close it to 1: slot 1 alone leaves h^1 in [1,2]
@@ -207,10 +226,10 @@ def test_which_slots_start_dirty():
 
 
 U = unknown()
-# One complex per dependency of the dirty mask, each of which the solver
-# gets wrong when that one re-run is left out (None: the system is
-# infeasible).  No complex is known that needs the remaining one, slot s - 1
-# of block i after its own A[s] narrowed.
+# One complex per push rule of the slot queue, each of which the solver gets
+# wrong when that one push is left out (None: the system is infeasible).  No
+# complex is known that needs the remaining one, slot s - 1 of block i after
+# its own A[s] narrowed.
 DEPENDENCY_CASES = [
     # a narrowed B_i[s] re-runs slot s of block i + 1
     ([[U, 0, 4], [0, U, 0], [U, 0, 0]], {}, 2, [Iv(4, None), exact(0), exact(0)]),
@@ -287,6 +306,10 @@ def test_inconsistent_seed_raises():
         solve_exact_complex(terms, {0: 2}, 1)
     with pytest.raises(ChaseError):
         solve_exact_complex(terms, {3: 1}, 1)  # outside the degree window
+    with pytest.raises(ChaseError):  # the target is T_0 = 3, not in [0, 1]
+        solve_exact_complex([[3]], {0: Iv(0, 1)}, 0)
+    with pytest.raises(ChaseError):  # with no term the target is 0
+        solve_exact_complex([], {0: 1}, 0)
 
 
 @st.composite

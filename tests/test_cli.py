@@ -155,6 +155,8 @@ def test_errors_exit_cleanly(capsys):
         main(["bott", "--space", "NOPE", "--form", "1"])
     with pytest.raises(SystemExit, match="not cominuscule"):
         main(["hodge", "--space", "G2ad", "--cut", "1"])
+    with pytest.raises(SystemExit, match="cannot cut by -1 hyperplanes"):
+        main(["hodge", "--space", "S10", "--linear", "-1"])
 
 
 def test_verify_all_tables_exit_zero(capsys):
@@ -170,6 +172,17 @@ def test_verify_single_table_filter(capsys):
     rc, out = run_cli(capsys, ["verify", "--table", "moduli43"])
     assert rc == 0
     assert "24 cells: 24 match" in out
+
+
+def test_verify_table_filter_takes_the_printed_ids(capsys):
+    for table, count in (("theta35", 6), ("lemma_van", 8)):
+        rc, out = run_cli(capsys, ["verify", "--table", table])
+        assert rc == 0
+        assert f"{count} cells: {count} match" in out
+        assert {line.split()[0] for line in out.splitlines()[1:-2]} == {table}
+    with pytest.raises(SystemExit, match="unknown table nosuch; known: .*theta35") as exc:
+        main(["verify", "--table", "nosuch"])
+    assert exc.value.code not in (0, None)
 
 
 def test_verify_table_filter_and_documented_note(capsys):
