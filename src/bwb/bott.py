@@ -13,8 +13,11 @@ On top of that sit:
   multiplicity-free sum of irreducible bundles E_{w(rho)-rho} over the
   length-p minimal coset representatives (products: all bidegree splittings);
 * :func:`forms_cohomology` — aggregated cohomology of Omega^p(-k).  It only
-  needs degrees and dimensions, so it never walks: ``rootsys.orbit_dim``
-  reads both off the Weyl product at the non-dominant weight itself;
+  needs degrees and dimensions, so it never walks: both are read off the
+  pairings of the non-dominant weight w(rho) - k * omega with the positive
+  coroots, which per Kostant weight are tabulated once
+  (``_kostant_pairings``) and moved by the twist only where the coroot
+  involves the marked node;
 * closed-form epsilon-coordinate fast paths for Grassmannians G(k,n) and
   spinor varieties S_{2n} that avoid the dominance walk entirely, plus the
   Schur-label constructors that feed them;
@@ -44,12 +47,21 @@ the even-orthogonal Vandermonde ratio in the squared entries.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .catalog import HomogSpace
-from .rootsys import orbit_dim, to_dominant, weyl_dim, weyl_dim_levi
+from .rootsys import to_dominant, weyl_dim, weyl_dim_levi
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, refused (not rounded) when it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,14 @@ class Bundle:
 
 
 def bundle(space: HomogSpace, weights, twist=0) -> Bundle:
-    """Validated constructor: every unmarked coordinate must be >= 0."""
-    weights = tuple(tuple(w) for w in weights)
+    """Validated constructor: integer coordinates, every unmarked one >= 0;
+    ``twist`` is an integer or one integer per factor."""
+    weights = tuple(tuple(_integer(c, "weight coordinate") for c in w)
+                    for w in weights)
+    if isinstance(twist, (tuple, list)):
+        twist = tuple(_integer(t, "twist") for t in twist)
+    else:
+        twist = _integer(twist, "twist")
     if len(weights) != len(space.factors):
         raise ValueError("need one weight per factor")
     for f, w in zip(space.factors, weights):
@@ -198,33 +216,75 @@ def kostant_forms(space: HomogSpace, p: int) -> tuple[Bundle, ...]:
 
 
 @lru_cache(maxsize=None)
+def _kostant_pairings(f, pf: int):
+    """The length-pf Kostant weights u = w(rho) of the factor, by their
+    pairings with the positive coroots.
+
+    ``<u + inc * omega_node, alpha^vee> = a + inc * c`` with
+    ``c = <omega_node, alpha^vee>``, the coroot's coefficient at the node.
+    Pairings with ``c = 0`` are the same for every twist: per weight they
+    fold into ``(|product|, number negative)`` once, and a zero among them
+    drops the weight.  The other coroots are the nilradical's (``dim f`` of
+    them); their ``c`` form one tuple shared by every weight, and each
+    weight keeps its ``a`` in a flat tuple of the same order.  Returns
+    ``(c, ((|product|, negative, a), ...))``."""
+    chain = [0]
+    for k, j in f.rs.dim_steps:
+        chain.append(chain[k] + (j == f.node))
+    coeffs = chain[1:]
+    out = []
+    for w in _factor_form_weights(f)[pf]:
+        pairings = [0]
+        fixed, negative = 1, 0
+        moving = []
+        for (k, j), c in zip(f.rs.dim_steps, coeffs):
+            a = pairings[k] + w[j] + 1
+            pairings.append(a)
+            if c:
+                moving.append(a)
+            elif a:
+                fixed *= a
+                negative += a < 0
+            else:
+                break  # u + inc * omega is singular for every inc
+        else:
+            out.append((abs(fixed), negative, tuple(moving)))
+    return tuple(c for c in coeffs if c), tuple(out)
+
+
+def _factor_forms(f, pf: int, inc: int) -> dict[int, int]:
+    """H^* of Omega^pf(inc) on one factor, as degree -> dimension.  Each
+    Kostant weight's group is read off its pairings ``a + inc * c``: the
+    degree counts the negative ones, the dimension is
+    ``|product| / rs.dim_den``, and a zero pairing means no group."""
+    acc: dict[int, int] = {}
+    den = f.rs.dim_den
+    coeffs, table = _kostant_pairings(f, pf)
+    for num, q, moving in table:
+        for a, c in zip(moving, coeffs):
+            s = a + inc * c
+            if s <= 0:
+                if not s:
+                    break
+                q += 1
+            num *= s
+        else:
+            acc[q] = acc.get(q, 0) + abs(num) // den
+    return acc
+
+
+@lru_cache(maxsize=None)
 def _forms_cohomology(space: HomogSpace, p: int, k) -> tuple[tuple[int, int], ...]:
     """Kuenneth: Omega^p(-k) is the sum over splittings p = p_1 + ... + p_m
     of the outer products of Omega^{p_i}(-k_i) on the factors, so its
     cohomology is the convolution of per-factor Bott sums over the factor's
-    own Kostant weights.  Each summand's degree and dimension come from
-    :func:`orbit_dim` on ``w(rho) + inc * omega``, with no dominance walk.
+    own Kostant weights (:func:`_factor_forms`, no dominance walk).
     Splittings the remaining factors cannot fill are never visited;
     per-factor sums are shared within the call only."""
     if p != 0:
         _require_cominuscule(space)
     down = tuple(-v for v in space.degree_vector(k))
     sums: dict[tuple, dict[int, int]] = {}
-
-    def factor_sum(f, pf, inc):
-        key = (f, pf, inc)
-        if key not in sums:
-            acc: dict[int, int] = {}
-            for w in _factor_form_weights(f)[pf]:
-                v = [c + 1 for c in w]  # w(rho) + inc * omega_node
-                v[f.node] += inc
-                group = orbit_dim(f.rs, v)
-                if group is not None:
-                    q, d = group
-                    acc[q] = acc.get(q, 0) + d
-            sums[key] = acc
-        return sums[key]
-
     partial: dict[int, dict[int, int]] = {0: {0: 1}}  # degrees used -> H^*
     rest = space.dim  # form degrees the factors after f can still hold
     for f, inc in zip(space.factors, down):
@@ -233,7 +293,10 @@ def _forms_cohomology(space: HomogSpace, p: int, k) -> tuple[tuple[int, int], ..
         for used, coh in partial.items():
             left = p - used
             for pf in range(max(0, left - rest), min(left, f.dim) + 1):
-                fc = factor_sum(f, pf, inc)
+                key = (f, pf, inc)
+                fc = sums.get(key)
+                if fc is None:
+                    fc = sums[key] = _factor_forms(f, pf, inc)
                 if not fc:
                     continue
                 acc = nxt.setdefault(used + pf, {})
@@ -313,8 +376,8 @@ def euler_char(space: HomogSpace, p: int, k=0) -> int:
 
 def grassmann_shape(space: HomogSpace):
     """(k, n) for a single-factor type A space marked at node n-k."""
-    (f,) = space.factors
-    if f.rs.series != "A":
+    f = space.factors[0]
+    if len(space.factors) != 1 or f.rs.series != "A":
         raise ValueError(f"{space.name} is not a Grassmannian")
     n = f.rs.rank + 1
     k = n - (f.node + 1)
@@ -326,17 +389,22 @@ def grassmann_sequence(space: HomogSpace, q_label, e_label, twist: int = 0):
     k, n = grassmann_shape(space)
     a = _pad_partition(q_label, n - k)
     b = _pad_partition(e_label, k)
+    twist = _integer(twist, "twist")
     block_q = [-a[n - k - 1 - i] + twist for i in range(n - k)]
     seq = block_q + list(b)
     return tuple(s + (n - 1 - i) for i, s in enumerate(seq))
 
 
 def grassmann_bundle(space: HomogSpace, q_label, e_label, twist: int = 0) -> Bundle:
-    """Same bundle in fundamental coordinates (for the generic walk)."""
+    """Same bundle in fundamental coordinates (for the generic walk): the
+    differences of consecutive epsilon coordinates (-rev(a) + t, b)."""
     k, n = grassmann_shape(space)
-    seq = grassmann_sequence(space, q_label, e_label, twist)
-    v = [s - (n - 1 - i) for i, s in enumerate(seq)]
-    return Bundle(space, (tuple(v[j] - v[j + 1] for j in range(n - 1)),))
+    a = _pad_partition(q_label, n - k)
+    b = _pad_partition(e_label, k)
+    coords = [a[i - 1] - a[i] for i in range(n - k - 1, 0, -1)]
+    coords.append(_integer(twist, "twist") - a[0] - b[0])
+    coords.extend(b[i] - b[i + 1] for i in range(k - 1))
+    return Bundle(space, (tuple(coords),))
 
 
 def sequence_cohomology(seq):
@@ -363,8 +431,9 @@ def sequence_cohomology(seq):
 
 
 def spinor_shape(space: HomogSpace) -> int:
-    (f,) = space.factors
-    if f.rs.series != "D" or f.node != f.rs.rank - 1:
+    """n for the spinor variety S_{2n}: type D_n marked at its last node."""
+    f = space.factors[0]
+    if len(space.factors) != 1 or f.rs.series != "D" or f.node != f.rs.rank - 1:
         raise ValueError(f"{space.name} is not a spinor variety")
     return f.rs.rank
 
@@ -373,18 +442,19 @@ def spinor_sequence(space: HomogSpace, label, twist: int = 0):
     """Shifted sequence of S_label E (twist) with doubled entries."""
     n = spinor_shape(space)
     lam = _pad_partition(label, n)
+    twist = _integer(twist, "twist")
     return tuple(
         2 * (n - 1 - i) - 2 * lam[n - 1 - i] + twist for i in range(n)
     )
 
 
 def spinor_bundle(space: HomogSpace, label, twist: int = 0) -> Bundle:
+    """S_label E (twist) in fundamental coordinates: the differences of the
+    reversed label, then ``twist - label[0] - label[1]`` at the marked node."""
     n = spinor_shape(space)
-    seq2 = spinor_sequence(space, label, twist)
-    x2 = [s - 2 * (n - 1 - i) for i, s in enumerate(seq2)]
-    assert all((a - b) % 2 == 0 for a, b in zip(x2, x2[1:]))
-    coords = [(x2[j] - x2[j + 1]) // 2 for j in range(n - 1)]
-    coords.append((x2[n - 2] + x2[n - 1]) // 2)
+    lam = _pad_partition(label, n)
+    coords = [lam[i - 1] - lam[i] for i in range(n - 1, 0, -1)]
+    coords.append(_integer(twist, "twist") - lam[0] - lam[1])
     return Bundle(space, (tuple(coords),))
 
 
@@ -414,8 +484,13 @@ def spinor_sequence_cohomology(seq, doubled: bool = False):
     return deg, num // den
 
 
-def _pad_partition(label, parts: int):
-    lam = list(label)
+def _pad_partition(label, parts: int) -> list[int]:
+    """The label as a weakly decreasing list of exactly ``parts``
+    nonnegative integers, trailing zeros added or dropped."""
+    try:
+        lam = list(map(operator.index, label))
+    except TypeError:
+        raise ValueError(f"label {label!r} must be a sequence of integers") from None
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"{label} is not weakly decreasing")
     if len(lam) > parts and any(c != 0 for c in lam[parts:]):

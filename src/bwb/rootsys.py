@@ -16,9 +16,7 @@ coordinates.  Conventions, fixed once and used by every other module:
 * ``rho`` is the all-ones weight.  ``to_dominant`` walks an arbitrary weight
   into the dominant chamber by simple reflections at negative coordinates and
   reports the number of reflections used, which for a regular weight equals
-  the inversion count of the unique Weyl element involved.  ``orbit_dim``
-  gets that count and the Weyl dimension of the dominant end without the
-  walk, when the end weight itself is not needed.
+  the inversion count of the unique Weyl element involved.
 """
 
 from __future__ import annotations
@@ -353,31 +351,6 @@ def weyl_dim(rs: RootSystem, lam) -> int:
         num *= v
     assert num % rs.dim_den == 0, "Weyl dimension must be an integer"
     return num // rs.dim_den
-
-
-def orbit_dim(rs: RootSystem, v) -> tuple[int, int] | None:
-    """Borel-Weil-Bott data of ``v = w(mu + rho)`` without walking to ``mu``.
-
-    W permutes the positive coroots up to sign, so the pairings
-    ``<v, alpha^vee>`` are those of ``mu + rho`` up to sign, and the negative
-    ones count the length of ``w`` (see :func:`inversions`).  Returns None at
-    the first zero pairing (``v`` singular), else ``(length, weyl_dim(mu))``,
-    from the same chain of pairings :func:`weyl_dim` uses.
-    """
-    pairings = [0]
-    num = 1
-    negative = 0
-    for k, j in rs.dim_steps:
-        s = pairings[k] + v[j]
-        if s <= 0:
-            if not s:
-                return None
-            negative += 1
-        num *= s
-        pairings.append(s)
-    num = abs(num)
-    assert num % rs.dim_den == 0, "Weyl dimension must be an integer"
-    return negative, num // rs.dim_den
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from bwb.bott import (
     Bundle,
+    _factor_form_weights,
+    _factor_forms,
+    _kostant_pairings,
     bott,
     bundle,
     euler_char,
@@ -17,16 +20,19 @@ from bwb.bott import (
     forms_cohomology,
     grassmann_bundle,
     grassmann_sequence,
+    grassmann_shape,
     hodge_diamond_entry,
     kostant_forms,
     sequence_cohomology,
     spinor_bundle,
     spinor_sequence,
     spinor_sequence_cohomology,
+    spinor_shape,
     trivial_bundle,
 )
 from bwb.catalog import default_catalog
 from bwb.rootsys import to_dominant
+from test_rootsys import orbit_dim
 
 CAT = default_catalog()
 
@@ -198,6 +204,156 @@ def test_spinor_fast_path_equals_walk():
         assert checked > 500, name
 
 
+def reference_grassmann_bundle(space, q_label, e_label, twist):
+    """The constructor as a round trip: unshift the fast-path sequence, then
+    take differences of consecutive epsilon coordinates."""
+    k, n = grassmann_shape(space)
+    seq = grassmann_sequence(space, q_label, e_label, twist)
+    v = [s - (n - 1 - i) for i, s in enumerate(seq)]
+    return Bundle(space, (tuple(v[j] - v[j + 1] for j in range(n - 1)),))
+
+
+def reference_spinor_bundle(space, label, twist):
+    """The same round trip through the doubled type-D sequence."""
+    n = spinor_shape(space)
+    seq2 = spinor_sequence(space, label, twist)
+    x2 = [s - 2 * (n - 1 - i) for i, s in enumerate(seq2)]
+    assert all((a - b) % 2 == 0 for a, b in zip(x2, x2[1:]))
+    coords = [(x2[j] - x2[j + 1]) // 2 for j in range(n - 1)]
+    coords.append((x2[n - 2] + x2[n - 1]) // 2)
+    return Bundle(space, (tuple(coords),))
+
+
+# acceptance criterion 9a: (space, label shapes, twists)
+CRITERION_9A = (
+    ("G(2,6)", ((4, 3), (2, 3)), (-6, -4, -2, 0, 2)),
+    ("G(2,10)", ((8, 2), (2, 2)), (-6, -3, 0)),
+    ("S10", ((5, 4),), tuple(range(-10, 1))),
+    ("S12", ((6, 3),), tuple(range(-8, 1))),
+)
+
+
+def test_schur_constructors_equal_the_sequence_round_trip_on_criterion_9a():
+    checked = 0
+    for name, shapes, twists in CRITERION_9A:
+        space = CAT.space(name)
+        for twist in twists:
+            if len(shapes) == 2:
+                for q_label in partitions(*shapes[0]):
+                    for e_label in partitions(*shapes[1]):
+                        assert grassmann_bundle(space, q_label, e_label, twist) == \
+                            reference_grassmann_bundle(space, q_label, e_label, twist)
+                        checked += 1
+            else:
+                for label in partitions(*shapes[0]):
+                    assert spinor_bundle(space, label, twist) == \
+                        reference_spinor_bundle(space, label, twist)
+                    checked += 1
+    assert checked == 14862
+
+
+@st.composite
+def schur_case(draw):
+    name = draw(st.sampled_from(["G(2,6)", "G(2,10)", "G(3,11)", "G(4,9)",
+                                 "S10", "S12", "S14"]))
+    space = CAT.space(name)
+    if space.factors[0].rs.series == "A":
+        k, n = grassmann_shape(space)
+        sizes = (n - k, k)
+    else:
+        sizes = (spinor_shape(space), 0)
+    q_label, e_label = (
+        tuple(sorted(draw(st.lists(st.integers(0, 9), max_size=m)), reverse=True))
+        for m in sizes)
+    return space, q_label, e_label, draw(st.integers(-25, 25))
+
+
+@settings(max_examples=400, deadline=None)
+@given(schur_case())
+def test_schur_constructors_equal_the_sequence_round_trip_at_random(case):
+    # odd twists on the spinor varieties included
+    space, q_label, e_label, twist = case
+    if space.factors[0].rs.series == "A":
+        assert grassmann_bundle(space, q_label, e_label, twist) == \
+            reference_grassmann_bundle(space, q_label, e_label, twist)
+    else:
+        assert spinor_bundle(space, q_label, twist) == \
+            reference_spinor_bundle(space, q_label, twist)
+
+
+def test_schur_inputs_must_be_integers():
+    g26, s10 = CAT.space("G(2,6)"), CAT.space("S10")
+    with pytest.raises(ValueError, match="integer"):
+        grassmann_bundle(g26, (1.5,), ())
+    with pytest.raises(ValueError, match="integer"):
+        bundle(g26, ((0, 0, 0.5, 0, 0),))
+    bad_calls = [
+        lambda: grassmann_bundle(g26, (2.0, 1), ()),
+        lambda: grassmann_bundle(g26, (), (1, 0.5)),
+        lambda: grassmann_bundle(g26, (1,), (), 1.0),
+        lambda: grassmann_sequence(g26, (1.5,), ()),
+        lambda: grassmann_sequence(g26, (1,), (), 0.5),
+        lambda: spinor_bundle(s10, (1, 0.5)),
+        lambda: spinor_bundle(s10, (1,), 0.5),
+        lambda: spinor_sequence(s10, (2.0,)),
+        lambda: spinor_sequence(s10, (1,), -1.0),
+        lambda: bundle(s10, ((0, 0, 0, 0, 1.0),)),
+        lambda: bundle(s10, ((0,) * 5,), 0.5),
+        lambda: bundle(CAT.space("P3xP3"), ((0,) * 3, (0,) * 3), (1, 0.5)),
+        lambda: grassmann_bundle(g26, 3, ()),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    # integer-like values that are not floats still pass
+    assert grassmann_bundle(g26, (True,), (), False) == grassmann_bundle(g26, (1,), ())
+    assert bundle(s10, [[0, 0, 0, 0, -8]]) == bundle(s10, [(0,) * 5], -8)
+
+
+def test_schur_constructors_refuse_product_spaces():
+    p3p3 = CAT.space("P3xP3")
+    for call in (lambda: grassmann_bundle(p3p3, (1,), ()),
+                 lambda: grassmann_sequence(p3p3, (1,), ()),
+                 lambda: grassmann_shape(p3p3)):
+        with pytest.raises(ValueError, match=r"^P3xP3 is not a Grassmannian$"):
+            call()
+    for call in (lambda: spinor_bundle(p3p3, (1,)),
+                 lambda: spinor_sequence(p3p3, (1,)),
+                 lambda: spinor_shape(p3p3)):
+        with pytest.raises(ValueError, match=r"^P3xP3 is not a spinor variety$"):
+            call()
+
+
+def test_pairing_tables_match_orbit_dim_on_every_cominuscule_factor():
+    # the table kernel against orbit_dim on w(rho) + inc * omega_node, for
+    # every Kostant weight of every cominuscule catalog factor
+    factors = {f for space in CAT.spaces.values() for f in space.factors
+               if f.cominuscule}
+    coefficients = set()
+    for f in sorted(factors, key=lambda f: (f.rs.series, f.rs.rank, f.node)):
+        for pf in range(f.dim + 1):
+            weights = _factor_form_weights(f)[pf]
+            coeffs, table = _kostant_pairings(f, pf)
+            assert len(coeffs) == f.dim
+            coefficients.update(coeffs)
+            # w(rho) - rho is Levi-dominant, so the Levi pairings of w(rho)
+            # are all positive: no weight is dropped
+            assert len(table) == len(weights), (f, pf)
+            for _, negative, moving in table:
+                assert negative == 0 and len(moving) == f.dim
+            for inc in range(-f.dim - 2, f.dim + 3):
+                want = {}
+                for w in weights:
+                    v = [c + 1 for c in w]
+                    v[f.node] += inc
+                    group = orbit_dim(f.rs, v)
+                    if group is not None:
+                        want[group[0]] = want.get(group[0], 0) + group[1]
+                assert _factor_forms(f, pf, inc) == want, (f, pf, inc)
+    # C3/P3 (LG(3,6)) has coroots with node coefficient 2
+    assert coefficients == {1, 2}
+
+
 def test_printed_sequence_values():
     # sequences as printed in half-spin units: entries already doubled
     assert spinor_sequence_cohomology((2, 0, -4, -6, -10), doubled=True) == (9, 10)
@@ -325,8 +481,8 @@ def test_kuenneth_matches_summed_bott_on_every_product():
 
 
 def test_walk_free_forms_match_summed_bott_on_every_single_factor_space():
-    # forms_cohomology reads degrees and dimensions off orbit_dim and never
-    # walks, so the walking bott route is independent of it on every space
+    # forms_cohomology reads degrees and dimensions off its pairing tables
+    # and never walks, so the walking bott route is independent of it
     singles = sorted(name for name in CAT.spaces
                      if len(CAT.space(name).factors) == 1
                      and CAT.space(name).cominuscule and CAT.space(name).dim <= 16)

