@@ -52,16 +52,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .catalog import HomogSpace
+from .catalog import HomogSpace, _integer
 from .rootsys import to_dominant, weyl_dim, weyl_dim_levi
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int, refused (not rounded) when it is no integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -89,10 +81,6 @@ def bundle(space: HomogSpace, weights, twist=0) -> Bundle:
     ``twist`` is an integer or one integer per factor."""
     weights = tuple(tuple(_integer(c, "weight coordinate") for c in w)
                     for w in weights)
-    if isinstance(twist, (tuple, list)):
-        twist = tuple(_integer(t, "twist") for t in twist)
-    else:
-        twist = _integer(twist, "twist")
     if len(weights) != len(space.factors):
         raise ValueError("need one weight per factor")
     for f, w in zip(space.factors, weights):
@@ -101,8 +89,7 @@ def bundle(space: HomogSpace, weights, twist=0) -> Bundle:
         for j, c in enumerate(w):
             if j != f.node and c < 0:
                 raise ValueError(f"weight {w} is not Levi-dominant at node {j + 1}")
-    b = Bundle(space, weights)
-    return b if twist == 0 else b.twisted(twist)
+    return Bundle(space, weights).twisted(twist)
 
 
 def trivial_bundle(space: HomogSpace) -> Bundle:
@@ -274,16 +261,16 @@ def _factor_forms(f, pf: int, inc: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _forms_cohomology(space: HomogSpace, p: int, k) -> tuple[tuple[int, int], ...]:
-    """Kuenneth: Omega^p(-k) is the sum over splittings p = p_1 + ... + p_m
-    of the outer products of Omega^{p_i}(-k_i) on the factors, so its
+def _forms_cohomology(space: HomogSpace, p: int, vec) -> tuple[tuple[int, int], ...]:
+    """Kuenneth: Omega^p(-vec) is the sum over splittings p = p_1 + ... + p_m
+    of the outer products of Omega^{p_i}(-vec_i) on the factors, so its
     cohomology is the convolution of per-factor Bott sums over the factor's
     own Kostant weights (:func:`_factor_forms`, no dominance walk).
     Splittings the remaining factors cannot fill are never visited;
     per-factor sums are shared within the call only."""
     if p != 0:
         _require_cominuscule(space)
-    down = tuple(-v for v in space.degree_vector(k))
+    down = tuple(-v for v in vec)
     sums: dict[tuple, dict[int, int]] = {}
     partial: dict[int, dict[int, int]] = {0: {0: 1}}  # degrees used -> H^*
     rest = space.dim  # form degrees the factors after f can still hold
@@ -308,11 +295,9 @@ def _forms_cohomology(space: HomogSpace, p: int, k) -> tuple[tuple[int, int], ..
 
 
 def forms_cohomology(space: HomogSpace, p: int, k=0) -> dict[int, int]:
-    """Aggregated dims of H^*(Omega^p(-k)); ``k`` counts copies of L
-    (a tuple gives the raw per-factor downward twist instead)."""
-    if not isinstance(k, int):
-        k = tuple(k)
-    return dict(_forms_cohomology(space, p, k))
+    """Aggregated dims of H^*(Omega^p(-k)), cached on ``degree_vector(k)``:
+    ``k`` counts copies of L, or gives the per-factor downward twist."""
+    return dict(_forms_cohomology(space, p, space.degree_vector(k)))
 
 
 def hodge_diamond_entry(space: HomogSpace, p: int, q: int) -> int:
@@ -411,6 +396,8 @@ def sequence_cohomology(seq):
     """Cohomology from a shifted type-A sequence: None if two entries repeat,
     else (degree, dim) with degree the number of ascents."""
     seq = tuple(seq)
+    if set(map(type, seq)) != {int}:  # _integer returns an int as it is
+        seq = tuple([_integer(v, "sequence entry") for v in seq])
     if len(set(seq)) != len(seq):
         return None
     degree = 0
@@ -465,7 +452,11 @@ def spinor_sequence_cohomology(seq, doubled: bool = False):
     ``doubled`` is set.  None if two entries coincide or sum to zero; else
     (degree, dim), degree = ascents + pairs with negative sum.
     """
-    s = tuple(seq) if doubled else tuple(2 * v for v in seq)
+    s = tuple(seq)
+    if set(map(type, s)) != {int}:  # _integer returns an int as it is
+        s = tuple([_integer(v, "sequence entry") for v in s])
+    if not doubled:
+        s = tuple(2 * v for v in s)
     deg = 0
     for i, j in combinations(range(len(s)), 2):
         if s[i] == s[j] or s[i] + s[j] == 0:

@@ -14,6 +14,7 @@ variable (or an explicit path) overrides it.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,6 +22,14 @@ from importlib import resources
 from math import gcd
 
 from .rootsys import RootSystem, root_system, weyl_dim
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, refused (not rounded) when it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,7 @@ class HomogSpace:
     def index_vector(self) -> tuple[int, ...]:
         return tuple(f.index for f in self.factors)
 
-    @property
+    @cached_property
     def picard_index(self) -> int:
         """Fano index with respect to the primitive ample class L."""
         g = 0
@@ -96,21 +105,24 @@ class HomogSpace:
             g = gcd(g, r)
         return g
 
-    @property
+    @cached_property
     def ample(self) -> tuple[int, ...]:
         """Per-factor degree vector of L (so -K = picard_index * L)."""
         i = self.picard_index
         return tuple(r // i for r in self.index_vector)
 
     def degree_vector(self, k) -> tuple[int, ...]:
-        """Per-factor degrees of O(k): an integer counts copies of L, a
-        sequence gives one degree per factor."""
-        if isinstance(k, int):
-            return tuple(k * a for a in self.ample)
-        vec = tuple(k)
-        if len(vec) != len(self.factors):
-            raise ValueError(f"need one twist per factor of {self.name}, got {vec}")
-        return vec
+        """Per-factor degrees of O(k), and the one integer gate for twists
+        and degrees: anything ``operator.index`` takes counts copies of L, a
+        tuple or list gives one integer degree per factor, and anything else
+        raises ValueError."""
+        if isinstance(k, (tuple, list)):
+            vec = tuple([_integer(c, "degree") for c in k])
+            if len(vec) != len(self.factors):
+                raise ValueError(f"need one twist per factor of {self.name}, got {vec}")
+            return vec
+        k = _integer(k, "degree")
+        return tuple([k * a for a in self.ample])
 
     @property
     def coindex(self) -> int:

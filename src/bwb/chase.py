@@ -23,27 +23,30 @@ bookkeeping: no spectral-sequence differential is ever guessed.
 at B, so there is one copy of these equations.
 
 A term is a list of top + 1 entries, one per degree, each an ``Iv`` or an
-int.  Inside the solver an interval vector over degrees 0..top is a pair of
-int lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the
-two end slots are the exact zeros at degrees -1 and top + 1.  ``INF`` is the
-one unbounded marker.  B_0 and T_0 share one vector, and a complex of fewer
-than two terms gets zero terms prepended.  The equations of sequence i in
-degree q form slot (i, q), and one FIFO of slots runs a slot again only when
-one of the variables it reads narrowed: a narrowed h^q(B_i) pushes slots
-(i, q), (i + 1, q) and (i + 1, q - 1) (whose rank cap reads it), a narrowed
-r_i[q] slots (i, q) and (i, q + 1), a narrowed h^q(T_i) slot (i, q).  After
-the telescoped upper bounds and rank caps, slot (i, q) is first pushed only
-when h^q(B_{i-1}), h^q(B_i), h^q(T_i), r_i[q-1] or r_i[q] is an interval;
-with all five exact it is checked once.  Every narrowing is a monotone
-contraction, so by the chaotic-iteration theorem the fixpoint does not depend
-on the order the slots run in, and an empty interval is reached in every
-order or in none.
+int, and every finite end must be an integer (``ValueError`` otherwise).
+Inside the solver an interval vector over degrees 0..top is a pair of int
+lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the two
+end slots are the exact zeros at degrees -1 and top + 1.  Each chase picks
+its one unbounded marker ``inf`` from its inputs.  B_0 and T_0 share one
+vector, and a complex of fewer than two terms gets zero terms prepended.
+The equations of sequence i in degree q form slot (i, q), and one FIFO of
+slots runs a slot again only when one of the variables it reads narrowed: a
+narrowed h^q(B_i) pushes slots (i, q), (i + 1, q) and (i + 1, q - 1) (whose
+rank cap reads it), a narrowed r_i[q] slots (i, q) and (i, q + 1), a
+narrowed h^q(T_i) slot (i, q).  After the telescoped upper bounds and rank
+caps, slot (i, q) is first pushed only when h^q(B_{i-1}), h^q(B_i), h^q(T_i),
+r_i[q-1] or r_i[q] is an interval; with all five exact it is checked once.
+Every narrowing is a monotone contraction, so by the chaotic-iteration
+theorem the fixpoint does not depend on the order the slots run in, and an
+empty interval is reached in every order or in none.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+from .catalog import _integer
 
 
 class ChaseError(Exception):
@@ -102,26 +105,39 @@ def unknown() -> Iv:
     return Iv(0, None)
 
 
-# An upper bound equal to INF means "no bound".  Finite bounds stay far below
-# _HUGE, so an upper bound computed from an INF operand (INF minus a few
-# lower bounds) is recognised and ignored, and a lower bound computed from
-# one goes negative, below the standing lower bound 0.
-INF = 1 << 62
-_HUGE = INF >> 1
+# The marker.  An upper bound equal to ``inf`` means "no bound".  Each chase
+# picks its own: with M the largest finite end among its inputs, m + 1 terms
+# and V = 3 * (m + 2) * (top + 1), more than the number of variables that can
+# start unbounded, ``inf`` is 4 * cap for the power of two
+# cap > 4^V * (m + 2) * M.  A bound is stored only when it is below cap:
+# ``_narrow`` drops any other narrowing, which leaves the interval wider and
+# so keeps the chase sound.  Every stored lower bound and finite upper bound
+# is then below cap.  An upper bound computed from an ``inf`` operand adds
+# upper bounds (>= 0) to ``inf`` and subtracts at most two lower bounds, so it
+# is above inf - 2 * cap = 2 * cap and is dropped; a lower bound computed
+# from one adds at most three lower bounds and subtracts ``inf``, so it is
+# below 3 * cap - inf < 0, the standing lower bound.  No finite upper bound
+# is ever dropped: a variable's first one is at most the sum of three stored
+# ones, later ones only lower it, so after the at most V first ones every
+# upper bound is at most 3^V * M; a lower bound stays below a finite upper
+# bound.  With finite terms, as in every caller in bwb, the sparse start
+# already bounds each h^q(B_i) by (i + 1) * M and each rank by a B, so every
+# bound is at most (m + 1) * M from then on.
 
 
-def _vec(top: int):
-    """An unknown vector: [0, INF] in degrees 0..top, 0 in both pads."""
-    return [0] * (top + 3), [0] + [INF] * (top + 1) + [0]
+def _vec(top: int, inf: int):
+    """An unknown vector: [0, inf] in degrees 0..top, 0 in both pads."""
+    return [0] * (top + 3), [0] + [inf] * (top + 1) + [0]
 
 
-def _narrow(lo, hi, s: int, nlo: int, nhi: int) -> bool:
-    """Meet slot ``s`` with [nlo, nhi]; True when it narrowed."""
+def _narrow(lo, hi, s: int, nlo: int, nhi: int, cap: int) -> bool:
+    """Meet slot ``s`` with [nlo, nhi], each end only when below ``cap``;
+    True when it narrowed."""
     changed = False
-    if nlo > lo[s]:
+    if nlo > lo[s] and nlo < cap:
         lo[s] = nlo
         changed = True
-    if nhi < hi[s] and nhi < _HUGE:
+    if nhi < hi[s] and nhi < cap:
         hi[s] = nhi
         changed = True
     if changed and lo[s] > hi[s]:
@@ -129,31 +145,52 @@ def _narrow(lo, hi, s: int, nlo: int, nhi: int) -> bool:
     return changed
 
 
-def _to_vec(t, top: int):
-    """Interval vector of a term: top + 1 entries, each an Iv or an int."""
-    if len(t) != top + 1:
-        raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
-    lo, hi = [0], [0]
-    for q, v in enumerate(t):  # each entry met with [0, INF], as in _narrow
-        if isinstance(v, Iv):
-            nlo, nhi = v.lo, INF if v.hi is None else v.hi
-        else:
-            nlo = nhi = v
-        if nlo < 0:
-            nlo = 0
-        if nhi >= _HUGE:
-            nhi = INF
-        if nlo > nhi:
-            raise ChaseError(f"empty interval [{nlo},{nhi}] in degree {q}")
-        lo.append(nlo)
-        hi.append(nhi)
-    lo.append(0)
-    hi.append(0)
-    return lo, hi
+def _vectors(terms, top: int):
+    """The interval vectors of ``terms`` (each top + 1 entries, an Iv or an
+    int per degree, met with [0, inf]) and the marker ``inf`` of the chase
+    that reads them.  The pass that takes every int and every finite Iv end
+    through ``_integer`` also finds their maximum M."""
+    big, vecs = 1, []
+    for t in terms:
+        if len(t) != top + 1:
+            raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
+        lo, hi = [0], [0]
+        for q, v in enumerate(t):
+            # _integer returns an int as it is, so only the rest go through it
+            if type(v) is int:
+                nlo = nhi = v
+            elif isinstance(v, Iv):
+                nlo, nhi = v.lo, v.hi
+                if type(nlo) is not int:
+                    nlo = _integer(nlo, "chase entry")
+                if nhi is not None and type(nhi) is not int:
+                    nhi = _integer(nhi, "chase entry")
+            else:
+                nlo = nhi = _integer(v, "chase entry")
+            if nlo < 0:
+                nlo = 0
+            if nhi is None:
+                end = nlo
+            else:
+                if nlo > nhi:
+                    raise ChaseError(f"empty interval [{nlo},{nhi}] in degree {q}")
+                end = nhi
+            if end > big:
+                big = end
+            lo.append(nlo)
+            hi.append(nhi)
+        lo.append(0)
+        hi.append(0)
+        vecs.append((lo, hi))
+    inf = 4 << (len(terms) * big).bit_length() + 6 * len(terms) * (top + 1)
+    for _, hi in vecs:
+        if None in hi:
+            hi[:] = [inf if h is None else h for h in hi]
+    return vecs, inf
 
 
-def _ivs(lo, hi) -> list[Iv]:
-    return [Iv(l, None if h == INF else h) for l, h in zip(lo[1:-1], hi[1:-1])]
+def _ivs(lo, hi, inf: int) -> list[Iv]:
+    return [Iv(l, None if h == inf else h) for l, h in zip(lo[1:-1], hi[1:-1])]
 
 
 def solve_exact_complex(terms, target_seed, top: int):
@@ -167,26 +204,28 @@ def solve_exact_complex(terms, target_seed, top: int):
 
     Returns the narrowed target as a list of Iv, indices 0..top.
     """
-    T = [_to_vec(t, top) for t in terms]
     seed, free = target_seed or {}, unknown()
     if any((v.lo if isinstance(v, Iv) else v) > 0
            for q, v in seed.items() if not 0 <= q <= top):
         raise ChaseError("seed outside degree window")
-    target = _to_vec([seed.get(q, free) for q in range(top + 1)], top)
-    _chase(T, target, top)
-    return _ivs(*target)
+    T, inf = _vectors([*terms, [seed.get(q, free) for q in range(top + 1)]], top)
+    target = T.pop()
+    _chase(T, target, top, inf)
+    return _ivs(*target, inf)
 
 
-def _chase(T, target, top: int) -> None:
+def _chase(T, target, top: int, inf: int) -> None:
     """Narrow the vectors of 0 -> T_0 -> ... -> T_m -> target -> 0 in place
-    to the fixpoint of the equations of its short exact sequences."""
+    to the fixpoint of the equations of its short exact sequences; ``inf``
+    is their unbounded marker."""
     # 0 -> 0 -> T_0 -> target -> 0 pins the target to T_0, and with no term
     # to 0; each zero term gets its own lists, since the chase narrows in place
     T = [([0] * (top + 3), [0] * (top + 3)) for _ in range(2 - len(T))] + T
     m = len(T) - 1
-    B = [T[0]] + [_vec(top) for _ in range(m - 1)] + [target]  # B_0 = T_0
+    B = [T[0]] + [_vec(top, inf) for _ in range(m - 1)] + [target]  # B_0 = T_0
     # R[i][q]: rank of H^q(B_i) -> H^{q+1}(B_{i-1}), i = 1..m
-    R = [None] + [_vec(top) for _ in range(m)]
+    R = [None] + [_vec(top, inf) for _ in range(m)]
+    cap = inf >> 2
     # Slot (i, s) reads A[s], A[s+1] (in the rank cap), C[s], T_i[s], R_i[s-1]
     # and R_i[s], where A = B_{i-1} and C = B_i, and is queued whenever one of
     # them narrows.  Block 0 (B_0 = T_0 has no equations), block m + 1 and both
@@ -238,23 +277,23 @@ def _chase(T, target, top: int) -> None:
         rlo, rhi = R[i]
         # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
         if _narrow(tlo, thi, s, alo[s] + clo[s] - rhi[s - 1] - rhi[s],
-                   ahi[s] + chi[s] - rlo[s - 1] - rlo[s]):
+                   ahi[s] + chi[s] - rlo[s - 1] - rlo[s], cap):
             push((i, s))
         # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
         u_lo = tlo[s] + rlo[s - 1] + rlo[s]
         u_hi = thi[s] + rhi[s - 1] + rhi[s]
-        if _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s]):
+        if _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s], cap):
             push((i, s), (i + 1, s), (i + 1, s - 1))
-        if _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s]):
+        if _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s], cap):
             push((i - 1, s), (i, s), (i, s - 1))
         # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
         d_lo = alo[s] + clo[s] - thi[s]
         d_hi = ahi[s] + chi[s] - tlo[s]
-        r_ch = _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1])
-        if s > 1 and _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s]):
+        r_ch = _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1], cap)
+        if s > 1 and _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s], cap):
             push((i, s - 1), (i, s))
         # a rank is bounded by both ends of its map
-        if _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1])) or r_ch:
+        if _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1]), cap) or r_ch:
             push((i, s), (i, s + 1))
 
 
@@ -262,6 +301,6 @@ def ses_middle(left, right, top: int):
     """Interval cohomology of B in 0 -> A -> B -> C -> 0 given the terms
     ``left`` = A and ``right`` = C: the chase of A -> B onto C with B
     unknown, read back at B."""
-    B = _vec(top)
-    _chase([_to_vec(left, top), B], _to_vec(right, top), top)
-    return _ivs(*B)
+    (A, B, C), inf = _vectors([left, [unknown()] * (top + 1), right], top)
+    _chase([A, B], C, top, inf)
+    return _ivs(*B, inf)

@@ -48,7 +48,7 @@ from itertools import combinations
 from math import comb
 
 from .bott import euler_char, forms_cohomology
-from .catalog import HomogSpace, projective_space, space_facts
+from .catalog import HomogSpace, _integer, projective_space, space_facts
 from .chase import Iv, exact, ses_middle, solve_exact_complex, unknown
 
 # Spaces whose minimal linear sections of dimension 2*coindex - 1 carry a
@@ -136,6 +136,7 @@ def section_spec(space: HomogSpace, cuts=(), branch=None) -> SectionSpec:
 
 def linear_section(space: HomogSpace, s: int) -> SectionSpec:
     """Codimension-s intersection of hyperplanes in the minimal embedding."""
+    s = _integer(s, "hyperplane count")
     if s < 0:
         raise ValueError(f"cannot cut by {s} hyperplanes")
     return section_spec(space, cuts=(1,) * s)

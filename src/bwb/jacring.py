@@ -28,13 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int, refused (not rounded) when it is no integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+from .catalog import _integer
 
 
 def _validated(weights, degree) -> tuple[tuple[int, ...], int]:

@@ -117,11 +117,10 @@ class RootSystem:
     root_coords: tuple[tuple[int, ...], ...] = field(compare=False)
     # integer coroot coordinates of each positive root
     coroot_coords: tuple[tuple[int, ...], ...] = field(compare=False)
-    node_degree: tuple[int, ...] = field(compare=False)
     # per node i: (j, cartan[j][i]) for the Dynkin neighbours j of i, the
     # off-diagonal nonzeros of column i that a reflection at i touches
     neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False)
-    # nodes ordered by (degree, index): the default pivot's tie-break
+    # nodes ordered by (number of neighbours, index): the pivot's tie-break
     pivot_order: tuple[int, ...] = field(compare=False)
     # one step (k, j) per positive coroot, in order of height: the coroot is
     # alpha_j^vee plus the one of step k (1-based; k = 0 means zero)
@@ -217,11 +216,6 @@ def root_system(series: str, rank: int) -> RootSystem:
             cv.append(num // da)
         coroots.append(tuple(cv))
 
-    deg = [0] * rank
-    for i, j in _edges(series, rank):
-        deg[i] += 1
-        deg[j] += 1
-
     neighbours = tuple(
         tuple((j, cartan[j][i]) for j in range(rank) if j != i and cartan[j][i])
         for i in range(rank)
@@ -245,9 +239,9 @@ def root_system(series: str, rank: int) -> RootSystem:
         positive_roots=tuple(positives),
         root_coords=tuple(fund(a) for a in positives),
         coroot_coords=tuple(coroots),
-        node_degree=tuple(deg),
         neighbours=neighbours,
-        pivot_order=tuple(sorted(range(rank), key=lambda i: (deg[i], i))),
+        pivot_order=tuple(sorted(range(rank),
+                                 key=lambda i: (len(neighbours[i]), i))),
         dim_steps=tuple(dim_steps),
         dim_den=dim_den,
     )
@@ -285,32 +279,18 @@ class DominanceWalk:
     pivots: tuple[int, ...]
 
 
-def default_pivot(rs: RootSystem, w) -> int:
-    """Deterministic pivot: most negative coordinate, ties broken by smaller
-    diagram vertex degree (leaves first), then by smaller node index; -1
-    when no coordinate is negative."""
-    low = min(w)
-    if low >= 0:
-        return -1
-    return next(i for i in rs.pivot_order if w[i] == low)
-
-
-def to_dominant(rs: RootSystem, w, pivot=None) -> DominanceWalk:
+def to_dominant(rs: RootSystem, w) -> DominanceWalk:
     """Walk ``w`` into the dominant chamber by simple reflections.
 
     Returns the dominant representative, the number of reflections (the Weyl
     length for regular weights — independent of pivot order), a singularity
     flag (some coordinate hits zero, i.e. the orbit meets a wall), and the
-    pivot sequence actually used.
-
-    ``pivot`` may be a callable ``(rs, w) -> node`` overriding the default
-    pivot rule; it must return a node with negative coordinate, or
-    ``ValueError`` is raised.
+    pivot sequence used.
 
     The walk runs on one int list: a reflection at node ``i`` negates
-    coordinate ``i`` and updates only its Dynkin neighbours.  Without a
-    ``pivot`` the default rule is applied inline: the most negative
-    coordinate, ties resolved by ``rs.pivot_order``.
+    coordinate ``i`` and updates only its Dynkin neighbours.  The pivot is
+    the most negative coordinate, ties resolved by ``rs.pivot_order``
+    (fewer Dynkin neighbours first, then smaller index).
     """
     cur = list(w)
     pivots = []
@@ -321,15 +301,9 @@ def to_dominant(rs: RootSystem, w, pivot=None) -> DominanceWalk:
             return DominanceWalk(tuple(cur), len(pivots), False, tuple(pivots))
         if 0 in cur:
             return DominanceWalk(None, len(pivots), True, tuple(pivots))
-        if pivot is None:
-            for i in rs.pivot_order:
-                if cur[i] == low:
-                    break
-        else:
-            i = pivot(rs, tuple(cur))
-            if not (0 <= i < len(cur) and cur[i] < 0):
-                raise ValueError(f"pivot rule picked node {i} of {tuple(cur)}, "
-                                 "not a negative coordinate")
+        for i in rs.pivot_order:
+            if cur[i] == low:
+                break
         wi = cur[i]
         cur[i] = -wi
         for j, c in neighbours[i]:

@@ -5,7 +5,18 @@ import json
 
 import pytest
 
+from bwb.bott import (
+    _forms_cohomology,
+    bundle,
+    forms_cohomology,
+    sequence_cohomology,
+    spinor_sequence_cohomology,
+    trivial_bundle,
+)
 from bwb.catalog import default_catalog, load_catalog, projective_space, space_facts
+from bwb.hodge import linear_section, section_spec
+
+S10 = default_catalog().space("S10")
 
 
 def test_catalog_lists_all_spaces():
@@ -62,6 +73,50 @@ def test_degree_vector_scales_ample_and_checks_length():
     for bad in ((1,), (1, 1, 1, 2, 0), ()):
         with pytest.raises(ValueError, match="one twist per factor"):
             sp.degree_vector(bad)
+
+
+# Every entry point that takes a twist, a degree or a Bott sequence refuses
+# a non-integer, 4.0 included, before anything is computed or cached.
+NON_INTEGER_CALLS = {
+    "forms_cohomology-1.5": lambda: forms_cohomology(S10, 1, 1.5),
+    "forms_cohomology-(-3.0,)": lambda: forms_cohomology(S10, 1, (-3.0,)),
+    "twisted-(2.0,)": lambda: trivial_bundle(S10).twisted((2.0,)),
+    "bundle-(1.5,)": lambda: bundle(S10, ((0,) * 5,), (1.5,)),
+    "section_spec-((2.0,),)": lambda: section_spec(S10, ((2.0,),)),
+    "linear_section-1.0": lambda: linear_section(S10, 1.0),
+    "sequence_cohomology-floats": lambda: sequence_cohomology((2.0, 1.0, 0.0)),
+    "sequence_cohomology-2.5": lambda: sequence_cohomology((2.5, 1, 0)),
+    "spinor_sequence_cohomology-halves":
+        lambda: spinor_sequence_cohomology((1.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+def test_every_entry_point_refuses_a_non_integer(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_a_refused_float_twist_leaves_the_integer_cache_clean():
+    # a float key equal to an integer one used to take its cache slot:
+    # forms_cohomology(S10, 1, (-3,)) then returned {0: 1200.0}
+    _forms_cohomology.cache_clear()
+    with pytest.raises(ValueError):
+        forms_cohomology(S10, 1, (-3.0,))
+    got = forms_cohomology(S10, 1, (-3,))
+    assert got == {0: 1200}
+    assert all(type(d) is int for d in got.values())
+
+
+def test_an_index_object_is_an_integer_twist():
+    class MinusThree:
+        def __index__(self):
+            return -3
+
+    assert S10.degree_vector(MinusThree()) == (-3,)
+    assert S10.degree_vector([MinusThree()]) == (-3,)
+    assert forms_cohomology(S10, 1, MinusThree()) == {0: 1200}
+    assert trivial_bundle(S10).twisted(MinusThree()) == trivial_bundle(S10).twisted(-3)
 
 
 def test_spinor_ample_is_half_spin():

@@ -196,6 +196,49 @@ def test_paired_sparse_complexes_hold_the_truth_and_equal_the_reference(model, d
     _check_sparse(model, data)
 
 
+def _scaled(v, c: int):
+    if isinstance(v, Iv):
+        return Iv(c * v.lo, None if v.hi is None else c * v.hi)
+    return c * v
+
+
+@settings(deadline=None)
+@given(exact_complexes(max_top=6, max_m=5), st.data())
+def test_scaling_every_entry_scales_the_result(model, data):
+    """The equations are homogeneous, and each chase picks its unbounded
+    marker from its own inputs, so entries of any size give the same result
+    scaled; an unbounded entry stays unbounded."""
+    top, images, terms = model
+    hidden = [[_hide(data.draw, v) for v in t] for t in terms]
+    seed = {q: _hide(data.draw, images[-1][q])
+            for q in data.draw(st.sets(st.integers(0, top)))}
+    base = solve_exact_complex(hidden, seed, top)
+    middle = ses_middle(hidden[0], images[0], top)
+    for c in (2**64, 2**200):
+        got = solve_exact_complex([[_scaled(v, c) for v in t] for t in hidden],
+                                  {q: _scaled(v, c) for q, v in seed.items()}, top)
+        assert got == [_scaled(v, c) for v in base]
+        got = ses_middle([_scaled(v, c) for v in hidden[0]],
+                         [c * v for v in images[0]], top)
+        assert got == [_scaled(v, c) for v in middle]
+
+
+def test_entries_above_two_to_the_62_are_finite():
+    # a fixed marker 2^62 read the lower bound 2^64 as above "no bound"
+    terms = [[2**64, 2**65, 0], [3 * 2**64, 2**66, 2**64]]
+    assert solve_exact_complex(terms, {}, 2) == [
+        _scaled(v, 2**64) for v in solve_exact_complex([[1, 2, 0], [3, 4, 1]], {}, 2)]
+
+
+def test_non_integer_entries_are_refused():
+    for call in (lambda: solve_exact_complex([[1.5]], {}, 0),
+                 lambda: solve_exact_complex([[Iv(0, 2.5)]], {}, 0),
+                 lambda: solve_exact_complex([[1]], {0: 1.0}, 0),
+                 lambda: ses_middle([2.5], [1], 0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+
 def test_inconsistent_exact_complexes_raise():
     with pytest.raises(ChaseError):
         solve_exact_complex([[0, 0], [1, 0], [0, 0]], {}, 1)

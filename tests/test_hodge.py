@@ -21,6 +21,7 @@ from bwb.hodge import (
     double_cover_ci_moduli,
     double_cover_hodge,
     dual_correspondence,
+    hodge_table,
     lemma_nonvan_check,
     lemma_van_scan,
     linear_section,
@@ -113,6 +114,18 @@ def test_quadric_section_of_s10_deformations():
     assert report.value == 80
     # count = s * h^0(ambient, O(2)) - s^2 - delta = 126 - 1 - 45
     assert section_line_h0(section_spec(CAT.space("S10"), ()), 2) == 126
+
+
+def test_quartic_section_of_g210_chases_terms_above_two_to_the_62():
+    # its Koszul terms have cohomology above 2^62, which the chase once took
+    # for its unbounded marker: "empty interval [6868843277964822000,
+    # 4611686018427387904] in degree 16"
+    spec = section_spec(CAT.space("G(2,10)"), (4,))
+    table = hodge_table(spec)
+    for p, chi in enumerate((1, -1, -823)):
+        assert all(iv.exact for iv in table[p]), p
+        assert sum((-1) ** q * iv.lo for q, iv in enumerate(table[p])) == chi
+        assert chi_section_forms(spec, p) == chi
 
 
 def test_quadric_section_of_s10_euler_oracles():
