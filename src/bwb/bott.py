@@ -97,51 +97,41 @@ def trivial_bundle(space: HomogSpace) -> Bundle:
 
 
 class CohomologyTable:
-    """Map degree -> list of (per-factor dominant weight, dimension)."""
+    """Borel-Weil-Bott gives at most one nonzero group: ``group`` is
+    ``(degree, per-factor dominant weight, dim)``, or None when acyclic."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("group",)
 
-    def __init__(self):
-        self.entries: dict[int, list[tuple[tuple, int]]] = {}
-
-    def add(self, q: int, mu, dim: int) -> None:
-        self.entries.setdefault(q, []).append((mu, dim))
+    def __init__(self, group=None):
+        self.group = group
 
     @property
     def acyclic(self) -> bool:
-        return not self.entries
+        return self.group is None
 
     def dims(self) -> dict[int, int]:
-        return {q: sum(d for _, d in v) for q, v in sorted(self.entries.items())}
+        return {} if self.group is None else {self.group[0]: self.group[2]}
 
     def single(self):
-        """(degree, weight, dim) when there is exactly one group, else None."""
-        if len(self.entries) != 1:
-            return None
-        (q, summands), = self.entries.items()
-        if len(summands) != 1:
-            return None
-        mu, dim = summands[0]
-        return q, mu, dim
+        """(degree, weight, dim), or None when acyclic."""
+        return self.group
 
 
 def bott(b: Bundle) -> CohomologyTable:
     """Borel-Weil-Bott: dominance walk of lambda + rho on every factor; a
     walk that meets a wall makes the bundle acyclic."""
-    table = CohomologyTable()
     degree = 0
     dim = 1
     mus = []
     for f, lam in zip(b.space.factors, b.weights):
         walk = to_dominant(f.rs, [c + 1 for c in lam])
         if walk.singular:
-            return table
+            return CohomologyTable()
         mu = tuple(c - 1 for c in walk.dominant)
         degree += walk.length
         dim *= weyl_dim(f.rs, mu)
         mus.append(mu)
-    table.add(degree, tuple(mus), dim)
-    return table
+    return CohomologyTable((degree, tuple(mus), dim))
 
 
 def fiber_dim(b: Bundle) -> int:
@@ -174,14 +164,16 @@ def _require_cominuscule(space: HomogSpace) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kostant_forms(space: HomogSpace, p: int) -> tuple[Bundle, ...]:
     """Summands of Omega^p as a sum of irreducible bundles.
 
     Requires every factor to be cominuscule (on a single factor the p-forms
     are exactly the length-p shifted weights; on products, Omega^p collects
-    all exterior bidegrees summing to p).
+    all exterior bidegrees summing to p).  The cache is typed, so a
+    refused ``p = 1.0`` never meets the key of ``p = 1``.
     """
+    p = _integer(p, "form degree")
     if p == 0:
         return (trivial_bundle(space),)
     _require_cominuscule(space)
@@ -297,18 +289,8 @@ def _forms_cohomology(space: HomogSpace, p: int, vec) -> tuple[tuple[int, int], 
 def forms_cohomology(space: HomogSpace, p: int, k=0) -> dict[int, int]:
     """Aggregated dims of H^*(Omega^p(-k)), cached on ``degree_vector(k)``:
     ``k`` counts copies of L, or gives the per-factor downward twist."""
+    p = p if type(p) is int else _integer(p, "form degree")
     return dict(_forms_cohomology(space, p, space.degree_vector(k)))
-
-
-def hodge_diamond_entry(space: HomogSpace, p: int, q: int) -> int:
-    """h^{p,q} of the (cominuscule) space itself: diagonal Betti numbers."""
-    if p != q:
-        return 0
-    if p < 0 or p > space.dim:
-        return 0
-    coh = forms_cohomology(space, p, 0)
-    assert set(coh) <= {p}, f"off-diagonal form cohomology on {space.name}"
-    return coh.get(p, 0)
 
 
 def euler_char(space: HomogSpace, p: int, k=0) -> int:
@@ -321,6 +303,7 @@ def euler_char(space: HomogSpace, p: int, k=0) -> int:
     is walked with ``to_dominant``, which :func:`forms_cohomology` never
     calls, so the two share no Bott code.
     """
+    p = _integer(p, "form degree")
     down = tuple(-v for v in space.degree_vector(k))
     per_factor = []
     for f, inc in zip(space.factors, down):

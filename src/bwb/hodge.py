@@ -218,6 +218,7 @@ def chase_section_forms(space, cuts, p: int, down, seed=None) -> tuple[Iv, ...]:
     ``seed`` may carry already-established target entries (from symmetry or
     earlier rounds); no duality is applied here -- callers combine passes.
     """
+    p = p if type(p) is int else _integer(p, "form degree")
     n_x = space.dim - len(cuts)
     if p < 0 or p > n_x:
         return (exact(0),) * (n_x + 1)
@@ -227,7 +228,8 @@ def chase_section_forms(space, cuts, p: int, down, seed=None) -> tuple[Iv, ...]:
 
 def section_forms(spec: SectionSpec, p: int, down=0) -> tuple[Iv, ...]:
     """h^q(X, Omega^p_X(-down)), intervals, with the Serre-dual chase folded
-    in: the same engine run on (n-p, +down) bounds degree n-q."""
+    in: the same engine run on (n-p, +down) bounds degree n-q.  The direct
+    chase runs first, so ``chase_section_forms`` gates ``p``."""
     space, cuts = spec.ambient, spec.cut_degrees
     down = space.degree_vector(down)
     n_x = spec.dim
@@ -241,12 +243,16 @@ def section_forms(spec: SectionSpec, p: int, down=0) -> tuple[Iv, ...]:
 
 
 def _symmetrize(table, n: int) -> bool:
-    """One sweep meeting every h^{p,q} with h^{q,p} and h^{n-p,n-q}, in
-    place; True when some entry narrowed."""
+    """Meet every h^{p,q} with the rest of its orbit, h^{q,p}, h^{n-p,n-q}
+    and h^{n-q,n-p}, in place; True when some entry narrowed.  Hodge
+    symmetry and Serre duality generate a group of order 4, so the first
+    entry of an orbit takes the meet of all four and the others meet it:
+    one call closes the table."""
     changed = False
     for p in range(n + 1):
         for q in range(n + 1):
-            new = table[p][q].meet(table[q][p]).meet(table[n - p][n - q])
+            new = (table[p][q].meet(table[q][p]).meet(table[n - p][n - q])
+                   .meet(table[n - q][n - p]))
             if new != table[p][q]:
                 table[p][q], changed = new, True
     return changed
@@ -287,6 +293,9 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
+SMOOTHNESS_NOTE = "cuts assumed generically smooth (not verified)"
+
+
 @dataclass(frozen=True)
 class HodgeRow:
     """Middle-degree Hodge numbers of an n-dimensional X, plus the full
@@ -294,10 +303,12 @@ class HodgeRow:
     honest ranges flagged indeterminate otherwise."""
 
     spec: SectionSpec
-    n: int
     table: tuple[tuple[Iv, ...], ...]
     provenance: tuple[str, ...]
-    assumptions: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return self.spec.dim
 
     @property
     def middle(self) -> tuple[Iv, ...]:
@@ -325,7 +336,7 @@ class HodgeRow:
             "middle": [enc(v) for v in self.middle],
             "table": [[enc(v) for v in row] for row in self.table],
             "provenance": list(self.provenance),
-            "assumptions": list(self.assumptions),
+            "assumptions": [SMOOTHNESS_NOTE],
         }
 
 
@@ -357,9 +368,6 @@ def _consumed_facts(spec: SectionSpec, pmax: int, downs=((),)) -> tuple[str, ...
                  for a, v in sorted(pairs))
 
 
-SMOOTHNESS_NOTE = "cuts assumed generically smooth (not verified)"
-
-
 def section_hodge(spec: SectionSpec) -> HodgeRow:
     """Middle Hodge numbers of a complete intersection in a cominuscule
     space (or of the space itself when there are no cuts)."""
@@ -370,13 +378,7 @@ def section_hodge(spec: SectionSpec) -> HodgeRow:
     if any(r < 0 for r in spec.residual_index):
         raise ValueError(f"{spec.describe()} is neither Fano nor Calabi-Yau")
     table = hodge_table(spec)
-    return HodgeRow(
-        spec=spec,
-        n=spec.dim,
-        table=table,
-        provenance=_consumed_facts(spec, spec.dim),
-        assumptions=(SMOOTHNESS_NOTE,),
-    )
+    return HodgeRow(spec, table, _consumed_facts(spec, spec.dim))
 
 
 def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
@@ -406,19 +408,11 @@ def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
             div = section_forms(divisor, p - 1, half)
             res = ses_middle(res, div + (exact(0),), n_y)
         table.append([b + r for b, r in zip(base_table[p], res)])
-    for _ in range(4):
-        if not _symmetrize(table, n_y):
-            break
+    _symmetrize(table, n_y)
 
     prov = _consumed_facts(base, n_y, downs=(half, _vneg(half)))
     prov += _consumed_facts(divisor, n_y - 1, downs=(half, _vneg(half)))
-    return HodgeRow(
-        spec=spec,
-        n=n_y,
-        table=tuple(tuple(row) for row in table),
-        provenance=prov,
-        assumptions=(SMOOTHNESS_NOTE,),
-    )
+    return HodgeRow(spec, tuple(tuple(row) for row in table), prov)
 
 
 def chi_section_forms(spec: SectionSpec, p: int, down=0) -> int:
@@ -426,6 +420,7 @@ def chi_section_forms(spec: SectionSpec, p: int, down=0) -> int:
     ambient characteristics over both complexes.  Works on any marked
     ambient, cominuscule or not; used as an independent oracle."""
     space = spec.ambient
+    p = _integer(p, "form degree")
     down = space.degree_vector(down)
     if p < 0 or p > spec.dim:
         return 0
@@ -436,6 +431,12 @@ def chi_section_forms(spec: SectionSpec, p: int, down=0) -> int:
 # Deformation counts
 
 
+AUT_INJECTIVITY_NOTE = (
+    "assumes the ambient automorphisms inject into the section count "
+    "(finite generic stabilizer)"
+)
+
+
 @dataclass(frozen=True)
 class ModuliReport:
     """One deformation count with its route and consumed dimensions."""
@@ -443,21 +444,14 @@ class ModuliReport:
     value: int
     route: str
     inputs: tuple[tuple[str, int], ...]
-    assumptions: tuple[str, ...] = ()
 
     def as_json(self) -> dict:
         return {
             "value": self.value,
             "route": self.route,
             "inputs": {k: v for k, v in self.inputs},
-            "assumptions": list(self.assumptions),
+            "assumptions": [AUT_INJECTIVITY_NOTE],
         }
-
-
-AUT_INJECTIVITY_NOTE = (
-    "assumes the ambient automorphisms inject into the section count "
-    "(finite generic stabilizer)"
-)
 
 
 def section_line_h0(spec: SectionSpec, vec) -> int:
@@ -498,7 +492,6 @@ def deformation_moduli(spec: SectionSpec, route: str | None = None) -> ModuliRep
             value=h0 - 1 - aut,
             route="double-cover-count",
             inputs=(("h0(branch)", h0), ("aut", aut)),
-            assumptions=(AUT_INJECTIVITY_NOTE,),
         )
 
     cuts = spec.cut_degrees
@@ -517,7 +510,6 @@ def deformation_moduli(spec: SectionSpec, route: str | None = None) -> ModuliRep
             value=s * (n1 - s) - delta,
             route="grassmannian",
             inputs=(("s", s), ("N+1", n1), ("delta", delta)),
-            assumptions=(AUT_INJECTIVITY_NOTE,),
         )
     if route == "cohomological":
         if len({c for c in cuts}) != 1:
@@ -527,7 +519,6 @@ def deformation_moduli(spec: SectionSpec, route: str | None = None) -> ModuliRep
             value=s * h0 - s * s - delta,
             route="cohomological",
             inputs=(("s", s), ("h0(cut)", h0), ("delta", delta)),
-            assumptions=(AUT_INJECTIVITY_NOTE,),
         )
     raise ValueError(f"unknown route {route!r}")
 
@@ -565,7 +556,6 @@ def ci_moduli(ambient_proj_dim: int, degrees) -> ModuliReport:
         value=sections - endos - pgl,
         route="hypersurface-count" if len(degrees) == 1 else "cayley-ci",
         inputs=(("sections", sections), ("endos", endos), ("pgl", pgl)),
-        assumptions=(AUT_INJECTIVITY_NOTE,),
     )
 
 
@@ -581,7 +571,6 @@ def double_cover_ci_moduli(n: int, branch: int) -> ModuliReport:
         value=sections - 1 - pgl,
         route="double-cover-count",
         inputs=(("sections", sections), ("pgl", pgl)),
-        assumptions=(AUT_INJECTIVITY_NOTE,),
     )
 
 
@@ -661,17 +650,6 @@ class DualReport:
     agree: bool
     j_dim: int
 
-    def as_json(self) -> dict:
-        return {
-            "space": self.space,
-            "dual": self.description,
-            "dual_dim": self.dual_dim,
-            "x_moduli": self.x_moduli.as_json(),
-            "dual_moduli": self.dual_moduli.as_json(),
-            "agree": self.agree,
-            "intermediate_jacobian_dim": self.j_dim,
-        }
-
 
 def dual_correspondence(space: HomogSpace) -> DualReport:
     """Attach to the maximal CY-type linear section X of a series space the
@@ -709,14 +687,6 @@ def dual_correspondence(space: HomogSpace) -> DualReport:
 class CYTypeReport:
     clauses: tuple[tuple[str, str, str], ...]  # (name, status, detail)
     verdict: str  # cy-type | not-cy-type | inconclusive
-
-    def as_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "clauses": [
-                {"name": n, "status": s, "detail": d} for n, s, d in self.clauses
-            ],
-        }
 
 
 def _check_entry(v: Iv, want: int):

@@ -164,38 +164,21 @@ def root_system(series: str, rank: int) -> RootSystem:
             sum(c * cartan[i][j] for j, c in enumerate(coeffs)) for i in range(rank)
         )
 
-    # Generate positive roots by height using root strings: alpha + alpha_j is
-    # a root iff q - <alpha, alpha_j^vee> > 0, q = length of the down-string.
-    simple = [tuple(1 if k == j else 0 for k in range(rank)) for j in range(rank)]
-    by_height = {1: set(simple)}
-    seen = set(simple)
-    length_of = {simple[j]: d[j] for j in range(rank)}
-    h = 1
-    while by_height.get(h):
-        nxt = set()
-        for alpha in by_height[h]:
-            fc = fund(alpha)
-            for j in range(rank):
-                q = 0
-                lower = list(alpha)
-                while True:
-                    lower[j] -= 1
-                    if lower[j] < 0 or tuple(lower) not in seen:
-                        break
-                    q += 1
-                if q - fc[j] > 0:
-                    beta = tuple(
-                        c + (1 if k == j else 0) for k, c in enumerate(alpha)
-                    )
-                    if beta not in seen:
-                        seen.add(beta)
-                        nxt.add(beta)
-                        length_of[beta] = length_of[alpha] + d[j] * (fc[j] + 1)
-        h += 1
-        if nxt:
-            by_height[h] = nxt
+    # The positive roots are the closure of the simple roots under simple
+    # reflections.  s_i alpha = alpha - <alpha, alpha_i^vee> alpha_i raises
+    # coordinate i exactly when that pairing is negative, and keeps length.
+    length_of = {tuple(int(k == j) for k in range(rank)): d[j] for j in range(rank)}
+    todo = list(length_of)
+    while todo:
+        alpha = todo.pop()
+        for i, c in enumerate(fund(alpha)):
+            if c < 0:
+                beta = alpha[:i] + (alpha[i] - c,) + alpha[i + 1:]
+                if beta not in length_of:
+                    length_of[beta] = length_of[alpha]
+                    todo.append(beta)
 
-    positives = sorted(seen, key=lambda c: (sum(c), c))
+    positives = sorted(length_of, key=lambda c: (sum(c), c))
     expected = EXPECTED_POSITIVE_COUNTS[series](rank)
     assert len(positives) == expected, (
         f"{series}{rank}: generated {len(positives)} positive roots, "

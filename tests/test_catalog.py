@@ -8,13 +8,21 @@ import pytest
 from bwb.bott import (
     _forms_cohomology,
     bundle,
+    euler_char,
     forms_cohomology,
+    kostant_forms,
     sequence_cohomology,
     spinor_sequence_cohomology,
     trivial_bundle,
 )
 from bwb.catalog import default_catalog, load_catalog, projective_space, space_facts
-from bwb.hodge import linear_section, section_spec
+from bwb.hodge import (
+    chase_section_forms,
+    chi_section_forms,
+    linear_section,
+    section_forms,
+    section_spec,
+)
 
 S10 = default_catalog().space("S10")
 
@@ -95,6 +103,28 @@ NON_INTEGER_CALLS = {
 def test_every_entry_point_refuses_a_non_integer(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+S10_Q = section_spec(S10, (2,))
+
+# each is called once with the integer degree first, so a cache keyed on
+# the integer would hand the float call its result
+NON_INTEGER_FORM_DEGREES = {
+    "forms_cohomology": lambda p: forms_cohomology(S10, p, 0),
+    "kostant_forms": lambda p: kostant_forms(S10, p),
+    "euler_char": lambda p: euler_char(S10, p),
+    "section_forms": lambda p: section_forms(S10_Q, p),
+    "chase_section_forms": lambda p: chase_section_forms(S10, ((2,),), p, (0,)),
+    "chi_section_forms": lambda p: chi_section_forms(S10_Q, p),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_FORM_DEGREES.values(),
+                         ids=NON_INTEGER_FORM_DEGREES)
+def test_every_form_degree_entry_point_refuses_a_non_integer(call):
+    call(1)
+    with pytest.raises(ValueError, match="form degree must be an integer"):
+        call(1.0)
 
 
 def test_a_refused_float_twist_leaves_the_integer_cache_clean():

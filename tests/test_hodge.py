@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from bwb.bott import euler_char
 from bwb.catalog import default_catalog, projective_space, space_facts
+from bwb.chase import Iv
 from bwb.hodge import (
     SectionSpec,
     _sym_groups,
+    _symmetrize,
     chi_section_forms,
     ci_moduli,
     closed_form_hcc1,
@@ -368,3 +370,50 @@ def cut_list(draw):
 def test_sym_groups_match_multiset_enumeration(case):
     cuts, nf, k = case
     assert _sym_groups(cuts, nf, k) == brute_sym_groups(cuts, nf, k)
+
+
+def orbit(n, p, q):
+    """(p, q) under Hodge symmetry and Serre duality."""
+    return {(p, q), (q, p), (n - p, n - q), (n - q, n - p)}
+
+
+@st.composite
+def consistent_table(draw):
+    """Intervals around one table that both symmetries fix, so no meet of
+    an orbit is empty; each upper end may be unbounded."""
+    n = draw(st.integers(0, 6))
+    truth = {}
+    for p in range(n + 1):
+        for q in range(n + 1):
+            if (p, q) not in truth:
+                v = draw(st.integers(0, 50))
+                truth.update(dict.fromkeys(orbit(n, p, q), v))
+    table = []
+    for p in range(n + 1):
+        row = []
+        for q in range(n + 1):
+            v = truth[p, q]
+            up = draw(st.one_of(st.none(), st.integers(0, 20)))
+            row.append(Iv(v - draw(st.integers(0, v)),
+                          None if up is None else v + up))
+        table.append(row)
+    return n, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(consistent_table())
+def test_symmetrize_meets_each_orbit_in_one_call(case):
+    n, table = case
+    before = [row[:] for row in table]
+    changed = _symmetrize(table, n)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            want = before[p][q]
+            for a, b in orbit(n, p, q):
+                want = want.meet(before[a][b])
+            assert table[p][q] == want
+            old, new = before[p][q], table[p][q]
+            assert new.lo >= old.lo
+            assert old.hi is None or (new.hi is not None and new.hi <= old.hi)
+    assert changed == (table != before)
+    assert not _symmetrize(table, n)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwb.rootsys import (
+    _lengths,
     inversions,
     minimal_coset_reps,
     root_system,
@@ -35,6 +36,58 @@ def full_orbit(rs, w):
                     nxt.append(u)
         frontier = nxt
     return seen
+
+
+def root_strings(rs):
+    """Positive roots (sorted by height) and their coroot coordinates by
+    root strings: alpha + alpha_j is a root iff q - <alpha, alpha_j^vee> > 0,
+    q the length of the alpha_j-string down from alpha.  The reference for
+    the reflection closure in ``root_system``."""
+    rank, cartan, d = rs.rank, rs.cartan, _lengths(rs.series, rs.rank)
+
+    def fund(coeffs):
+        return tuple(sum(c * cartan[i][j] for j, c in enumerate(coeffs))
+                     for i in range(rank))
+
+    simple = [tuple(int(k == j) for k in range(rank)) for j in range(rank)]
+    length_of = {simple[j]: d[j] for j in range(rank)}
+    level = set(simple)
+    while level:
+        nxt = set()
+        for alpha in level:
+            fc = fund(alpha)
+            for j in range(rank):
+                q = 0
+                lower = list(alpha)
+                while True:
+                    lower[j] -= 1
+                    if lower[j] < 0 or tuple(lower) not in length_of:
+                        break
+                    q += 1
+                beta = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]
+                if q - fc[j] > 0 and beta not in length_of:
+                    nxt.add(beta)
+                    length_of[beta] = length_of[alpha] + d[j] * (fc[j] + 1)
+        level = nxt
+    positives = sorted(length_of, key=lambda c: (sum(c), c))
+    coroots = []
+    for alpha in positives:
+        nums = [c * d[j] for j, c in enumerate(alpha)]
+        assert all(x % length_of[alpha] == 0 for x in nums)
+        coroots.append(tuple(x // length_of[alpha] for x in nums))
+    return tuple(positives), tuple(coroots)
+
+
+ROOT_SYSTEMS = ([("A", r) for r in range(1, 12)] + [("B", r) for r in range(1, 8)]
+                + [("C", r) for r in range(1, 8)] + [("D", r) for r in range(3, 9)]
+                + [("E", 6), ("E", 7), ("G", 2)])
+
+
+@pytest.mark.parametrize("series, rank", ROOT_SYSTEMS,
+                         ids=[f"{s}{r}" for s, r in ROOT_SYSTEMS])
+def test_reflection_closure_matches_root_strings(series, rank):
+    rs = root_system(series, rank)
+    assert (rs.positive_roots, rs.coroot_coords) == root_strings(rs)
 
 
 def test_positive_root_counts():
