@@ -289,7 +289,7 @@ def _forms_cohomology(space: HomogSpace, p: int, vec) -> tuple[tuple[int, int], 
 def forms_cohomology(space: HomogSpace, p: int, k=0) -> dict[int, int]:
     """Aggregated dims of H^*(Omega^p(-k)), cached on ``degree_vector(k)``:
     ``k`` counts copies of L, or gives the per-factor downward twist."""
-    p = p if type(p) is int else _integer(p, "form degree")
+    p = _integer(p, "form degree")
     return dict(_forms_cohomology(space, p, space.degree_vector(k)))
 
 

@@ -218,7 +218,7 @@ def chase_section_forms(space, cuts, p: int, down, seed=None) -> tuple[Iv, ...]:
     ``seed`` may carry already-established target entries (from symmetry or
     earlier rounds); no duality is applied here -- callers combine passes.
     """
-    p = p if type(p) is int else _integer(p, "form degree")
+    p = _integer(p, "form degree")
     n_x = space.dim - len(cuts)
     if p < 0 or p > n_x:
         return (exact(0),) * (n_x + 1)
@@ -228,8 +228,8 @@ def chase_section_forms(space, cuts, p: int, down, seed=None) -> tuple[Iv, ...]:
 
 def section_forms(spec: SectionSpec, p: int, down=0) -> tuple[Iv, ...]:
     """h^q(X, Omega^p_X(-down)), intervals, with the Serre-dual chase folded
-    in: the same engine run on (n-p, +down) bounds degree n-q.  The direct
-    chase runs first, so ``chase_section_forms`` gates ``p``."""
+    in: the same engine run on (n-p, +down) bounds degree n-q."""
+    p = _integer(p, "form degree")
     space, cuts = spec.ambient, spec.cut_degrees
     down = space.degree_vector(down)
     n_x = spec.dim

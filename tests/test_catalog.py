@@ -127,6 +127,16 @@ def test_every_form_degree_entry_point_refuses_a_non_integer(call):
         call(1.0)
 
 
+@pytest.mark.parametrize("call", NON_INTEGER_FORM_DEGREES.values(),
+                         ids=NON_INTEGER_FORM_DEGREES)
+def test_every_form_degree_entry_point_takes_an_index_object(call):
+    class One:
+        def __index__(self):
+            return 1
+
+    assert call(One()) == call(1)
+
+
 def test_a_refused_float_twist_leaves_the_integer_cache_clean():
     # a float key equal to an integer one used to take its cache slot:
     # forms_cohomology(S10, 1, (-3,)) then returned {0: 1200.0}
