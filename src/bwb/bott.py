@@ -53,7 +53,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .catalog import HomogSpace, _integer
-from .rootsys import to_dominant, weyl_dim, weyl_dim_levi
+from .rootsys import minimal_coset_reps, to_dominant, weyl_dim, weyl_dim_levi
 
 
 @dataclass(frozen=True)
@@ -146,16 +146,6 @@ def fiber_dim(b: Bundle) -> int:
 # Kostant decomposition of form bundles
 
 
-@lru_cache(maxsize=None)
-def _factor_form_weights(f) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per length p: the shifted weights w(rho)-rho of the length-p minimal
-    coset representatives of the factor's marked parabolic."""
-    from .rootsys import minimal_coset_reps
-
-    levels = minimal_coset_reps(f.rs, frozenset({f.node}))
-    return tuple(tuple(rep.shifted_rho for rep in level) for level in levels)
-
-
 def _require_cominuscule(space: HomogSpace) -> None:
     if not space.cominuscule:
         raise ValueError(
@@ -177,7 +167,7 @@ def kostant_forms(space: HomogSpace, p: int) -> tuple[Bundle, ...]:
     if p == 0:
         return (trivial_bundle(space),)
     _require_cominuscule(space)
-    per_factor = [_factor_form_weights(f) for f in space.factors]
+    per_factor = [minimal_coset_reps(f.rs, f.node) for f in space.factors]
     out = []
 
     def rec(i, left, acc):
@@ -212,7 +202,7 @@ def _kostant_pairings(f, pf: int):
         chain.append(chain[k] + (j == f.node))
     coeffs = chain[1:]
     out = []
-    for w in _factor_form_weights(f)[pf]:
+    for w in minimal_coset_reps(f.rs, f.node)[pf]:
         pairings = [0]
         fixed, negative = 1, 0
         moving = []

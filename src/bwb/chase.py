@@ -156,17 +156,10 @@ def _vectors(terms, top: int):
             raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
         lo, hi = [0], [0]
         for q, v in enumerate(t):
-            # _integer returns an int as it is, so only the rest go through it
-            if type(v) is int:
-                nlo = nhi = v
-            elif isinstance(v, Iv):
-                nlo, nhi = v.lo, v.hi
-                if type(nlo) is not int:
-                    nlo = _integer(nlo, "chase entry")
-                if nhi is not None and type(nhi) is not int:
-                    nhi = _integer(nhi, "chase entry")
-            else:
-                nlo = nhi = _integer(v, "chase entry")
+            nlo, nhi = (v.lo, v.hi) if isinstance(v, Iv) else (v, v)
+            nlo = _integer(nlo, "chase entry")
+            if nhi is not None:
+                nhi = _integer(nhi, "chase entry")
             if nlo < 0:
                 nlo = 0
             if nhi is None:

@@ -44,7 +44,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .bott import euler_char, forms_cohomology
@@ -147,30 +146,23 @@ def linear_section(space: HomogSpace, s: int) -> SectionSpec:
 
 
 @lru_cache(maxsize=None)
-def _koszul_groups(cuts, nf: int, j: int):
-    """Twist vectors of wedge^j(O(-d_1) + ... + O(-d_s)) with multiplicity."""
-    groups: dict[tuple, int] = {}
-    for subset in combinations(range(len(cuts)), j):
-        v = tuple(sum(cuts[i][f] for i in subset) for f in range(nf))
-        groups[v] = groups.get(v, 0) + 1
-    return tuple(sorted(groups.items()))
+def _groups(cuts, nf: int, k: int, sym: bool):
+    """Twist vectors of Sym^k (``sym``) or wedge^k of
+    O(-d_1) + ... + O(-d_s), with multiplicity.
 
-
-@lru_cache(maxsize=None)
-def _sym_groups(cuts, nf: int, k: int):
-    """Twist vectors of Sym^k(O(-d_1) + ... + O(-d_s)) with multiplicity.
-
-    Equal cut vectors are grouped: a monomial of degree k_v in the n_v cuts
-    equal to v can be chosen in C(n_v + k_v - 1, k_v) ways (stars and bars),
-    so only the splittings k = sum k_v are walked, not every multiset.
+    Equal cut vectors are grouped: a piece of degree t in the n cuts equal
+    to v can be chosen in C(n + t - 1, t) ways for Sym (stars and bars) and
+    C(n, t) ways for wedge, so only the splittings k = sum t_v are walked.
     """
     states = {(0, (0,) * nf): 1}  # (degree used, twist vector) -> count
     for v, n in Counter(cuts).items():
         nxt: dict[tuple, int] = {}
         for (used, w), m in states.items():
             for t in range(k - used + 1):
-                key = (used + t, tuple(a + t * b for a, b in zip(w, v)))
-                nxt[key] = nxt.get(key, 0) + m * comb(n + t - 1, t)
+                c = comb(n + t - 1, t) if sym else comb(n, t)
+                if c:
+                    key = (used + t, tuple(a + t * b for a, b in zip(w, v)))
+                    nxt[key] = nxt.get(key, 0) + m * c
         states = nxt
     return tuple(sorted((w, m) for (used, w), m in states.items() if used == k))
 
@@ -189,7 +181,7 @@ def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
     terms = []
     for j in range(len(cuts), -1, -1):
         total = [0] * (n_amb + 1)
-        for vec, mult in _koszul_groups(cuts, len(space.factors), j):
+        for vec, mult in _groups(cuts, len(space.factors), j, False):
             for q, d in forms_cohomology(space, a, _vadd(down, vec)).items():
                 total[q] += mult * d
         terms.append(total)
@@ -205,7 +197,7 @@ def _cotangent_terms(space, cuts, p: int, down):
     out = []
     for k in range(p, -1, -1):
         acc = (exact(0),) * (n_x + 1)
-        for vec, mult in _sym_groups(cuts, nf, k):
+        for vec, mult in _groups(cuts, nf, k, True):
             rv = restricted_forms(space, cuts, p - k, _vadd(down, vec))
             acc = tuple(a + mult * r for a, r in zip(acc, rv))
         out.append(acc)
@@ -304,7 +296,6 @@ class HodgeRow:
 
     spec: SectionSpec
     table: tuple[tuple[Iv, ...], ...]
-    provenance: tuple[str, ...]
 
     @property
     def n(self) -> int:
@@ -335,7 +326,7 @@ class HodgeRow:
             "dim": self.n,
             "middle": [enc(v) for v in self.middle],
             "table": [[enc(v) for v in row] for row in self.table],
-            "provenance": list(self.provenance),
+            "provenance": _provenance(self.spec),
             "assumptions": [SMOOTHNESS_NOTE],
         }
 
@@ -352,20 +343,34 @@ def _ambient_terms(spec: SectionSpec, p: int, down):
     bundle (a = p - k) against the j-th Koszul term, with sign (-1)^(k+j)."""
     cuts, nf = spec.cut_degrees, len(spec.ambient.factors)
     for k in range(p + 1):
-        for v1, m1 in _sym_groups(cuts, nf, k):
+        for v1, m1 in _groups(cuts, nf, k, True):
             for j in range(len(cuts) + 1):
-                for v2, m2 in _koszul_groups(cuts, nf, j):
+                for v2, m2 in _groups(cuts, nf, j, False):
                     yield (-1) ** (k + j) * m1 * m2, p - k, _vadd(down, _vadd(v1, v2))
 
 
-def _consumed_facts(spec: SectionSpec, pmax: int, downs=((),)) -> tuple[str, ...]:
-    """Every ambient Bott fact the chases for p <= pmax consume."""
+def _consumed_facts(spec: SectionSpec, pmax: int, downs) -> list[str]:
+    """Every ambient Bott fact the chases for p <= pmax at the twists
+    ``downs`` consume."""
     space = spec.ambient
-    zero = (0,) * len(space.factors)
     pairs = {(a, v) for p in range(pmax + 1) for d0 in downs
-             for _, a, v in _ambient_terms(spec, p, d0 or zero)}
-    return tuple(_fact_string(space, a, v, forms_cohomology(space, a, v))
-                 for a, v in sorted(pairs))
+             for _, a, v in _ambient_terms(spec, p, d0)}
+    return [_fact_string(space, a, v, forms_cohomology(space, a, v))
+            for a, v in sorted(pairs)]
+
+
+def _provenance(spec: SectionSpec) -> list[str]:
+    """The ambient Bott facts behind a Hodge row: a section's at twist 0; a
+    double cover's base at twists 0 and +-half, then its branch divisor at
+    +-half."""
+    zero = (0,) * len(spec.ambient.factors)
+    if spec.branch_degree is None:
+        return _consumed_facts(spec, spec.dim, (zero,))
+    half = tuple(c // 2 for c in spec.branch_degree)
+    base = SectionSpec(spec.ambient, spec.cut_degrees)
+    divisor = SectionSpec(spec.ambient, spec.cut_degrees + (spec.branch_degree,))
+    return (_consumed_facts(base, spec.dim, (zero, half, _vneg(half)))
+            + _consumed_facts(divisor, spec.dim - 1, (half, _vneg(half))))
 
 
 def section_hodge(spec: SectionSpec) -> HodgeRow:
@@ -377,8 +382,7 @@ def section_hodge(spec: SectionSpec) -> HodgeRow:
         raise ValueError(f"{spec.ambient.name} is not cominuscule")
     if any(r < 0 for r in spec.residual_index):
         raise ValueError(f"{spec.describe()} is neither Fano nor Calabi-Yau")
-    table = hodge_table(spec)
-    return HodgeRow(spec, table, _consumed_facts(spec, spec.dim))
+    return HodgeRow(spec, hodge_table(spec))
 
 
 def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
@@ -409,10 +413,7 @@ def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
             res = ses_middle(res, div + (exact(0),), n_y)
         table.append([b + r for b, r in zip(base_table[p], res)])
     _symmetrize(table, n_y)
-
-    prov = _consumed_facts(base, n_y, downs=(half, _vneg(half)))
-    prov += _consumed_facts(divisor, n_y - 1, downs=(half, _vneg(half)))
-    return HodgeRow(spec, tuple(tuple(row) for row in table), prov)
+    return HodgeRow(spec, tuple(tuple(row) for row in table))
 
 
 def chi_section_forms(spec: SectionSpec, p: int, down=0) -> int:

@@ -338,49 +338,30 @@ def weyl_dim_levi(rs: RootSystem, unmarked: frozenset[int], lam) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class CosetRep:
-    """A minimal-length representative w of a parabolic coset, carried as the
-    reduced word of its inverse (the word that takes the marked-weight sum
-    down the orbit), its length, and the shifted weight w(rho) - rho."""
-
-    length: int
-    word: tuple[int, ...]
-    shifted_rho: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
-def minimal_coset_reps(
-    rs: RootSystem, marked: frozenset[int]
-) -> tuple[tuple[CosetRep, ...], ...]:
-    """Minimal-length representatives w of the parabolic quotient with
-    ``w^{-1}(alpha_i) > 0`` for every unmarked node ``i``, grouped by length.
+def minimal_coset_reps(rs: RootSystem, node: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The Kostant weights w(rho) - rho of the minimal-length representatives
+    w of the parabolic quotient marked at ``node`` (``w^{-1}(alpha_i) > 0``
+    for every other node ``i``), grouped by the length of w.
 
-    Enumeration is a breadth-first walk over the orbit of the sum of marked
-    fundamental weights: descending from a weight at a strictly positive
-    coordinate is one more reflection, and each orbit element is reached first
-    at the length of its minimal word.
+    Enumeration is a breadth-first walk over the orbit of the fundamental
+    weight at ``node``: descending from a weight at a strictly positive
+    coordinate is one more reflection, and each orbit element is reached
+    first at the length of its minimal word.
     """
-    lam0 = tuple(1 if j in marked else 0 for j in range(rs.rank))
+    lam0 = tuple(int(j == node) for j in range(rs.rank))
     frontier = {lam0: ()}
     seen = {lam0}
     levels = []
     while frontier:
-        reps = []
+        level = []
         for nu in sorted(frontier):
-            word = frontier[nu]
             # w = (s_{i_k} ... s_{i_1})^{-1}; apply the word in reverse to rho.
             img = rs.rho
-            for i in reversed(word):
+            for i in reversed(frontier[nu]):
                 img = simple_reflection(rs, i, img)
-            reps.append(
-                CosetRep(
-                    length=len(word),
-                    word=word,
-                    shifted_rho=tuple(a - b for a, b in zip(img, rs.rho)),
-                )
-            )
-        levels.append(tuple(reps))
+            level.append(tuple(c - 1 for c in img))
+        levels.append(tuple(level))
         nxt = {}
         for nu, word in frontier.items():
             for i in range(rs.rank):

@@ -310,7 +310,7 @@ def _serre_dual_weights(space, b):
 def _coset_level_counts(space):
     counts = [1]
     for factor in space.factors:
-        levels = minimal_coset_reps(factor.rs, frozenset({factor.node}))
+        levels = minimal_coset_reps(factor.rs, factor.node)
         sizes = [len(level) for level in levels]
         conv = [0] * (len(counts) + len(sizes) - 1)
         for i, a in enumerate(counts):

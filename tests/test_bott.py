@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bwb.bott import (
     Bundle,
-    _factor_form_weights,
     _factor_forms,
     _kostant_pairings,
     bott,
@@ -30,7 +29,7 @@ from bwb.bott import (
     trivial_bundle,
 )
 from bwb.catalog import default_catalog
-from bwb.rootsys import to_dominant
+from bwb.rootsys import minimal_coset_reps, to_dominant
 from test_rootsys import orbit_dim
 
 CAT = default_catalog()
@@ -330,7 +329,7 @@ def test_pairing_tables_match_orbit_dim_on_every_cominuscule_factor():
     coefficients = set()
     for f in sorted(factors, key=lambda f: (f.rs.series, f.rs.rank, f.node)):
         for pf in range(f.dim + 1):
-            weights = _factor_form_weights(f)[pf]
+            weights = minimal_coset_reps(f.rs, f.node)[pf]
             coeffs, table = _kostant_pairings(f, pf)
             assert len(coeffs) == f.dim
             coefficients.update(coeffs)

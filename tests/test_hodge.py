@@ -2,7 +2,7 @@
 exact-sequence chase, with Euler characteristics and deformation counts as
 independent oracles."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from bwb.catalog import default_catalog, projective_space, space_facts
 from bwb.chase import Iv
 from bwb.hodge import (
     SectionSpec,
-    _sym_groups,
+    _groups,
     _symmetrize,
     chi_section_forms,
     ci_moduli,
@@ -263,6 +263,17 @@ def test_double_cover_of_theta():
     assert resolved - report.value == 1
 
 
+@pytest.mark.parametrize("ambient, cuts, branch",
+                         [("P5", (), 4), ("P5", (), 8), ("LG(3,6)", (1,), 2)])
+def test_cover_provenance_holds_its_base_table_facts(ambient, cuts, branch):
+    # the cover's table adds the untwisted table of its base, so every fact
+    # behind the base's own row is behind the cover's row too
+    space = projective_space(5) if ambient == "P5" else CAT.space(ambient)
+    base = section_hodge(section_spec(space, cuts)).as_json()
+    cover = double_cover_hodge(section_spec(space, cuts, branch=branch)).as_json()
+    assert set(base["provenance"]) <= set(cover["provenance"])
+
+
 # ------------------------------------------------- complete intersections
 
 
@@ -357,6 +368,15 @@ def brute_sym_groups(cuts, nf, k):
     return tuple(sorted(groups.items()))
 
 
+def brute_wedge_groups(cuts, nf, j):
+    """wedge^j twist vectors by listing every j-subset of the cuts."""
+    groups = {}
+    for subset in combinations(range(len(cuts)), j):
+        v = tuple(sum(cuts[i][f] for i in subset) for f in range(nf))
+        groups[v] = groups.get(v, 0) + 1
+    return tuple(sorted(groups.items()))
+
+
 @st.composite
 def cut_list(draw):
     nf = draw(st.integers(1, 3))
@@ -365,11 +385,14 @@ def cut_list(draw):
     return tuple(cuts), nf, draw(st.integers(0, 6))
 
 
+@pytest.mark.parametrize("sym, brute", [(True, brute_sym_groups),
+                                         (False, brute_wedge_groups)],
+                         ids=["sym", "wedge"])
 @settings(max_examples=300, deadline=None)
 @given(cut_list())
-def test_sym_groups_match_multiset_enumeration(case):
+def test_sym_groups_match_multiset_enumeration(sym, brute, case):
     cuts, nf, k = case
-    assert _sym_groups(cuts, nf, k) == brute_sym_groups(cuts, nf, k)
+    assert _groups(cuts, nf, k, sym) == brute(cuts, nf, k)
 
 
 def orbit(n, p, q):

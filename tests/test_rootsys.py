@@ -378,19 +378,20 @@ def test_coset_reps_count_and_top_length():
     # |W| / |W_P| representatives; top length = codimension of the parabolic
     for ser, rk, node, count in COSET_COUNTS:
         rs = root_system(ser, rk)
-        levels = minimal_coset_reps(rs, frozenset({node}))
-        reps = [r for lv in levels for r in lv]
-        assert len(reps) == count
+        levels = minimal_coset_reps(rs, node)
+        assert len([w for lv in levels for w in lv]) == count
         assert len(levels[0]) == 1 and len(levels[-1]) == 1
         assert sum(len(lv) for lv in levels) == count
 
 
 def test_coset_rep_shifted_weights_are_distinct():
     rs = root_system("D", 5)
-    levels = minimal_coset_reps(rs, frozenset({4}))
-    shifted = [r.shifted_rho for lv in levels for r in lv]
+    levels = minimal_coset_reps(rs, 4)
+    shifted = [w for lv in levels for w in lv]
     assert len(set(shifted)) == len(shifted) == 16
-    assert all(len(r.word) == r.length for lv in levels for r in lv)
+    # the weights of level p are w(rho) - rho for w of length p
+    assert all(inversions(rs, [c + 1 for c in w]) == p
+               for p, lv in enumerate(levels) for w in lv)
 
 
 EXPECTED_POSITIVE = {
