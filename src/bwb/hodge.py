@@ -359,6 +359,15 @@ def _consumed_facts(spec: SectionSpec, pmax: int, downs) -> list[str]:
             for a, v in sorted(pairs)]
 
 
+def _cover_split(spec: SectionSpec) -> tuple[tuple[int, ...], SectionSpec, SectionSpec]:
+    """A double cover's half branch degree, its base section X and its
+    branch divisor in X."""
+    half = tuple(c // 2 for c in spec.branch_degree)
+    base = SectionSpec(spec.ambient, spec.cut_degrees)
+    divisor = SectionSpec(spec.ambient, spec.cut_degrees + (spec.branch_degree,))
+    return half, base, divisor
+
+
 def _provenance(spec: SectionSpec) -> list[str]:
     """The ambient Bott facts behind a Hodge row: a section's at twist 0; a
     double cover's base at twists 0 and +-half, then its branch divisor at
@@ -366,9 +375,7 @@ def _provenance(spec: SectionSpec) -> list[str]:
     zero = (0,) * len(spec.ambient.factors)
     if spec.branch_degree is None:
         return _consumed_facts(spec, spec.dim, (zero,))
-    half = tuple(c // 2 for c in spec.branch_degree)
-    base = SectionSpec(spec.ambient, spec.cut_degrees)
-    divisor = SectionSpec(spec.ambient, spec.cut_degrees + (spec.branch_degree,))
+    half, base, divisor = _cover_split(spec)
     return (_consumed_facts(base, spec.dim, (zero, half, _vneg(half)))
             + _consumed_facts(divisor, spec.dim - 1, (half, _vneg(half))))
 
@@ -398,12 +405,8 @@ def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
         raise ValueError(f"{spec.ambient.name} is not cominuscule")
     if any(r < 0 for r in spec.residual_index):
         raise ValueError(f"{spec.describe()} is neither Fano nor Calabi-Yau")
-    space, cuts = spec.ambient, spec.cut_degrees
     n_y = spec.dim
-    branch = spec.branch_degree
-    half = tuple(c // 2 for c in branch)
-    base = SectionSpec(space, cuts)
-    divisor = SectionSpec(space, cuts + (branch,))
+    half, base, divisor = _cover_split(spec)
     base_table = hodge_table(base)
     table = []
     for p in range(n_y + 1):
@@ -483,7 +486,7 @@ def deformation_moduli(spec: SectionSpec, route: str | None = None) -> ModuliRep
     delta = facts["delta"]
 
     if spec.branch_degree is not None:
-        base = SectionSpec(space, spec.cut_degrees)
+        _, base, _ = _cover_split(spec)
         aut = _section_aut_dim(base)
         if aut is None:
             raise ValueError(

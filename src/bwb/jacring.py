@@ -74,18 +74,21 @@ def socle_degree(weights, degree: int) -> int:
     return len(w) * degree - 2 * sum(w)
 
 
-def _polynomial_series(w: tuple[int, ...], degree: int) -> bool:
-    """Whether prod (1 - t^{d-w_i}) / prod (1 - t^{w_i}) is a polynomial.
+def _polynomial_series(counts: list[int], degree: int) -> bool:
+    """Whether prod (1 - t^{d-w_i}) / prod (1 - t^{w_i}) is a polynomial, for
+    the weights with multiplicities ``counts``: counts[v] weights equal v,
+    and counts[0] = 0.
 
     1 - t^a is the product of the cyclotomic polynomials Phi_m over m | a,
     so the quotient is a polynomial exactly when every Phi_m with m >= 2
     divides the numerator at least as often as the denominator; only
     m <= max(w) divide the denominator at all.  Phi_m divides 1 - t^{w_i}
-    when w_i = 0 (mod m), and 1 - t^{d-w_i} when w_i = d (mod m).  The
-    largest m go first: on the scan's tuples they reject sooner."""
-    for m in range(max(w), 1, -1):
-        residues = [x % m for x in w]
-        if residues.count(0) > residues.count(degree % m):
+    when w_i = 0 (mod m), and 1 - t^{d-w_i} when w_i = d (mod m), so each
+    side is a count of weights in one residue class mod m: a sum of every
+    m-th multiplicity.  The largest m go first: on the scan's weight
+    systems they reject sooner."""
+    for m in range(len(counts) - 1, 1, -1):
+        if sum(counts[m::m]) > sum(counts[degree % m::m]):
             return False
     return True
 
@@ -112,7 +115,10 @@ def _jacobian_poly(w: tuple[int, ...], degree: int) -> list[int]:
     Raises ValueError when no regular sequence exists in those degrees: the
     series is not a polynomial (rejected before any arithmetic), or it is
     one with a negative coefficient, which no graded ring has."""
-    if _polynomial_series(w, degree):
+    counts = [0] * (max(w) + 1)
+    for wi in w:
+        counts[wi] += 1
+    if _polynomial_series(counts, degree):
         n = len(w) - 1
         sigma = (n + 1) * degree - 2 * sum(w)
         nbytes = (n + 2 + math.comb(sigma + n, n).bit_length() + 7) // 8
@@ -191,22 +197,34 @@ def steenbrink_hodge(weights, degree: int) -> WeightedHodgeRow:
     )
 
 
-def _weight_tuples(length: int, top: int, total: int, low: int = 1):
-    """The nondecreasing tuples of ``length`` entries in low..top that sum to
-    ``total``, in lexicographic order: the tuples of
-    ``combinations_with_replacement(range(low, top + 1), length)`` with that
-    sum, without enumerating the others."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for x in range(low, top + 1):
-        rest = total - x
-        if rest < x * (length - 1):
-            return  # the rest cannot stay >= x: larger x only make it worse
-        if rest <= top * (length - 1):
-            for tail in _weight_tuples(length - 1, top, rest, x):
-                yield (x,) + tail
+def _multiplicities(length: int, top: int, total: int):
+    """The multiplicity vectors of the nondecreasing tuples of ``length``
+    entries in 1..top that sum to ``total``: lists ``counts`` with counts[v]
+    entries equal to v for v in 1..top, and counts[0] = 0.  They come in
+    the lexicographic order of their tuples (more small entries first), and
+    one list is yielded each time, updated in place: read it before asking
+    for the next.
+
+    A depth-first walk fixes counts[1], counts[2], ... in turn.  After
+    counts[v], the rl entries left must lie in v+1..top and sum to the rest,
+    so it keeps exactly the counts with rl*(v+1) <= rest <= rl*top; every
+    such choice completes, so the walk never backtracks from a dead end."""
+    counts = [0] * (top + 1)
+
+    def walk(v: int, rl: int, rest: int):
+        if v == top:
+            counts[v] = rl  # rest == rl * top, by the bound one level up
+            yield counts
+            return
+        for c in range(min(rl, (rl * top - rest) // (top - v)),
+                       max(0, rl * (v + 1) - rest) - 1, -1):
+            counts[v] = c
+            yield from walk(v + 1, rl - c, rest - c * v)
+
+    if top >= 1 and length <= total <= length * top:
+        yield from walk(1, length, total)
+    elif length == total == 0:
+        yield counts
 
 
 def weighted_cy_scan(max_dim: int, max_weight: int, max_degree: int) -> list[WeightedHodgeRow]:
@@ -214,20 +232,28 @@ def weighted_cy_scan(max_dim: int, max_weight: int, max_degree: int) -> list[Wei
     whose generic hypersurface is a Fano of odd dimension 5..max_dim with the
     Calabi-Yau-type middle shape (|w| = kd for dimension 2k+1).
 
+    Weight systems are walked as multiplicity vectors, and only those whose
+    Hilbert series is a polynomial become tuples for ``steenbrink_hodge``.
     Results are sorted by (dim, degree, weights); the caller decides which
     rows are backed by stored reference values.
     """
+    max_dim = _integer(max_dim, "max_dim")
+    max_weight = _integer(max_weight, "max_weight")
+    max_degree = _integer(max_degree, "max_degree")
     rows = []
     for dim in range(5, max_dim + 1, 2):
         n = dim + 1
         k = (dim - 1) // 2
         for degree in range(2, max_degree + 1):
             top = min(max_weight, degree - 1)
-            for w in _weight_tuples(n + 1, top, k * degree):
+            for counts in _multiplicities(n + 1, top, k * degree):
+                if not _polynomial_series(counts, degree):
+                    continue
+                w = tuple(v for v in range(1, top + 1) for _ in range(counts[v]))
                 try:
                     rows.append(steenbrink_hodge(w, degree))
                 except ValueError:
-                    continue  # no regular sequence in those degrees
+                    continue  # a negative coefficient: no regular sequence
     rows.sort(key=lambda r: (r.dim, r.degree, r.weights))
     return rows
 

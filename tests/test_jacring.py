@@ -1,16 +1,18 @@
 """Jacobian-ring Hilbert series and the middle Hodge rows of weighted
 hypersurfaces."""
 
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bwb import jacring
 from bwb.jacring import (
     _jacobian_poly,
+    _multiplicities,
     _polynomial_series,
-    _weight_tuples,
     hilbert_coefficients,
     jacobian_hilbert,
     socle_degree,
@@ -73,6 +75,10 @@ def test_rejects_bad_input():
         hilbert_coefficients((1, 1, 1, 1), 4, 4.0)
     with pytest.raises(ValueError, match="k must be an integer"):
         jacobian_hilbert((1, 1, 1, 1), 4, 2.0)
+    with pytest.raises(ValueError, match="max_weight must be an integer"):
+        weighted_cy_scan(13, 7.0, 14)
+    with pytest.raises(ValueError, match="max_dim must be an integer"):
+        weighted_cy_scan(9.0, 5, 10)
 
 
 def test_scan_finds_expected_rows():
@@ -98,6 +104,43 @@ def test_scan_rows_have_one_dimensional_extreme_piece():
         assert first_nonzero == 1
         assert sum(r.weights) == (r.dim - 1) // 2 * r.degree
         assert r.entries == r.entries[::-1]
+
+
+def oracle_scan(max_dim, max_weight, max_degree):
+    """``weighted_cy_scan`` by brute force: every nondecreasing tuple with
+    the Calabi-Yau-type sum goes through ``steenbrink_hodge``, and whatever
+    it refuses (a weight not below the degree included) is skipped."""
+    rows = []
+    for dim in range(5, max_dim + 1, 2):
+        k = (dim - 1) // 2
+        for degree in range(2, max_degree + 1):
+            for w in combinations_with_replacement(range(1, max_weight + 1), dim + 2):
+                if sum(w) == k * degree:
+                    try:
+                        rows.append(steenbrink_hodge(w, degree))
+                    except ValueError:
+                        continue
+    return sorted(rows, key=lambda r: (r.dim, r.degree, r.weights))
+
+
+@pytest.mark.parametrize("bounds", [(7, 2, 7), (7, 4, 9), (9, 5, 10), (11, 3, 8)])
+def test_scan_equals_the_brute_force_scan(bounds):
+    rows = weighted_cy_scan(*bounds)
+    assert rows == oracle_scan(*bounds)
+    assert rows  # each bound triple finds something
+
+
+def test_scan_divides_only_what_the_gate_passes(monkeypatch):
+    # the cyclotomic gate runs first, so every system handed on becomes a row
+    calls = []
+
+    def counted(w, degree):
+        calls.append((w, degree))
+        return steenbrink_hodge(w, degree)
+
+    monkeypatch.setattr(jacring, "steenbrink_hodge", counted)
+    rows = weighted_cy_scan(9, 5, 10)
+    assert len(calls) == len(rows) == 219
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,18 +175,24 @@ def series_is_polynomial(w, degree):
     return not any(hilbert_coefficients(w, degree, top)[max(sigma + 1, 0):])
 
 
+def multiplicities_of(w):
+    """counts[v] = how many weights equal v, for v in 0..max(w)."""
+    seen = Counter(w)
+    return [seen[v] for v in range(max(w) + 1)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=2, max_size=9), st.integers(2, 14))
 def test_cyclotomic_test_accepts_exactly_the_polynomial_series(weights, degree):
     assume(degree > max(weights))
     w = tuple(weights)
-    assert _polynomial_series(w, degree) == series_is_polynomial(w, degree)
+    assert _polynomial_series(multiplicities_of(w), degree) == series_is_polynomial(w, degree)
 
 
 def test_cyclotomic_test_rejects_even_weights_in_odd_degree():
     # Phi_2 divides all seven denominator factors and no numerator factor
     assert not series_is_polynomial((2,) * 7, 7)
-    assert not _polynomial_series((2,) * 7, 7)
+    assert not _polynomial_series([0, 0, 7], 7)
 
 
 def divisors_below(d):
@@ -166,7 +215,7 @@ weight_systems = st.one_of(
 @given(weight_systems)
 def test_packed_division_matches_the_truncated_series(system):
     w, degree = system
-    if not _polynomial_series(w, degree):
+    if not _polynomial_series(multiplicities_of(w), degree):
         with pytest.raises(ValueError, match="regular sequence"):
             _jacobian_poly(w, degree)
         return
@@ -185,13 +234,14 @@ def test_packed_division_holds_coefficients_wider_than_64_bits():
     assert _jacobian_poly(w, 30) == coeffs
 
 
-def test_weight_tuples_match_filtered_combinations():
+def test_multiplicities_match_filtered_combinations():
     for length in range(9):
         for top in range(7):
             for total in range(-1, length * top + 2):
                 every = combinations_with_replacement(range(1, top + 1), length)
                 want = [w for w in every if sum(w) == total]
-                got = list(_weight_tuples(length, top, total))
+                got = [tuple(v for v, c in enumerate(counts) for _ in range(c))
+                       for counts in _multiplicities(length, top, total)]
                 assert got == want, (length, top, total)
 
 
