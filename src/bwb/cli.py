@@ -28,7 +28,7 @@ from collections import Counter
 from datetime import datetime, timezone
 
 from .bott import bott, grassmann_bundle, kostant_forms, spinor_bundle
-from .catalog import load_catalog, space_facts
+from .catalog import load_catalog
 from .hodge import (
     closed_form_hcc1,
     deformation_moduli,

@@ -258,9 +258,10 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
     last chase, seeded with the current row, then meets the Hodge-symmetry
     transpose and the Serre reflection.  The chase starts its target from
     the seed and only narrows it, so its result replaces the row with no
-    meet.  All three steps only ever narrow intervals, so this terminates.
-    A chase seeded with its own last result returns that result again, so
-    skipping unchanged rows changes nothing.
+    meet.  All three steps only narrow integer intervals that keep the true
+    value, so the loop ends, at the first round that changes nothing.  A
+    chase seeded with its own last result returns it again, so skipping
+    unchanged rows changes nothing.
     """
     if spec.branch_degree is not None:
         raise ValueError("branched specs are handled by double_cover_hodge")
@@ -270,7 +271,8 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
     table = [[unknown() for _ in range(n_x + 1)] for _ in range(n_x + 1)]
     chased = [None] * (n_x + 1)  # row p right after its last chase
 
-    for _ in range(60):
+    changed = True
+    while changed:
         changed = False
         for p in range(n_x + 1):
             row = tuple(table[p])
@@ -280,8 +282,6 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
             table[p], chased[p] = list(res), res
             changed |= res != row
         changed |= _symmetrize(table, n_x)
-        if not changed:
-            break
     return tuple(tuple(row) for row in table)
 
 
@@ -693,56 +693,47 @@ class CYTypeReport:
     verdict: str  # cy-type | not-cy-type | inconclusive
 
 
-def _check_entry(v: Iv, want: int):
-    if v.exact:
-        return ("pass", "") if v.lo == want else ("fail", f"got {v.lo}")
-    return "inconclusive", f"got {v}"
+def _clause(name: str, row: HodgeRow, cells, ok: str) -> tuple[str, str, str]:
+    """One clause over its (p, q, wanted) cells, with the mismatch rule of
+    ``report._cell``: fail at the first cell whose interval excludes its
+    wanted value, inconclusive when none does but some cell is still an
+    interval, and pass, with detail ``ok``, otherwise."""
+    open_detail = None
+    for p, q, want in cells:
+        v = row.entry(p, q)
+        if want not in v:
+            return name, "fail", f"h^{{{p},{q}}}: got {v}"
+        if not v.exact and open_detail is None:
+            open_detail = f"h^{{{p},{q}}}: got {v}"
+    return (name, "inconclusive", open_detail) if open_detail else (name, "pass", ok)
 
 
 def cy_type_verdict(row: HodgeRow, h1tx: ModuliReport | None = None) -> CYTypeReport:
     """Check the Hodge-theoretic shape of a Calabi-Yau-type manifold of odd
     dimension 2m+1: a one-dimensional h^{m+2,m-1} with nothing above it, no
     holomorphic k-forms for 0 < k < dim, and (as a dimension-level proxy for
-    the contraction condition) h^{m+1,m} equal to the deformation count."""
+    the contraction condition) h^{m+1,m} equal to the deformation count.
+    A failed clause beats an inconclusive one, which beats cy-type."""
     if row.n % 2 == 0:
         raise ValueError("Calabi-Yau type needs odd dimension")
     m = (row.n - 1) // 2
-    clauses = []
-
-    status, detail = _check_entry(row.entry(m + 2, m - 1), 1)
-    for p in range(2, m + 1):
-        s2, d2 = _check_entry(row.entry(m + p + 1, m - p), 0)
-        if s2 != "pass":
-            status, detail = s2, f"h^{{{m+p+1},{m-p}}}: {d2}"
-            break
-    clauses.append(("extreme-piece", status,
-                    detail or f"h^{{{m+2},{m-1}}} = 1 and zero above"))
-
+    clauses = [_clause("extreme-piece", row,
+                       [(m + 2, m - 1, 1)] + [(m + p + 1, m - p, 0) for p in range(2, m + 1)],
+                       f"h^{{{m+2},{m-1}}} = 1 and zero above")]
     if h1tx is None:
         clauses.append(("contraction-dimension", "inconclusive",
                         "no deformation count supplied"))
     else:
-        s2, d2 = _check_entry(row.entry(m + 1, m), h1tx.value)
-        clauses.append(("contraction-dimension", s2,
-                        d2 or f"h^{{{m+1},{m}}} = {h1tx.value} = moduli"))
+        clauses.append(_clause("contraction-dimension", row, [(m + 1, m, h1tx.value)],
+                               f"h^{{{m+1},{m}}} = {h1tx.value} = moduli"))
     clauses.append(("contraction-map", "not checked (out of scope)",
                     "only the dimension consequence is tested"))
-
-    status, detail = "pass", "h^{k,0} = 0 for 0 < k < dim"
-    for k in range(1, row.n):
-        s2, d2 = _check_entry(row.entry(k, 0), 0)
-        if s2 != "pass":
-            status, detail = s2, f"h^{{{k},0}}: {d2}"
-            break
-    clauses.append(("no-holomorphic-forms", status, detail))
-
-    tested = [s for name, s, _ in clauses if name != "contraction-map"]
-    if any(s == "fail" for s in tested):
-        verdict = "not-cy-type"
-    elif any(s == "inconclusive" for s in tested):
-        verdict = "inconclusive"
-    else:
-        verdict = "cy-type"
+    clauses.append(_clause("no-holomorphic-forms", row,
+                           [(k, 0, 0) for k in range(1, row.n)],
+                           "h^{k,0} = 0 for 0 < k < dim"))
+    tested = {s for name, s, _ in clauses if name != "contraction-map"}
+    verdict = ("not-cy-type" if "fail" in tested
+               else "inconclusive" if "inconclusive" in tested else "cy-type")
     return CYTypeReport(clauses=tuple(clauses), verdict=verdict)
 
 

@@ -43,7 +43,9 @@ def _validated(weights, degree) -> tuple[tuple[int, ...], int]:
         raise ValueError(
             f"weights and degree must be integers, got {weights!r} and {degree!r}"
         ) from None
-    if len(w) < 2 or min(w) < 1:
+    if len(w) < 2:
+        raise ValueError(f"need at least two weights, got {w}")
+    if min(w) < 1:
         raise ValueError(f"weights must be >= 1, got {w}")
     if degree - max(w) < 1:
         raise ValueError(f"degree {degree} must exceed every weight in {w}")

@@ -11,13 +11,11 @@ are still reported as mismatches, but flagged, and do not fail the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields, replace
 
-from .bott import forms_cohomology
 from .catalog import Catalog, HomogSpace, default_catalog, space_facts
 from .chase import Iv, exact
 from .hodge import (
-    SectionSpec,
     ci_moduli,
     closed_form_hcc1,
     deformation_moduli,
@@ -41,6 +39,9 @@ _GROUP_NAMES = {"A": "PSL{m}", "B": "Spin{o}", "C": "PSp{s}", "D": "Spin{e}",
 
 @dataclass(frozen=True)
 class ReportCell:
+    """One verify cell; its fields, in order, are the columns of every
+    rendering and the keys of its JSON payload."""
+
     table: str
     row: str
     column: str
@@ -48,13 +49,6 @@ class ReportCell:
     computed: object
     status: str
     note: str = ""
-
-    def as_json(self) -> dict:
-        return {
-            "table": self.table, "row": self.row, "column": self.column,
-            "fixture": self.fixture, "computed": self.computed,
-            "status": self.status, "note": self.note,
-        }
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -295,9 +289,8 @@ def run_verify(cat: Catalog | None = None,
     for c in cells:
         if c.status == "mismatch":
             if cat.is_documented_discrepancy(c.table, c.row, c.column, c.computed):
-                note = (c.note + "; " if c.note else "") + "documented discrepancy"
-                c = ReportCell(c.table, c.row, c.column, c.fixture, c.computed,
-                               c.status, note)
+                c = replace(c, note=(c.note + "; " if c.note else "")
+                            + "documented discrepancy")
                 flagged.append(c)
             else:
                 undocumented.append(c)
@@ -341,11 +334,10 @@ def render(head, rows, fmt: str, payloads, text=None) -> str:
     return "\n".join(lines)
 
 
-_CELL_HEAD = ("table", "row", "column", "fixture", "computed", "status", "note")
+_CELL_HEAD = tuple(f.name for f in fields(ReportCell))
 
 
 def render_cells(cells, fmt: str = "text") -> str:
     """Render a sequence of cells as text, markdown, json lines, or csv."""
-    rows = [(c.table, c.row, c.column, c.fixture, c.computed, c.status, c.note)
-            for c in cells]
-    return render(_CELL_HEAD, rows, fmt, (c.as_json() for c in cells))
+    rows = [astuple(c) for c in cells]
+    return render(_CELL_HEAD, rows, fmt, (dict(zip(_CELL_HEAD, r)) for r in rows))

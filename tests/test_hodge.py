@@ -12,6 +12,8 @@ from bwb.bott import euler_char
 from bwb.catalog import default_catalog, projective_space, space_facts
 from bwb.chase import Iv
 from bwb.hodge import (
+    HodgeRow,
+    ModuliReport,
     SectionSpec,
     _groups,
     _symmetrize,
@@ -171,6 +173,42 @@ def test_quadric_section_of_s10_contraction_clause_fails_on_dimension():
     assert statuses["no-holomorphic-forms"] == "pass"
     assert statuses["contraction-dimension"] == "fail"
     assert report.verdict == "not-cy-type"
+
+
+def _synthetic_fivefold(cells) -> HodgeRow:
+    """A Hodge table for n = 5: 1 on the diagonal and at h^{4,1}, 0 elsewhere,
+    then each (p, q) -> Iv of ``cells`` set together with its mirror."""
+    table = [[Iv(1, 1) if p == q or {p, q} == {4, 1} else Iv(0, 0)
+              for q in range(6)] for p in range(6)]
+    for (p, q), v in cells.items():
+        table[p][q] = table[q][p] = v
+    spec = SectionSpec(projective_space(6), ((1,),))
+    return HodgeRow(spec, tuple(tuple(r) for r in table))
+
+
+@pytest.mark.parametrize("cells, clause, status, detail, verdict", [
+    # a definite failure beside an interval in the same clause is a fail
+    ({(4, 1): Iv(2, 2), (5, 0): Iv(0, 3)}, "extreme-piece", "fail",
+     "h^{4,1}: got 2", "not-cy-type"),
+    ({(1, 0): Iv(0, 2), (2, 0): Iv(1, 1)}, "no-holomorphic-forms", "fail",
+     "h^{2,0}: got 1", "not-cy-type"),
+    # an interval that excludes the wanted value is a fail
+    ({(4, 1): Iv(2, 5)}, "extreme-piece", "fail", "h^{4,1}: got [2,5]",
+     "not-cy-type"),
+    ({(1, 0): Iv(1, 3)}, "no-holomorphic-forms", "fail", "h^{1,0}: got [1,3]",
+     "not-cy-type"),
+    # an interval that holds the wanted value stays open
+    ({(4, 1): Iv(0, 3)}, "extreme-piece", "inconclusive", "h^{4,1}: got [0,3]",
+     "inconclusive"),
+    ({}, "extreme-piece", "pass", "h^{4,1} = 1 and zero above", "cy-type"),
+], ids=["h41-2-beside-open-h50", "h20-1-after-open-h10", "h41-in-2-5", "h10-in-1-3",
+        "h41-in-0-3", "exact"])
+def test_cy_type_verdict_clause_rule(cells, clause, status, detail, verdict):
+    moduli = ModuliReport(value=0, route="synthetic", inputs=())
+    report = cy_type_verdict(_synthetic_fivefold(cells), moduli)
+    clauses = {name: (s, d) for name, s, d in report.clauses}
+    assert clauses[clause] == (status, detail)
+    assert report.verdict == verdict
 
 
 # ------------------------------------------------------------- other tables

@@ -63,6 +63,12 @@ def test_steenbrink_row_matches_projective_space_count():
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         steenbrink_hodge((1, 1, 1, 0), 3)
+    with pytest.raises(ValueError, match=r"weights must be >= 1, got \(0, 1\)"):
+        steenbrink_hodge((0, 1), 3)
+    with pytest.raises(ValueError, match=r"need at least two weights, got \(1,\)"):
+        steenbrink_hodge((1,), 2)
+    with pytest.raises(ValueError, match=r"need at least two weights, got \(\)"):
+        steenbrink_hodge((), 2)
     with pytest.raises(ValueError):
         steenbrink_hodge((1, 1, 1), 0)
     with pytest.raises(ValueError):
