@@ -5,7 +5,9 @@ marked homogeneous space (lambda Levi-dominant: unmarked coordinates >= 0,
 marked coordinates unrestricted, twists folded into the marked coordinates)
 and returns its sheaf cohomology: either everything vanishes, or there is a
 single nonzero group H^q of dimension weyl_dim(mu), where the dominance walk
-of lambda + rho lands on mu + rho after q reflections.
+of lambda + rho lands on mu + rho after q reflections.  Each factor's group
+is cached on (root system, weight), so a weight that many bundles share (the
+same Schur bundle spelled several ways, say) is walked once per process.
 
 On top of that sit:
 
@@ -117,21 +119,38 @@ class CohomologyTable:
         return self.group
 
 
+@lru_cache(maxsize=None)
+def _factor_group(rs, lam: tuple[int, ...]):
+    """The one group of E_lam on a factor of type ``rs``, in the shape of
+    ``CohomologyTable.group``: None when the dominance walk of lam + rho
+    meets a wall, else ``(length, (mu,), weyl_dim(mu))`` with mu + rho
+    where the walk lands.  Cached on ``(rs, lam)``, so each weight is
+    walked once per process; :func:`bott` lets only ints into the key."""
+    walk = to_dominant(rs, [c + 1 for c in lam])
+    if walk.singular:
+        return None
+    mu = tuple([c - 1 for c in walk.dominant])
+    return walk.length, (mu,), weyl_dim(rs, mu)
+
+
 def bott(b: Bundle) -> CohomologyTable:
     """Borel-Weil-Bott: dominance walk of lambda + rho on every factor; a
-    walk that meets a wall makes the bundle acyclic."""
-    degree = 0
-    dim = 1
-    mus = []
+    walk that meets a wall makes the bundle acyclic.  Kuenneth: degrees
+    add, weights concatenate and dimensions multiply over the factors'
+    groups (:func:`_factor_group`), and a one-factor bundle gets the cached
+    group itself.  A coordinate that is not an int goes through
+    ``_integer`` first (``2.0`` raises ValueError), because ``(2.0,) ==
+    (2,)`` would take the integer weight's cache slot."""
+    group = None
     for f, lam in zip(b.space.factors, b.weights):
-        walk = to_dominant(f.rs, [c + 1 for c in lam])
-        if walk.singular:
+        if type(lam) is not tuple or set(map(type, lam)) != {int}:
+            lam = tuple([_integer(c, "weight coordinate") for c in lam])
+        g = _factor_group(f.rs, lam)
+        if g is None:
             return CohomologyTable()
-        mu = tuple(c - 1 for c in walk.dominant)
-        degree += walk.length
-        dim *= weyl_dim(f.rs, mu)
-        mus.append(mu)
-    return CohomologyTable((degree, tuple(mus), dim))
+        group = g if group is None else (
+            group[0] + g[0], group[1] + g[1], group[2] * g[2])
+    return CohomologyTable((0, (), 1) if group is None else group)
 
 
 def fiber_dim(b: Bundle) -> int:
@@ -374,14 +393,14 @@ def sequence_cohomology(seq):
     if len(set(seq)) != len(seq):
         return None
     degree = 0
-    for i, j in combinations(range(len(seq)), 2):
-        if seq[i] < seq[j]:
+    for a, b in combinations(seq, 2):
+        if a < b:
             degree += 1
-    t = sorted(seq, reverse=True)
     num = den = 1
-    for i, j in combinations(range(len(t)), 2):
-        num *= t[i] - t[j]
-        den *= j - i
+    for a, b in combinations(sorted(seq, reverse=True), 2):
+        num *= a - b
+    for a, b in combinations(range(len(seq) - 1, -1, -1), 2):  # rho
+        den *= a - b
     assert num % den == 0
     return degree, num // den
 
@@ -431,19 +450,18 @@ def spinor_sequence_cohomology(seq, doubled: bool = False):
     if not doubled:
         s = tuple(2 * v for v in s)
     deg = 0
-    for i, j in combinations(range(len(s)), 2):
-        if s[i] == s[j] or s[i] + s[j] == 0:
+    for a, b in combinations(s, 2):
+        if a == b or a + b == 0:
             return None
-        if s[i] < s[j]:
+        if a < b:
             deg += 1
-        if s[i] + s[j] < 0:
+        if a + b < 0:
             deg += 1
-    t = sorted((abs(v) for v in s), reverse=True)
     num = den = 1
-    r = [2 * (len(s) - 1 - i) for i in range(len(s))]
-    for i, j in combinations(range(len(s)), 2):
-        num *= t[i] * t[i] - t[j] * t[j]
-        den *= r[i] * r[i] - r[j] * r[j]
+    for a, b in combinations(sorted(map(abs, s), reverse=True), 2):
+        num *= a * a - b * b
+    for a, b in combinations(range(2 * len(s) - 2, -1, -2), 2):  # 2 rho
+        den *= a * a - b * b
     assert num % den == 0
     return deg, num // den
 
@@ -455,7 +473,7 @@ def _pad_partition(label, parts: int) -> list[int]:
         lam = list(map(operator.index, label))
     except TypeError:
         raise ValueError(f"label {label!r} must be a sequence of integers") from None
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if any(map(operator.lt, lam, lam[1:])):
         raise ValueError(f"{label} is not weakly decreasing")
     if len(lam) > parts and any(c != 0 for c in lam[parts:]):
         raise ValueError(f"{label} has more than {parts} parts")

@@ -34,10 +34,19 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class Factor:
-    """One simple factor with a single marked node (0-indexed)."""
+    """One simple factor with a single marked node (0-indexed).  Equal
+    factors share ``(series, rank, node)``, so the hash is that triple's,
+    computed once per factor."""
 
     rs: RootSystem
     node: int
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rs.series, self.rs.rank, self.node))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def u_root_indices(self) -> tuple[int, ...]:
@@ -49,7 +58,7 @@ class Factor:
             if alpha[self.node] != 0
         )
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.u_root_indices)
 
@@ -65,7 +74,7 @@ class Factor:
                 raise AssertionError("nilradical roots must sum to a multiple of omega")
         return total[self.node]
 
-    @property
+    @cached_property
     def cominuscule(self) -> bool:
         return self.rs.highest_root[self.node] == 1
 
@@ -73,7 +82,7 @@ class Factor:
     def adjoint_dim(self) -> int:
         return self.rs.rank + 2 * self.rs.num_positive
 
-    @property
+    @cached_property
     def unmarked(self) -> frozenset[int]:
         return frozenset(j for j in range(self.rs.rank) if j != self.node)
 
@@ -86,10 +95,16 @@ class Factor:
 
 @dataclass(frozen=True)
 class HomogSpace:
+    """Equal spaces share a name, so the hash is the name's, which the
+    string caches: a cache lookup keyed on a space hashes no factor."""
+
     name: str
     factors: tuple[Factor, ...]
 
-    @property
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+    @cached_property
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
@@ -141,7 +156,7 @@ class HomogSpace:
         """Dimension of the automorphism group (adjoint form)."""
         return sum(f.adjoint_dim for f in self.factors)
 
-    @property
+    @cached_property
     def cominuscule(self) -> bool:
         return all(f.cominuscule for f in self.factors)
 

@@ -1,7 +1,9 @@
 """Bundle cohomology on marked homogeneous spaces: the dominance walk against
 closed-form fast paths, Euler characteristics, and frozen key values."""
 
+import importlib
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from bwb.bott import (
     Bundle,
     _factor_forms,
+    _factor_group,
     _kostant_pairings,
     bott,
     bundle,
@@ -28,8 +31,9 @@ from bwb.bott import (
     spinor_shape,
     trivial_bundle,
 )
-from bwb.catalog import default_catalog
-from bwb.rootsys import minimal_coset_reps, to_dominant
+from bwb.catalog import Factor, HomogSpace, default_catalog
+from bwb.rootsys import minimal_coset_reps, root_system, to_dominant, weyl_dim
+from test_acceptance import schur_spellings
 from test_rootsys import orbit_dim
 
 CAT = default_catalog()
@@ -65,6 +69,66 @@ def test_single_group_accessor():
     tab = bott(trivial_bundle(s10))
     assert tab.single() == (0, ((0, 0, 0, 0, 0),), 1)
     assert bott(trivial_bundle(s10).twisted((-3,))).single() is None
+
+
+def unmemoized_bott(b):
+    """The reference for ``bott``: every factor walked, nothing cached."""
+    degree, dim, mus = 0, 1, []
+    for f, lam in zip(b.space.factors, b.weights):
+        walk = to_dominant(f.rs, [c + 1 for c in lam])
+        if walk.singular:
+            return None
+        mu = tuple(c - 1 for c in walk.dominant)
+        degree += walk.length
+        dim *= weyl_dim(f.rs, mu)
+        mus.append(mu)
+    return degree, tuple(mus), dim
+
+
+def test_bott_equals_the_unmemoized_walk_on_every_series():
+    rng = random.Random(20261019)
+    # the catalog has no type B factor, so the quadric fivefold B3/P1 joins it
+    spaces = [CAT.space(name) for name in sorted(CAT.spaces)]
+    spaces.append(HomogSpace("Q5", (Factor(root_system("B", 3), 0),)))
+    assert {f.rs.series for sp in spaces for f in sp.factors} == set("ABCDEG")
+    _factor_group.cache_clear()
+    bundles = []
+    for space in spaces:
+        for _ in range(60):
+            bundles.append(Bundle(space, tuple(
+                tuple(rng.randrange(-6, 7) for _ in range(f.rs.rank))
+                for f in space.factors)))
+    for b in bundles + bundles:  # first calls, then repeats
+        assert bott(b).group == unmemoized_bott(b), b
+    assert sum(bott(b).group is not None for b in bundles) > 100
+
+
+def test_two_spellings_of_one_schur_bundle_cost_one_walk(monkeypatch):
+    module = importlib.import_module("bwb.bott")
+    walks = []
+
+    def counting(rs, w):
+        walks.append(tuple(w))
+        return to_dominant(rs, w)
+
+    monkeypatch.setattr(module, "to_dominant", counting)
+    _factor_group.cache_clear()
+    g26 = CAT.space("G(2,6)")
+    short = grassmann_bundle(g26, (3,), (1,), -2)
+    padded = grassmann_bundle(g26, (3, 0, 0, 0), (1, 0), -2)
+    assert short == padded
+    assert bott(short).group == bott(padded).group == unmemoized_bott(short)
+    assert len(walks) == 1
+
+
+def test_the_walk_cache_holds_one_entry_per_distinct_weight():
+    _factor_group.cache_clear()
+    weights = set()
+    for _case, _fast, b in schur_spellings():
+        bott(b)
+        (f,) = b.space.factors
+        weights.add((f.rs, b.weights[0]))
+    assert _factor_group.cache_info().currsize == len(weights)
 
 
 def test_one_dimensional_top_groups():
@@ -221,7 +285,8 @@ def reference_spinor_bundle(space, label, twist):
     return Bundle(space, (tuple(coords),))
 
 
-# acceptance criterion 9a: (space, label shapes, twists)
+# the Schur families of the ``bundles`` benchmark: criterion 9a with
+# narrower twists (space, label shapes, twists)
 CRITERION_9A = (
     ("G(2,6)", ((4, 3), (2, 3)), (-6, -4, -2, 0, 2)),
     ("G(2,10)", ((8, 2), (2, 2)), (-6, -3, 0)),

@@ -6,7 +6,10 @@ import json
 import pytest
 
 from bwb.bott import (
+    Bundle,
+    _factor_group,
     _forms_cohomology,
+    bott,
     bundle,
     euler_char,
     forms_cohomology,
@@ -90,6 +93,7 @@ NON_INTEGER_CALLS = {
     "forms_cohomology-(-3.0,)": lambda: forms_cohomology(S10, 1, (-3.0,)),
     "twisted-(2.0,)": lambda: trivial_bundle(S10).twisted((2.0,)),
     "bundle-(1.5,)": lambda: bundle(S10, ((0,) * 5,), (1.5,)),
+    "bott-(0, 0, 0, 0, 2.0)": lambda: bott(Bundle(S10, ((0, 0, 0, 0, 2.0),))),
     "section_spec-((2.0,),)": lambda: section_spec(S10, ((2.0,),)),
     "linear_section-1.0": lambda: linear_section(S10, 1.0),
     "sequence_cohomology-floats": lambda: sequence_cohomology((2.0, 1.0, 0.0)),
@@ -148,6 +152,21 @@ def test_a_refused_float_twist_leaves_the_integer_cache_clean():
     assert all(type(d) is int for d in got.values())
 
 
+def test_a_refused_float_weight_leaves_the_walk_cache_clean():
+    # (0, 0, 0, 0, -9.0) == (0, 0, 0, 0, -9) and both hash alike, so a float
+    # weight let into the walk cache would take the integer weight's slot
+    _factor_group.cache_clear()
+    with pytest.raises(ValueError):
+        bott(Bundle(S10, ((0, 0, 0, 0, -9.0),)))
+    got = bott(Bundle(S10, ((0, 0, 0, 0, -9),)))
+    assert got.dims() == {10: 16}
+    degree, (mu,), dim = got.single()
+    assert all(type(v) is int for v in (degree, *mu, dim))
+    with pytest.raises(ValueError):
+        bott(Bundle(S10, ((0, 0, 0, 0, -9.0),)))
+    assert _factor_group.cache_info().currsize == 1
+
+
 def test_an_index_object_is_an_integer_twist():
     class MinusThree:
         def __index__(self):
@@ -174,6 +193,39 @@ def test_projective_space_facts():
     assert p5.cominuscule
     with pytest.raises(ValueError):
         projective_space(0)
+
+
+def test_equal_spaces_hash_alike_and_share_one_cache_entry():
+    one, two = load_catalog(), load_catalog()
+    pairs = [(one.space(name), two.space(name)) for name in sorted(one.spaces)]
+    pairs.append((projective_space(5), projective_space(5)))
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b), a
+        for f, g in zip(a.factors, b.factors):
+            assert f is not g and f == g and hash(f) == hash(g), a
+    for a, b in (pairs[0], pairs[-1]):
+        _forms_cohomology.cache_clear()
+        assert forms_cohomology(a, 1, 2) == forms_cohomology(b, 1, 2)
+        info = _forms_cohomology.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1), a
+
+
+def test_cached_space_properties_equal_their_recomputed_values():
+    cat = load_catalog()
+    for name in sorted(cat.spaces):
+        space = cat.space(name)
+        dims, flags = [], []
+        for f in space.factors:
+            rank, node = f.rs.rank, f.node
+            dims.append(sum(a[node] != 0 for a in f.rs.positive_roots))
+            flags.append(f.rs.positive_roots[-1][node] == 1)
+            for _ in range(2):  # the computed value, then the cached one
+                assert f.dim == dims[-1], name
+                assert f.cominuscule is flags[-1], name
+                assert f.unmarked == frozenset(range(rank)) - {node}, name
+        for _ in range(2):
+            assert space.dim == sum(dims), name
+            assert space.cominuscule is all(flags), name
 
 
 def test_unknown_space_lists_catalog():
