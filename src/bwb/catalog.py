@@ -36,14 +36,16 @@ def _integer(value, name: str) -> int:
 class Factor:
     """One simple factor with a single marked node (0-indexed).  Equal
     factors share ``(series, rank, node)``, so the hash is that triple's,
-    computed once per factor."""
+    computed once per factor; the series letter enters as its code point,
+    so the cached hash does not depend on string-hash randomization and
+    stays right in a pickle read by another process."""
 
     rs: RootSystem
     node: int
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.rs.series, self.rs.rank, self.node))
+        return hash((ord(self.rs.series), self.rs.rank, self.node))
 
     def __hash__(self) -> int:
         return self._hash

@@ -2,6 +2,10 @@
 the stored reference tables."""
 
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -208,6 +212,21 @@ def test_equal_spaces_hash_alike_and_share_one_cache_entry():
         assert forms_cohomology(a, 1, 2) == forms_cohomology(b, 1, 2)
         info = _forms_cohomology.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1), a
+
+
+def test_a_pickled_factor_hashes_alike_in_another_process():
+    # the factor caches its hash, and a pickle carries that cached value
+    f = S10.factors[0]
+    hash(f)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = ("import pickle, sys; from bwb.catalog import default_catalog; "
+            "g = pickle.loads(sys.stdin.buffer.read()); "
+            "f = default_catalog().space('S10').factors[0]; "
+            "print(g == f and hash(g) == hash(f) and {f: 1}.get(g) == 1)")
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(f),
+                         capture_output=True, check=True,
+                         env={**os.environ, "PYTHONHASHSEED": seed})
+    assert out.stdout.strip() == b"True"
 
 
 def test_cached_space_properties_equal_their_recomputed_values():
