@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .catalog import _integer
@@ -95,9 +96,10 @@ def _polynomial_series(counts: list[int], degree: int) -> bool:
     return True
 
 
-def _jacobian_poly(w: tuple[int, ...], degree: int) -> list[int]:
+def _jacobian_poly(w: tuple[int, ...], degree: int) -> Callable[[int], int]:
     """The Hilbert polynomial of the Jacobian ring of validated weights
-    ``w``: prod (1 - t^{d-w_i}) / prod (1 - t^{w_i}), coefficients 0..sigma.
+    ``w``, prod (1 - t^{d-w_i}) / prod (1 - t^{w_i}), as a function that
+    maps k to its coefficient dim R_k: 0 outside 0..sigma.
 
     Kronecker substitution: the series is evaluated at t = X = 2^B on one
     Python int and reduced mod X^{sigma+1}, so every loop over coefficients
@@ -110,9 +112,15 @@ def _jacobian_poly(w: tuple[int, ...], degree: int) -> list[int]:
     way, is at most 2^{n+1} C(sigma+n, n) in absolute value: the numerator's
     absolute coefficient sum times the number of (a_1..a_n) with
     sum a_i <= sigma (a_0 is then fixed by the degree).  B is one bit more
-    than that, for the sign, rounded up to whole bytes.  The digits are read
-    back little-endian after adding 2^{B-1} to each, which turns the signed
-    digits into base-2^B ones.
+    than that, for the sign, rounded up to whole bytes, so |c_j| < 2^{B-1}.
+
+    The reduced int x is sum_j c_j X^j mod X^{sigma+1}.  If every c_j >= 0,
+    its base-X digits are the c_j themselves, each below 2^{B-1}.  If not,
+    the lowest negative c_j leaves the digit c_j + 2^B >= 2^{B-1} in its
+    place, the digits below it being untouched.  So the coefficients are all
+    nonnegative exactly when no digit has its top bit set: one AND with the
+    mask of those bits.  A coefficient is then read as its digit alone, and
+    only the digits a caller asks for are read.
 
     Raises ValueError when no regular sequence exists in those degrees: the
     series is not a polynomial (rejected before any arithmetic), or it is
@@ -136,13 +144,14 @@ def _jacobian_poly(w: tuple[int, ...], degree: int) -> list[int]:
             while s <= sigma:
                 x = (x + (x << bits * s)) & mask
                 s += s
-        half = 1 << bits - 1
         ones = int.from_bytes(b"\x01".ljust(nbytes, b"\x00") * (sigma + 1), "little")
-        raw = ((x + ones * half) & mask).to_bytes(nbytes * (sigma + 1), "little")
-        poly = [int.from_bytes(raw[i:i + nbytes], "little") - half
-                for i in range(0, len(raw), nbytes)]
-        if min(poly) >= 0:
-            return poly
+        if not x & (ones << bits - 1):
+            digit = (1 << bits) - 1
+
+            def coefficient(k: int) -> int:
+                return (x >> bits * k) & digit if 0 <= k <= sigma else 0
+
+            return coefficient
     raise ValueError(
         f"weights {w} admit no regular sequence in degree {degree}: the "
         f"Hilbert series is not a polynomial with nonnegative coefficients"
@@ -151,9 +160,8 @@ def _jacobian_poly(w: tuple[int, ...], degree: int) -> list[int]:
 
 def jacobian_hilbert(weights, degree: int, k: int) -> int:
     """dim R_k of the generic Jacobian ring; 0 outside 0..socle."""
-    poly = _jacobian_poly(*_validated(weights, degree))
-    k = _integer(k, "k")
-    return poly[k] if 0 <= k < len(poly) else 0
+    coefficient = _jacobian_poly(*_validated(weights, degree))
+    return coefficient(_integer(k, "k"))
 
 
 @dataclass(frozen=True)
@@ -184,11 +192,7 @@ def steenbrink_hodge(weights, degree: int) -> WeightedHodgeRow:
     n = len(w) - 1
     dim = n - 1
     total = sum(w)
-    poly = _jacobian_poly(w, degree)
-
-    def piece(k: int) -> int:
-        return poly[k] if 0 <= k < len(poly) else 0
-
+    piece = _jacobian_poly(w, degree)
     entries = tuple(piece((dim - p + 1) * degree - total) for p in range(dim + 1))
     return WeightedHodgeRow(
         weights=w,
@@ -207,26 +211,43 @@ def _multiplicities(length: int, top: int, total: int):
     one list is yielded each time, updated in place: read it before asking
     for the next.
 
-    A depth-first walk fixes counts[1], counts[2], ... in turn.  After
-    counts[v], the rl entries left must lie in v+1..top and sum to the rest,
-    so it keeps exactly the counts with rl*(v+1) <= rest <= rl*top; every
-    such choice completes, so the walk never backtracks from a dead end."""
+    An odometer over counts[1..top].  With rl entries and ``rest`` of the
+    sum left after counts[v], those entries lie in v+1..top, so a choice
+    of counts[v] completes exactly when rl*(v+1) <= rest <= rl*top.  Going
+    down, each level takes the largest such count and counts[top] takes
+    what is left.  To advance, the walk climbs from level top-1 to the
+    deepest level whose count can still drop by one: a nonzero count whose
+    rl and rest after it satisfy rl*(v+1) < rest, so that one more entry
+    and v more of the sum still fit above v.  It lowers that count and goes
+    down again.  Every choice completes, so it never backtracks from a
+    dead end."""
     counts = [0] * (top + 1)
-
-    def walk(v: int, rl: int, rest: int):
-        if v == top:
-            counts[v] = rl  # rest == rl * top, by the bound one level up
+    if not (top >= 1 and length <= total <= length * top):
+        if length == total == 0:
             yield counts
-            return
-        for c in range(min(rl, (rl * top - rest) // (top - v)),
-                       max(0, rl * (v + 1) - rest) - 1, -1):
+        return
+    v, rl, rest = 1, length, total
+    while True:
+        while v < top:
+            c = min(rl, (rl * top - rest) // (top - v))
             counts[v] = c
-            yield from walk(v + 1, rl - c, rest - c * v)
-
-    if top >= 1 and length <= total <= length * top:
-        yield from walk(1, length, total)
-    elif length == total == 0:
+            rl -= c
+            rest -= c * v
+            v += 1
+        counts[top] = rl
         yield counts
+        rest = rl * top
+        v = top - 1
+        while v and not (counts[v] and rest > rl * (v + 1)):
+            rl += counts[v]
+            rest += counts[v] * v
+            v -= 1
+        if not v:
+            return
+        counts[v] -= 1
+        rl += 1
+        rest += v
+        v += 1
 
 
 def weighted_cy_scan(max_dim: int, max_weight: int, max_degree: int) -> list[WeightedHodgeRow]:

@@ -22,7 +22,7 @@ coordinates.  Conventions, fixed once and used by every other module:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 SERIES = ("A", "B", "C", "D", "E", "G")
 
@@ -106,7 +106,10 @@ EXPECTED_POSITIVE_COUNTS = {
 class RootSystem:
     """A root system is determined by its series and rank, so equality and
     hashing look at those two fields only; every derived field below is
-    built once by :func:`root_system` and marked ``compare=False``."""
+    built once by :func:`root_system` and marked ``compare=False``.  The
+    hash is computed once per system, with the series letter as its code
+    point, so it does not depend on string-hash randomization and stays
+    right in a pickle read by another process."""
 
     series: str
     rank: int
@@ -127,6 +130,13 @@ class RootSystem:
     dim_steps: tuple[tuple[int, int], ...] = field(compare=False)
     # prod over positive roots of <rho, alpha^vee>, the Weyl denominator
     dim_den: int = field(compare=False)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((ord(self.series), self.rank))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_positive(self) -> int:

@@ -217,6 +217,12 @@ weight_systems = st.one_of(
 )
 
 
+def packed_coefficients(w, degree):
+    """Every coefficient 0..sigma that the packed division reads back."""
+    coefficient = _jacobian_poly(w, degree)
+    return [coefficient(k) for k in range(socle_degree(w, degree) + 1)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(weight_systems)
 def test_packed_division_matches_the_truncated_series(system):
@@ -230,14 +236,44 @@ def test_packed_division_matches_the_truncated_series(system):
         with pytest.raises(ValueError, match="regular sequence"):
             _jacobian_poly(w, degree)
     else:
-        assert _jacobian_poly(w, degree) == coeffs
+        assert packed_coefficients(w, degree) == coeffs
 
 
 def test_packed_division_holds_coefficients_wider_than_64_bits():
     w = (1,) * 16
     coeffs = hilbert_coefficients(w, 30, socle_degree(w, 30))
     assert max(coeffs).bit_length() == 72
-    assert _jacobian_poly(w, 30) == coeffs
+    assert packed_coefficients(w, 30) == coeffs
+
+
+@pytest.mark.parametrize("w, degree", [
+    ((1,) * 16, 30),
+    ((1,) * 9, 3),
+    ((1,) * 6 + (2,), 5),
+    ((1, 1, 2, 2, 3), 7),
+    ((1,) * 4 + (4,), 8),
+])
+def test_jacobian_hilbert_reads_every_coefficient_and_zero_outside(w, degree):
+    top = socle_degree(w, degree)
+    coeffs = hilbert_coefficients(w, degree, top)
+    assert [jacobian_hilbert(w, degree, k) for k in range(top + 1)] == coeffs
+    for k in (-2, -1, top + 1, top + 2):
+        assert jacobian_hilbert(w, degree, k) == 0, k
+
+
+def test_negative_coefficient_is_rejected_past_an_open_gate(monkeypatch):
+    # with the cyclotomic gate forced open, the packed sign test alone must
+    # refuse a truncated series with a negative coefficient, and read back
+    # one whose coefficients are all positive
+    monkeypatch.setattr(jacring, "_polynomial_series", lambda counts, degree: True)
+    assert hilbert_coefficients((2, 2, 1), 5, socle_degree((2, 2, 1), 5)) == [1, 1, 3, 1, 3, -1]
+    with pytest.raises(ValueError, match="regular sequence"):
+        jacobian_hilbert((2, 2, 1), 5, 0)
+    with pytest.raises(ValueError, match="regular sequence"):
+        steenbrink_hodge((2, 2, 1), 5)
+    coeffs = hilbert_coefficients((3, 3, 1, 1), 5, socle_degree((3, 3, 1, 1), 5))
+    assert len(coeffs) == 5 and min(coeffs) >= 1
+    assert packed_coefficients((3, 3, 1, 1), 5) == coeffs
 
 
 def test_multiplicities_match_filtered_combinations():
@@ -249,6 +285,53 @@ def test_multiplicities_match_filtered_combinations():
                 got = [tuple(v for v, c in enumerate(counts) for _ in range(c))
                        for counts in _multiplicities(length, top, total)]
                 assert got == want, (length, top, total)
+
+
+def multiplicities_by_recursion(length, top, total):
+    """Oracle for ``_multiplicities``: a depth-first recursion that fixes
+    counts[1], counts[2], ... in turn, keeping after counts[v] exactly the
+    counts with rl*(v+1) <= rest <= rl*top for the rl entries and the rest
+    of the sum left.  It yields one list, updated in place."""
+    counts = [0] * (top + 1)
+
+    def walk(v, rl, rest):
+        if v == top:
+            counts[v] = rl
+            yield counts
+            return
+        for c in range(min(rl, (rl * top - rest) // (top - v)),
+                       max(0, rl * (v + 1) - rest) - 1, -1):
+            counts[v] = c
+            yield from walk(v + 1, rl - c, rest - c * v)
+
+    if top >= 1 and length <= total <= length * top:
+        yield from walk(1, length, total)
+    elif length == total == 0:
+        yield counts
+
+
+def test_odometer_equals_the_recursive_walk_on_the_scan(monkeypatch):
+    walked = []
+    real = jacring._multiplicities
+
+    def recorded(length, top, total):
+        walked.append((length, top, total))
+        return real(length, top, total)
+
+    monkeypatch.setattr(jacring, "_multiplicities", recorded)
+    weighted_cy_scan(13, 7, 14)
+
+    def same_walk(args):
+        got = [list(c) for c in real(*args)]  # copied as read: one list in place
+        assert got == [list(c) for c in multiplicities_by_recursion(*args)], args
+        return len(got)
+
+    assert sum(map(same_walk, walked)) == 17779
+    # total = -1, top = 0 and length = total = 0, then top = 1 and totals
+    # just past either end
+    for args in [(2, 3, -1), (0, 0, -1), (3, 0, 0), (0, 0, 0), (0, 4, 0),
+                 (1, 1, 1), (5, 1, 5), (3, 4, 13), (3, 4, 2)]:
+        same_walk(args)
 
 
 STEENBRINK_ROWS = [

@@ -1,7 +1,11 @@
 """Root-system engine: exact data cross-checked against closed forms and
 brute-force Weyl orbits."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -372,6 +376,21 @@ def test_root_system_identity_is_series_and_rank():
     assert root_system("A", 3) != root_system("A", 4)
     assert root_system("B", 3) != root_system("C", 3)
     assert root_system("D", 5) != root_system("D", 6)
+
+
+def test_a_pickled_root_system_hashes_alike_in_another_process():
+    # the system caches its hash, and a pickle carries that cached value
+    rs = root_system("E", 6)
+    hash(rs)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = ("import pickle, sys; from bwb.rootsys import root_system; "
+            "g = pickle.loads(sys.stdin.buffer.read()); "
+            "rs = root_system('E', 6); "
+            "print(g == rs and hash(g) == hash(rs) and {rs: 1}.get(g) == 1)")
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(rs),
+                         capture_output=True, check=True,
+                         env={**os.environ, "PYTHONHASHSEED": seed})
+    assert out.stdout.strip() == b"True"
 
 
 def test_coset_reps_count_and_top_length():
