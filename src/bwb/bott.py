@@ -50,7 +50,7 @@ the even-orthogonal Vandermonde ratio in the squared entries.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -58,13 +58,11 @@ from .catalog import HomogSpace, _integer
 from .rootsys import minimal_coset_reps, to_dominant, weyl_dim, weyl_dim_levi
 
 
-@dataclass(frozen=True)
-class Bundle:
-    """Irreducible homogeneous bundle, one Levi-dominant weight per factor
-    (twists already folded into the marked coordinates)."""
+class Bundle(namedtuple("Bundle", "space weights")):
+    """Irreducible homogeneous bundle on ``space``, one Levi-dominant weight
+    per factor (twists already folded into the marked coordinates)."""
 
-    space: HomogSpace
-    weights: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def twisted(self, k) -> "Bundle":
         """Tensor with O(k).  Integer ``k`` means k copies of the primitive

@@ -16,12 +16,11 @@ from __future__ import annotations
 import json
 import operator
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from importlib import resources
 from math import gcd
 
-from .rootsys import RootSystem, root_system, weyl_dim
+from .rootsys import _immutable, root_system, weyl_dim
 
 
 def _integer(value, name: str) -> int:
@@ -32,16 +31,14 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One simple factor with a single marked node (0-indexed).  Equal
-    factors share ``(series, rank, node)``, so the hash is that triple's,
-    computed once per factor; the series letter enters as its code point,
-    so the cached hash does not depend on string-hash randomization and
-    stays right in a pickle read by another process."""
+class Factor(namedtuple("Factor", "rs node")):
+    """One simple factor, the root system ``rs``, with a single marked node
+    (0-indexed).  Equal factors share ``(series, rank, node)``, so the hash
+    is that triple's, computed once per factor; the series letter enters as
+    its code point, so the cached hash does not depend on string-hash
+    randomization and stays right in a pickle read by another process."""
 
-    rs: RootSystem
-    node: int
+    __setattr__ = __delattr__ = _immutable
 
     @cached_property
     def _hash(self) -> int:
@@ -95,13 +92,12 @@ class Factor:
         return f"{self.rs.series}{self.rs.rank}/P{self.node + 1}"
 
 
-@dataclass(frozen=True)
-class HomogSpace:
-    """Equal spaces share a name, so the hash is the name's, which the
-    string caches: a cache lookup keyed on a space hashes no factor."""
+class HomogSpace(namedtuple("HomogSpace", "name factors")):
+    """A product of marked ``factors``.  Equal spaces share a name, so the
+    hash is the name's, which the string caches: a cache lookup keyed on a
+    space hashes no factor."""
 
-    name: str
-    factors: tuple[Factor, ...]
+    __setattr__ = __delattr__ = _immutable
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -193,13 +189,11 @@ def projective_space(n: int) -> HomogSpace:
     return HomogSpace(name=f"P{n}", factors=(Factor(rs=root_system("A", n), node=0),))
 
 
-@dataclass
-class Catalog:
-    spaces: dict[str, HomogSpace]
-    fixtures: dict[str, dict]
-    tables: dict[str, dict]
-    discrepancies: list[dict]
-    path: str
+class Catalog(namedtuple("Catalog", "spaces fixtures tables discrepancies path")):
+    """The spaces by name, their fixtures, the reference tables, the
+    documented discrepancies, and the path they were read from."""
+
+    __slots__ = ()
 
     def space(self, name: str) -> HomogSpace:
         try:
@@ -222,12 +216,12 @@ class Catalog:
         )
 
 
-def _default_path() -> str:
-    return str(resources.files("bwb").joinpath("data/catalog.json"))
+_DEFAULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "data", "catalog.json")
 
 
 def load_catalog(path: str | None = None) -> Catalog:
-    path = path or os.environ.get("BWB_CATALOG") or _default_path()
+    path = path or os.environ.get("BWB_CATALOG") or _DEFAULT_PATH
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if raw.get("schema_version") != 1:

@@ -43,8 +43,7 @@ empty interval is reached in every order or in none.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .catalog import _integer
 
@@ -54,13 +53,11 @@ class ChaseError(Exception):
     inconsistent seed, never a legitimate run)."""
 
 
-@dataclass(frozen=True)
-class Iv:
+class Iv(namedtuple("Iv", "lo hi")):
     """Closed integer interval [lo, hi]; hi may be None for unbounded.  The
     one place outside the solver that knows how an interval is stored."""
 
-    lo: int
-    hi: int | None
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
@@ -87,6 +84,10 @@ class Iv:
         if k == 0:
             return Iv(0, 0)
         return Iv(k * self.lo, None if self.hi is None else k * self.hi)
+
+    def __mul__(self, other):
+        # only ``k * iv`` is defined; the tuple base would repeat ``iv * k``
+        raise TypeError(f"unsupported operand: {self!r} * {other!r}")
 
     def __contains__(self, x: int) -> bool:
         return self.lo <= x and (self.hi is None or x <= self.hi)

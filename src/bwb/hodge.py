@@ -41,8 +41,7 @@ verification layer cross-checks against the Hodge-theoretic route.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -72,20 +71,18 @@ def _vneg(a):
 # Section specifications
 
 
-@dataclass(frozen=True)
-class SectionSpec:
+class SectionSpec(namedtuple("SectionSpec", "ambient cut_degrees branch_degree",
+                             defaults=((), None))):
     """X = a complete intersection of hypersurfaces in a marked homogeneous
-    space, optionally the base of a branched double cover.
+    space ``ambient``, optionally the base of a branched double cover.
 
     ``cut_degrees`` holds one per-factor degree vector per hypersurface, in
     units of the primitive ample class of each factor; ``branch_degree`` is
     the (componentwise even) degree vector of a branch divisor for a double
-    cover of the complete intersection.
+    cover of the complete intersection, or None.
     """
 
-    ambient: HomogSpace
-    cut_degrees: tuple[tuple[int, ...], ...] = ()
-    branch_degree: tuple[int, ...] | None = None
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -288,14 +285,12 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
 SMOOTHNESS_NOTE = "cuts assumed generically smooth (not verified)"
 
 
-@dataclass(frozen=True)
-class HodgeRow:
+class HodgeRow(namedtuple("HodgeRow", "spec table")):
     """Middle-degree Hodge numbers of an n-dimensional X, plus the full
-    table they were cut from.  Entries are intervals: exact when resolved,
-    honest ranges flagged indeterminate otherwise."""
+    ``table`` they were cut from.  Entries are intervals: exact when
+    resolved, honest ranges flagged indeterminate otherwise."""
 
-    spec: SectionSpec
-    table: tuple[tuple[Iv, ...], ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -441,13 +436,11 @@ AUT_INJECTIVITY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ModuliReport:
-    """One deformation count with its route and consumed dimensions."""
+class ModuliReport(namedtuple("ModuliReport", "value route inputs")):
+    """One deformation count with its route and consumed dimensions, as
+    ``(name, dim)`` pairs."""
 
-    value: int
-    route: str
-    inputs: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
     def as_json(self) -> dict:
         return {
@@ -642,17 +635,11 @@ def _variety_name(degree: int, dim: int, double: bool) -> str:
     return f"double {deg} {dimw}" if double else f"{deg} {dimw}"
 
 
-@dataclass(frozen=True)
-class DualReport:
+class DualReport(namedtuple("DualReport", "space description dual_dim x_moduli "
+                            "dual_moduli agree j_dim")):
     """X vs the variety attached to its projective-dual hypersurface."""
 
-    space: str
-    description: str
-    dual_dim: int
-    x_moduli: ModuliReport
-    dual_moduli: ModuliReport
-    agree: bool
-    j_dim: int
+    __slots__ = ()
 
 
 def dual_correspondence(space: HomogSpace) -> DualReport:
@@ -687,10 +674,11 @@ def dual_correspondence(space: HomogSpace) -> DualReport:
 # Calabi-Yau-type verdicts
 
 
-@dataclass(frozen=True)
-class CYTypeReport:
-    clauses: tuple[tuple[str, str, str], ...]  # (name, status, detail)
-    verdict: str  # cy-type | not-cy-type | inconclusive
+class CYTypeReport(namedtuple("CYTypeReport", "clauses verdict")):
+    """``clauses``: (name, status, detail) triples; ``verdict``: cy-type,
+    not-cy-type or inconclusive."""
+
+    __slots__ = ()
 
 
 def _clause(name: str, row: HodgeRow, cells, ok: str) -> tuple[str, str, str]:

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .catalog import _integer
 
@@ -164,16 +164,13 @@ def jacobian_hilbert(weights, degree: int, k: int) -> int:
     return coefficient(_integer(k, "k"))
 
 
-@dataclass(frozen=True)
-class WeightedHodgeRow:
-    """Primitive middle Hodge numbers of a weighted hypersurface; for odd
-    ``dim`` the primitive part is the whole middle row."""
+class WeightedHodgeRow(namedtuple("WeightedHodgeRow",
+                                  "weights degree dim entries moduli")):
+    """Primitive middle Hodge numbers of a weighted hypersurface: ``entries``
+    holds h^{p, dim-p}_prim for p = 0..dim, and ``moduli`` is dim R_degree.
+    For odd ``dim`` the primitive part is the whole middle row."""
 
-    weights: tuple[int, ...]
-    degree: int
-    dim: int
-    entries: tuple[int, ...]  # h^{p, dim-p}_prim for p = 0..dim
-    moduli: int  # dim R_degree
+    __slots__ = ()
 
     def as_json(self) -> dict:
         return {

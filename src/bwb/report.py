@@ -11,7 +11,7 @@ are still reported as mismatches, but flagged, and do not fail the run.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from collections import namedtuple
 
 from .catalog import Catalog, HomogSpace, default_catalog, space_facts
 from .chase import Iv, exact
@@ -37,18 +37,12 @@ _GROUP_NAMES = {"A": "PSL{m}", "B": "Spin{o}", "C": "PSp{s}", "D": "Spin{e}",
                 "E": "E{n}", "G": "G{n}"}
 
 
-@dataclass(frozen=True)
-class ReportCell:
+class ReportCell(namedtuple("ReportCell", "table row column fixture computed "
+                            "status note", defaults=("",))):
     """One verify cell; its fields, in order, are the columns of every
     rendering and the keys of its JSON payload."""
 
-    table: str
-    row: str
-    column: str
-    fixture: object
-    computed: object
-    status: str
-    note: str = ""
+    __slots__ = ()
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -260,11 +254,10 @@ _CROPS = {
 
 # ------------------------------------------------------------------- driver
 
-@dataclass(frozen=True)
-class VerifyReport:
-    cells: tuple[ReportCell, ...]
-    undocumented: tuple[ReportCell, ...]
-    documented: tuple[ReportCell, ...]
+class VerifyReport(namedtuple("VerifyReport", "cells undocumented documented")):
+    """Every cell, and those of its mismatches not documented and documented."""
+
+    __slots__ = ()
 
     @property
     def exit_code(self) -> int:
@@ -289,8 +282,8 @@ def run_verify(cat: Catalog | None = None,
     for c in cells:
         if c.status == "mismatch":
             if cat.is_documented_discrepancy(c.table, c.row, c.column, c.computed):
-                c = replace(c, note=(c.note + "; " if c.note else "")
-                            + "documented discrepancy")
+                c = c._replace(note=(c.note + "; " if c.note else "")
+                               + "documented discrepancy")
                 flagged.append(c)
             else:
                 undocumented.append(c)
@@ -334,10 +327,10 @@ def render(head, rows, fmt: str, payloads, text=None) -> str:
     return "\n".join(lines)
 
 
-_CELL_HEAD = tuple(f.name for f in fields(ReportCell))
+_CELL_HEAD = ReportCell._fields
 
 
 def render_cells(cells, fmt: str = "text") -> str:
     """Render a sequence of cells as text, markdown, json lines, or csv."""
-    rows = [astuple(c) for c in cells]
+    rows = [tuple(c) for c in cells]
     return render(_CELL_HEAD, rows, fmt, (dict(zip(_CELL_HEAD, r)) for r in rows))

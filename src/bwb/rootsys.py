@@ -21,7 +21,7 @@ coordinates.  Conventions, fixed once and used by every other module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 SERIES = ("A", "B", "C", "D", "E", "G")
@@ -102,34 +102,42 @@ EXPECTED_POSITIVE_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """A root system is determined by its series and rank, so equality and
-    hashing look at those two fields only; every derived field below is
-    built once by :func:`root_system` and marked ``compare=False``.  The
-    hash is computed once per system, with the series letter as its code
-    point, so it does not depend on string-hash randomization and stays
-    right in a pickle read by another process."""
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
 
-    series: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...] = field(compare=False)
-    # positive roots: coefficient vectors over simple roots, sorted by height
-    positive_roots: tuple[tuple[int, ...], ...] = field(compare=False)
-    # fundamental coordinates of each positive root
-    root_coords: tuple[tuple[int, ...], ...] = field(compare=False)
-    # integer coroot coordinates of each positive root
-    coroot_coords: tuple[tuple[int, ...], ...] = field(compare=False)
-    # per node i: (j, cartan[j][i]) for the Dynkin neighbours j of i, the
-    # off-diagonal nonzeros of column i that a reflection at i touches
-    neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False)
-    # nodes ordered by (number of neighbours, index): the pivot's tie-break
-    pivot_order: tuple[int, ...] = field(compare=False)
-    # one step (k, j) per positive coroot, in order of height: the coroot is
-    # alpha_j^vee plus the one of step k (1-based; k = 0 means zero)
-    dim_steps: tuple[tuple[int, int], ...] = field(compare=False)
-    # prod over positive roots of <rho, alpha^vee>, the Weyl denominator
-    dim_den: int = field(compare=False)
+
+class RootSystem(namedtuple("RootSystem", "series rank cartan positive_roots "
+                            "root_coords coroot_coords neighbours pivot_order "
+                            "dim_steps dim_den")):
+    """A root system is determined by its series and rank, so equality and
+    hashing look at those two fields only; every derived field is built once
+    by :func:`root_system`:
+
+    * ``positive_roots``: coefficient vectors over the simple roots, sorted
+      by height; ``root_coords`` and ``coroot_coords`` hold the fundamental
+      and the integer coroot coordinates of each;
+    * ``neighbours[i]``: ``(j, cartan[j][i])`` for the Dynkin neighbours j
+      of i, the off-diagonal nonzeros of column i that a reflection at i
+      touches; ``pivot_order``: the nodes by (number of neighbours, index),
+      the pivot's tie-break;
+    * ``dim_steps``: one step (k, j) per positive coroot, in order of height:
+      the coroot is alpha_j^vee plus the one of step k (1-based; k = 0 means
+      zero); ``dim_den``: prod over positive roots of <rho, alpha^vee>, the
+      Weyl denominator.
+
+    The hash is computed once per system, with the series letter as its code
+    point, so it does not depend on string-hash randomization and stays right
+    in a pickle read by another process.  The instance keeps a ``__dict__``
+    for that cached hash, and refuses every assignment."""
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not RootSystem:
+            return NotImplemented
+        return self.series == other.series and self.rank == other.rank
+
+    __ne__ = object.__ne__  # not tuple's, which would compare every field
 
     @cached_property
     def _hash(self) -> int:
@@ -168,24 +176,37 @@ def root_system(series: str, rank: int) -> RootSystem:
         raise ValueError(f"unsupported rank {rank} for series {series}")
     cartan = _cartan(series, rank)
     d = _lengths(series, rank)
-
-    def fund(coeffs):
-        return tuple(
-            sum(c * cartan[i][j] for j, c in enumerate(coeffs)) for i in range(rank)
-        )
+    neighbours = tuple(
+        tuple((j, cartan[j][i]) for j in range(rank) if j != i and cartan[j][i])
+        for i in range(rank)
+    )
 
     # The positive roots are the closure of the simple roots under simple
     # reflections.  s_i alpha = alpha - <alpha, alpha_i^vee> alpha_i raises
     # coordinate i exactly when that pairing is negative, and keeps length.
-    length_of = {tuple(int(k == j) for k in range(rank)): d[j] for j in range(rank)}
+    # A root's fundamental coordinates are stored as the closure reaches it:
+    # s_i moves them by -c times column i of the Cartan matrix (c the
+    # pairing), which negates coordinate i and changes only its neighbours.
+    length_of = {}
+    fund_of = {}
+    for j in range(rank):
+        simple = tuple(int(k == j) for k in range(rank))
+        length_of[simple] = d[j]
+        fund_of[simple] = tuple(row[j] for row in cartan)
     todo = list(length_of)
     while todo:
         alpha = todo.pop()
-        for i, c in enumerate(fund(alpha)):
+        fa = fund_of[alpha]
+        for i, c in enumerate(fa):
             if c < 0:
                 beta = alpha[:i] + (alpha[i] - c,) + alpha[i + 1:]
                 if beta not in length_of:
+                    fb = list(fa)
+                    fb[i] = -c
+                    for j, a in neighbours[i]:
+                        fb[j] -= c * a
                     length_of[beta] = length_of[alpha]
+                    fund_of[beta] = tuple(fb)
                     todo.append(beta)
 
     positives = sorted(length_of, key=lambda c: (sum(c), c))
@@ -209,10 +230,6 @@ def root_system(series: str, rank: int) -> RootSystem:
             cv.append(num // da)
         coroots.append(tuple(cv))
 
-    neighbours = tuple(
-        tuple((j, cartan[j][i]) for j in range(rank) if j != i and cartan[j][i])
-        for i in range(rank)
-    )
     # The coroots form a root system, so every positive coroot is a smaller
     # one (or zero) plus a simple coroot, and in order of height each pairing
     # <w, alpha^vee> is one addition to an earlier one.
@@ -230,7 +247,7 @@ def root_system(series: str, rank: int) -> RootSystem:
         rank=rank,
         cartan=cartan,
         positive_roots=tuple(positives),
-        root_coords=tuple(fund(a) for a in positives),
+        root_coords=tuple(fund_of[a] for a in positives),
         coroot_coords=tuple(coroots),
         neighbours=neighbours,
         pivot_order=tuple(sorted(range(rank),
@@ -264,12 +281,7 @@ def inversions(rs: RootSystem, w) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class DominanceWalk:
-    dominant: tuple[int, ...] | None
-    length: int
-    singular: bool
-    pivots: tuple[int, ...]
+DominanceWalk = namedtuple("DominanceWalk", "dominant length singular pivots")
 
 
 def to_dominant(rs: RootSystem, w) -> DominanceWalk:

@@ -42,16 +42,18 @@ def full_orbit(rs, w):
     return seen
 
 
+def fund(rs, coeffs):
+    """Fundamental coordinates of sum c_j alpha_j: the dense Cartan product."""
+    return tuple(sum(c * rs.cartan[i][j] for j, c in enumerate(coeffs))
+                 for i in range(rs.rank))
+
+
 def root_strings(rs):
     """Positive roots (sorted by height) and their coroot coordinates by
     root strings: alpha + alpha_j is a root iff q - <alpha, alpha_j^vee> > 0,
     q the length of the alpha_j-string down from alpha.  The reference for
     the reflection closure in ``root_system``."""
-    rank, cartan, d = rs.rank, rs.cartan, _lengths(rs.series, rs.rank)
-
-    def fund(coeffs):
-        return tuple(sum(c * cartan[i][j] for j, c in enumerate(coeffs))
-                     for i in range(rank))
+    rank, d = rs.rank, _lengths(rs.series, rs.rank)
 
     simple = [tuple(int(k == j) for k in range(rank)) for j in range(rank)]
     length_of = {simple[j]: d[j] for j in range(rank)}
@@ -59,7 +61,7 @@ def root_strings(rs):
     while level:
         nxt = set()
         for alpha in level:
-            fc = fund(alpha)
+            fc = fund(rs, alpha)
             for j in range(rank):
                 q = 0
                 lower = list(alpha)
@@ -92,6 +94,8 @@ ROOT_SYSTEMS = ([("A", r) for r in range(1, 12)] + [("B", r) for r in range(1, 8
 def test_reflection_closure_matches_root_strings(series, rank):
     rs = root_system(series, rank)
     assert (rs.positive_roots, rs.coroot_coords) == root_strings(rs)
+    # the closure's sparse column updates equal the dense Cartan product
+    assert rs.root_coords == tuple(fund(rs, a) for a in rs.positive_roots)
 
 
 def test_positive_root_counts():
