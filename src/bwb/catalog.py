@@ -202,8 +202,9 @@ class Catalog(namedtuple("Catalog", "spaces fixtures tables discrepancies path")
             known = ", ".join(sorted(self.spaces))
             raise KeyError(f"unknown space {name!r}; catalog has: {known}") from None
 
-    def fixture(self, name: str, table: str) -> dict | None:
-        return self.fixtures.get(name, {}).get(table)
+    def fixture(self, name: str, table: str) -> dict:
+        """The space's stored values for the table; {} when none are."""
+        return self.fixtures.get(name, {}).get(table, {})
 
     def is_documented_discrepancy(self, table: str, row: str, column: str,
                                   computed) -> bool:
@@ -229,12 +230,16 @@ def load_catalog(path: str | None = None) -> Catalog:
     spaces = {}
     fixtures = {}
     for entry in raw["spaces"]:
-        factors = tuple(
-            Factor(rs=root_system(f["series"], f["rank"]), node=f["node"] - 1)
-            for f in entry["factors"]
-        )
-        spaces[entry["name"]] = HomogSpace(name=entry["name"], factors=factors)
-        fixtures[entry["name"]] = entry.get("fixtures", {})
+        name = entry["name"]
+        factors = []
+        for f in entry["factors"]:
+            rank = _integer(f["rank"], f"rank of {name}")
+            node = _integer(f["node"], f"node of {name}")
+            if not 1 <= node <= rank:
+                raise ValueError(f"node {node} of {name} is outside 1..{rank}")
+            factors.append(Factor(rs=root_system(f["series"], rank), node=node - 1))
+        spaces[name] = HomogSpace(name=name, factors=tuple(factors))
+        fixtures[name] = entry.get("fixtures", {})
     return Catalog(
         spaces=spaces,
         fixtures=fixtures,

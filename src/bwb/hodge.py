@@ -473,12 +473,17 @@ def _section_aut_dim(spec: SectionSpec) -> int | None:
 def deformation_moduli(spec: SectionSpec, route: str | None = None) -> ModuliReport:
     """Number of moduli of X (or of the double cover), via the requested
     route; defaults to the Grassmannian quotient for linear sections and to
-    section counting otherwise."""
+    section counting otherwise.  A double cover has one route,
+    ``double-cover-count``, and refuses any other."""
     space = spec.ambient
     facts = space_facts(space)
     delta = facts["delta"]
 
     if spec.branch_degree is not None:
+        if route in ("grassmannian", "cohomological"):
+            raise ValueError(f"{route} route needs an unbranched section")
+        if route not in (None, "double-cover-count"):
+            raise ValueError(f"unknown route {route!r}")
         _, base, _ = _cover_split(spec)
         aut = _section_aut_dim(base)
         if aut is None:

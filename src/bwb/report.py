@@ -104,59 +104,54 @@ def _facts_cells(cat: Catalog, table: str, cuts) -> list[ReportCell]:
     return cells
 
 
-def _linear33_cells(cat: Catalog) -> list[ReportCell]:
-    return _facts_cells(cat, "linear33", (1,))
-
-
-def _mukai34_cells(cat: Catalog) -> list[ReportCell]:
-    return _facts_cells(cat, "mukai34", (2,))
-
-
-def _series41_cells(cat: Catalog) -> list[ReportCell]:
-    cells = _facts_cells(cat, "series41", ())  # no moduli column here
-    for name in cat.tables["series41"]["rows"]:
-        sp = cat.space(name)
-        fix = cat.fixture(name, "series41")
-        rep = dual_correspondence(sp)
-        cells.append(_cell("series41", name, "dual_degree",
-                           fix.get("dual_degree"), space_facts(sp)["coindex"] - 1,
-                           note=rep.description))
-    return cells
-
-
-def _moduli43_cells(cat: Catalog) -> list[ReportCell]:
+def _series_cells(cat: Catalog) -> list[ReportCell]:
+    """The five tables on the series spaces (series41, moduli43, dual44,
+    lemma_nonvan, lemma_van), computed in one walk over series41's rows."""
+    rows = cat.tables["series41"]["rows"]
+    other = [t for t in ("moduli43", "dual44")
+             if cat.tables.get(t, {}).get("rows") != rows]
+    if other:
+        raise ValueError(f"rows of {' and '.join(other)} differ from "
+                         f"series41's {', '.join(rows)}")
     cells = []
-    for name in cat.tables["moduli43"]["rows"]:
+    for name in rows:
         sp = cat.space(name)
-        fix = cat.fixture(name, "moduli43")
         facts = space_facts(sp)
-        cells.append(_cell("moduli43", name, "s", fix.get("s"), facts["s"]))
-        cells.append(_cell("moduli43", name, "N", fix.get("N"), facts["N"]))
-        cells.append(_cell("moduli43", name, "aut", fix.get("aut"), _group_name(sp)))
-        cells.append(_cell("moduli43", name, "delta", fix.get("delta"), facts["delta"]))
+        fix, mfix, dfix = (cat.fixture(name, t)
+                           for t in ("series41", "moduli43", "dual44"))
+        moduli = mfix.get("moduli")
+        r, c = facts["index"], facts["coindex"]
+        dual = dual_correspondence(sp)
+        cells += [_cell("series41", name, col, fix.get(col), facts[col])
+                  for col in ("dim", "index", "coindex")]
+        cells.append(_cell("series41", name, "dual_degree", fix.get("dual_degree"),
+                           c - 1, note=dual.description))
+        cells += [_cell("moduli43", name, col, mfix.get(col), facts[col])
+                  for col in ("s", "N", "delta")]
+        cells.append(_cell("moduli43", name, "aut", mfix.get("aut"), _group_name(sp)))
         spec = linear_section(sp, facts["s"])
-        for route in ("grassmannian", "cohomological"):
+        for route, col in (("grassmannian", "moduli"),
+                           ("cohomological", "moduli_cohomological")):
             rep = deformation_moduli(spec, route=route)
-            col = "moduli" if route == "grassmannian" else "moduli_cohomological"
-            cells.append(_cell("moduli43", name, col,
-                               fix.get("moduli"), rep.value, note=f"route={route}"))
-    return cells
-
-
-def _dual44_cells(cat: Catalog) -> list[ReportCell]:
-    cells = []
-    for name in cat.tables["dual44"]["rows"]:
-        sp = cat.space(name)
-        fix = cat.fixture(name, "dual44")
-        mfix = cat.fixture(name, "moduli43")
-        rep = dual_correspondence(sp)
-        cells.append(_cell("dual44", name, "assoc", fix.get("assoc"), rep.description))
-        cells.append(_cell("dual44", name, "dual_moduli", mfix.get("moduli"),
-                           rep.dual_moduli.value, note=f"route={rep.dual_moduli.route}"))
-        cells.append(_cell("dual44", name, "moduli_agree", True, rep.agree))
-        cells.append(_cell("dual44", name, "j_dim",
-                           None if mfix.get("moduli") is None else mfix["moduli"] + 1,
-                           rep.j_dim))
+            cells.append(_cell("moduli43", name, col, moduli, rep.value,
+                               note=f"route={route}"))
+        cells += [
+            _cell("dual44", name, "assoc", dfix.get("assoc"), dual.description),
+            _cell("dual44", name, "dual_moduli", moduli, dual.dual_moduli.value,
+                  note=f"route={dual.dual_moduli.route}"),
+            _cell("dual44", name, "moduli_agree", True, dual.agree),
+            _cell("dual44", name, "j_dim", None if moduli is None else moduli + 1,
+                  dual.j_dim),
+        ]
+        q, dim = lemma_nonvan_check(sp)
+        hits = lemma_van_scan(sp)
+        where = ",".join(f"(p={p},k={k})" for p, k, _q, _d in hits) or "none"
+        cells += [
+            _cell("lemma_nonvan", name, "degree", r + 2, q),
+            _cell("lemma_nonvan", name, "dim", 1, dim),
+            _cell("lemma_van", name, "cells", 1, len(hits)),
+            _cell("lemma_van", name, "at", f"(p={c - 2},k={r - c + 1})", where),
+        ]
     return cells
 
 
@@ -200,22 +195,6 @@ def _quadric34_cells(cat: Catalog) -> list[ReportCell]:
     return cells
 
 
-def _lemma_cells(cat: Catalog) -> list[ReportCell]:
-    cells = []
-    for name in cat.tables["series41"]["rows"]:
-        sp = cat.space(name)
-        facts = space_facts(sp)
-        r, c = facts["index"], facts["coindex"]
-        q, dim = lemma_nonvan_check(sp)
-        cells.append(_cell("lemma_nonvan", name, "degree", r + 2, q))
-        cells.append(_cell("lemma_nonvan", name, "dim", 1, dim))
-        hits = lemma_van_scan(sp)
-        cells.append(_cell("lemma_van", name, "cells", 1, len(hits)))
-        where = ",".join(f"(p={p},k={k})" for p, k, _q, _d in hits) or "none"
-        cells.append(_cell("lemma_van", name, "at", f"(p={c - 2},k={r - c + 1})", where))
-    return cells
-
-
 def _theta_cells(cat: Catalog) -> list[ReportCell]:
     row = section_hodge(linear_section(cat.space("LG(3,6)"), 1))
     n = row.n
@@ -243,11 +222,12 @@ def _middle41_cells(cat: Catalog) -> list[ReportCell]:
 
 # table id, as verify prints it -> the crop that computes its cells
 _CROPS = {
-    "linear33": _linear33_cells, "mukai34": _mukai34_cells,
-    "series41": _series41_cells, "moduli43": _moduli43_cells,
-    "dual44": _dual44_cells, "weighted31": _weighted31_cells,
-    "quadric34": _quadric34_cells, "lemma_nonvan": _lemma_cells,
-    "lemma_van": _lemma_cells, "theta35": _theta_cells,
+    "linear33": lambda cat: _facts_cells(cat, "linear33", (1,)),
+    "mukai34": lambda cat: _facts_cells(cat, "mukai34", (2,)),
+    "series41": _series_cells, "moduli43": _series_cells,
+    "dual44": _series_cells, "weighted31": _weighted31_cells,
+    "quadric34": _quadric34_cells, "lemma_nonvan": _series_cells,
+    "lemma_van": _series_cells, "theta35": _theta_cells,
     "middle41": _middle41_cells,
 }
 
@@ -273,7 +253,7 @@ def run_verify(cat: Catalog | None = None,
     if missing:
         raise ValueError(f"unknown table {', '.join(missing)}; "
                          f"known: {', '.join(_CROPS)}")
-    # each crop runs once, though lemma_nonvan and lemma_van share one
+    # each crop runs once, though the five series tables share one
     crops = dict.fromkeys(_CROPS[t] for t in tables or _CROPS)
     cells = sorted((c for f in crops for c in f(cat)
                     if not tables or c.table in tables), key=lambda c: c.key)

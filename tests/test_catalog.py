@@ -23,6 +23,7 @@ from bwb.bott import (
     trivial_bundle,
 )
 from bwb.catalog import default_catalog, load_catalog, projective_space, space_facts
+from bwb.cli import main
 from bwb.hodge import (
     chase_section_forms,
     chi_section_forms,
@@ -284,6 +285,26 @@ def test_env_override_and_schema_guard(tmp_path, monkeypatch):
     override = load_catalog()
     assert list(override.spaces) == ["S10"]
     assert override.path == str(small)
+
+
+@pytest.mark.parametrize("node", [0, 9, "5", 5.0])
+def test_a_node_outside_its_factor_is_refused_at_load(tmp_path, monkeypatch, node):
+    raw = json.load(open(default_catalog().path, encoding="utf-8"))
+    for entry in raw["spaces"]:
+        if entry["name"] == "S10":
+            entry["factors"][0]["node"] = node
+    bad = tmp_path / "bad-node.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="node .*S10") as exc:
+        load_catalog(str(bad))
+    assert str(node) in str(exc.value)
+    # the CLI exits with the same message, not a traceback or a wrong answer
+    monkeypatch.setenv("BWB_CATALOG", str(bad))
+    for argv in (["bott", "--space", "S10", "--form", "1"],
+                 ["hodge", "--space", "S10", "--cut", "2"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == str(exc.value)
 
 
 # (dim, index, coindex, N, delta)

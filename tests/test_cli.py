@@ -15,7 +15,7 @@ from bwb.catalog import load_catalog
 from bwb.chase import Iv
 from bwb.cli import main
 from bwb.hodge import section_hodge, section_spec
-from bwb.report import _cell
+from bwb.report import _CROPS, _cell, run_verify
 
 
 def run_cli(capsys, argv):
@@ -232,6 +232,46 @@ def test_verify_fails_when_a_documented_value_drifts(capsys, tmp_path,
     assert rc == 1
     assert "documented discrepancy" not in out
     assert out.rstrip().endswith("0 documented discrepancies, 1 undocumented")
+
+
+def test_each_table_filter_gives_the_full_run_cells():
+    cat = load_catalog()
+    full = run_verify(cat).cells
+    for table in _CROPS:
+        want = [c for c in full if c.table == table]
+        assert want and list(run_verify(cat, (table,)).cells) == want, table
+
+
+def test_a_missing_fixture_block_reads_as_absent(capsys, tmp_path, monkeypatch):
+    raw = json.loads(resources.files("bwb").joinpath("data/catalog.json").read_text())
+    for entry in raw["spaces"]:
+        if entry["name"] == "(P1)^6":
+            del entry["fixtures"]["linear33"]
+    trimmed = tmp_path / "trimmed.json"
+    trimmed.write_text(json.dumps(raw))
+    monkeypatch.setenv("BWB_CATALOG", str(trimmed))
+    rc, out = run_cli(capsys, ["verify", "--table", "linear33", "--json"])
+    assert rc == 0
+    cells = [json.loads(line) for line in out.splitlines()]
+    absent = {c["column"] for c in cells if c["row"] == "(P1)^6"
+              and c["status"] == "fixture-absent"}
+    assert absent == {"dim", "index", "moduli"}
+
+
+@pytest.mark.parametrize("table, argv", [("moduli43", ["verify"]),
+                                         ("dual44", ["verify", "--table", "series41"])])
+def test_series_tables_must_share_their_rows(tmp_path, monkeypatch, table, argv):
+    raw = json.loads(resources.files("bwb").joinpath("data/catalog.json").read_text())
+    if table == "moduli43":
+        raw["tables"]["moduli43"]["rows"] = ["OP2", "S12", "S14"]
+    else:  # a missing table lists no rows
+        del raw["tables"]["dual44"]
+    broken = tmp_path / "rows.json"
+    broken.write_text(json.dumps(raw))
+    monkeypatch.setenv("BWB_CATALOG", str(broken))
+    with pytest.raises(SystemExit, match=f"rows of {table} differ from series41's") as exc:
+        main(argv)
+    assert exc.value.code not in (0, None)
 
 
 def test_timestamp_flag_controls_determinism(capsys):

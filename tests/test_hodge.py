@@ -301,6 +301,36 @@ def test_double_cover_of_theta():
     assert resolved - report.value == 1
 
 
+def test_double_cover_moduli_honours_the_route():
+    spec = section_spec(projective_space(5), (), branch=4)
+    for route in (None, "double-cover-count"):
+        report = deformation_moduli(spec, route=route)
+        assert (report.route, report.value) == ("double-cover-count", 90)
+    for route in ("grassmannian", "cohomological"):
+        with pytest.raises(ValueError, match=f"{route} route needs an unbranched section"):
+            deformation_moduli(spec, route=route)
+    with pytest.raises(ValueError, match="unknown route 'no-such-route'"):
+        deformation_moduli(spec, route="no-such-route")
+
+
+@pytest.mark.parametrize("spec, route, message", [
+    (section_spec(CAT.space("S10")), None, "the ambient space itself has no moduli"),
+    (section_spec(CAT.space("S10"), (2,)), "grassmannian",
+     "grassmannian route needs linear cuts"),
+    (section_spec(CAT.space("S10"), (1, 2)), "cohomological",
+     "cohomological route needs cuts of equal degree"),
+    (section_spec(CAT.space("S10"), (1, 2)), None,  # cohomological by default
+     "cohomological route needs cuts of equal degree"),
+    (section_spec(CAT.space("S10"), (1,)), "no-such-route", "unknown route 'no-such-route'"),
+    (section_spec(CAT.space("S10"), (1,), branch=2), None,
+     "automorphism dimension of .* is not stored"),
+], ids=["no-cuts", "grassmannian-nonlinear", "cohomological-unequal",
+        "default-unequal", "unknown-route", "cover-base-aut-unknown"])
+def test_every_deformation_moduli_refusal(spec, route, message):
+    with pytest.raises(ValueError, match=message):
+        deformation_moduli(spec, route=route)
+
+
 @pytest.mark.parametrize("ambient, cuts, branch",
                          [("P5", (), 4), ("P5", (), 8), ("LG(3,6)", (1,), 2)])
 def test_cover_provenance_holds_its_base_table_facts(ambient, cuts, branch):
