@@ -177,7 +177,6 @@ def space_facts(space: HomogSpace) -> dict:
         "N": space.n_plus_one - 1,
         "delta": space.delta,
         "s": space.dim - 2 * space.coindex + 1,
-        "cominuscule": space.cominuscule,
     }
 
 
@@ -201,6 +200,12 @@ class Catalog(namedtuple("Catalog", "spaces fixtures tables discrepancies path")
         except KeyError:
             known = ", ".join(sorted(self.spaces))
             raise KeyError(f"unknown space {name!r}; catalog has: {known}") from None
+
+    def table(self, name: str) -> dict:
+        try:
+            return self.tables[name]
+        except KeyError:
+            raise KeyError(f"catalog {self.path} has no table {name!r}") from None
 
     def fixture(self, name: str, table: str) -> dict:
         """The space's stored values for the table; {} when none are."""
@@ -233,11 +238,19 @@ def load_catalog(path: str | None = None) -> Catalog:
         name = entry["name"]
         factors = []
         for f in entry["factors"]:
-            rank = _integer(f["rank"], f"rank of {name}")
-            node = _integer(f["node"], f"node of {name}")
+            try:
+                series, rank, node = f["series"], f["rank"], f["node"]
+            except KeyError as exc:
+                raise ValueError(f"a factor of {name} has no {exc.args[0]!r}") from None
+            rank = _integer(rank, f"rank of {name}")
+            node = _integer(node, f"node of {name}")
             if not 1 <= node <= rank:
                 raise ValueError(f"node {node} of {name} is outside 1..{rank}")
-            factors.append(Factor(rs=root_system(f["series"], rank), node=node - 1))
+            try:
+                rs = root_system(series, rank)
+            except ValueError as exc:
+                raise ValueError(f"space {name}: {exc}") from None
+            factors.append(Factor(rs=rs, node=node - 1))
         spaces[name] = HomogSpace(name=name, factors=tuple(factors))
         fixtures[name] = entry.get("fixtures", {})
     return Catalog(

@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import comb
 
 from .bott import euler_char, forms_cohomology
-from .catalog import HomogSpace, _integer, projective_space, space_facts
+from .catalog import HomogSpace, _integer, projective_space
 from .chase import Iv, exact, ses_middle, solve_exact_complex, unknown
 
 # Spaces whose minimal linear sections of dimension 2*coindex - 1 carry a
@@ -375,15 +375,19 @@ def _provenance(spec: SectionSpec) -> list[str]:
             + _consumed_facts(divisor, spec.dim - 1, (half, _vneg(half))))
 
 
-def section_hodge(spec: SectionSpec) -> HodgeRow:
-    """Middle Hodge numbers of a complete intersection in a cominuscule
-    space (or of the space itself when there are no cuts)."""
-    if spec.branch_degree is not None:
-        raise ValueError("branched specs are handled by double_cover_hodge")
+def _check_ambient(spec: SectionSpec) -> None:
+    """The gate of both Hodge tables: a cominuscule ambient, and a Fano or
+    Calabi-Yau X (or double cover)."""
     if not spec.ambient.cominuscule:
         raise ValueError(f"{spec.ambient.name} is not cominuscule")
     if any(r < 0 for r in spec.residual_index):
         raise ValueError(f"{spec.describe()} is neither Fano nor Calabi-Yau")
+
+
+def section_hodge(spec: SectionSpec) -> HodgeRow:
+    """Middle Hodge numbers of a complete intersection in a cominuscule
+    space (or of the space itself when there are no cuts)."""
+    _check_ambient(spec)
     return HodgeRow(spec, hodge_table(spec))
 
 
@@ -396,10 +400,7 @@ def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
     """
     if spec.branch_degree is None:
         raise ValueError("double_cover_hodge needs a branch degree")
-    if not spec.ambient.cominuscule:
-        raise ValueError(f"{spec.ambient.name} is not cominuscule")
-    if any(r < 0 for r in spec.residual_index):
-        raise ValueError(f"{spec.describe()} is neither Fano nor Calabi-Yau")
+    _check_ambient(spec)
     n_y = spec.dim
     half, base, divisor = _cover_split(spec)
     base_table = hodge_table(base)
@@ -476,8 +477,7 @@ def deformation_moduli(spec: SectionSpec, route: str | None = None) -> ModuliRep
     section counting otherwise.  A double cover has one route,
     ``double-cover-count``, and refuses any other."""
     space = spec.ambient
-    facts = space_facts(space)
-    delta = facts["delta"]
+    delta = space.delta
 
     if spec.branch_degree is not None:
         if route in ("grassmannian", "cohomological"):
@@ -561,29 +561,11 @@ def ci_moduli(ambient_proj_dim: int, degrees) -> ModuliReport:
     )
 
 
-def double_cover_ci_moduli(n: int, branch: int) -> ModuliReport:
-    """Moduli of a double cover of P^n branched in degree ``branch``."""
-    if branch % 2 or branch < 2:
-        raise ValueError("branch degree must be even and positive")
-    if branch // 2 > n + 1:
-        raise ValueError("not Fano or Calabi-Yau")
-    sections = comb(n + branch, branch)
-    pgl = (n + 1) ** 2 - 1
-    return ModuliReport(
-        value=sections - 1 - pgl,
-        route="double-cover-count",
-        inputs=(("sections", sections), ("pgl", pgl)),
-    )
-
-
-def closed_form_hcc1(space, s: int | None = None) -> int:
+def closed_form_hcc1(space, s: int) -> int:
     """dim Sym^{c-1}(C^s) - s^2 = C(s+c-2, c-1) - s^2, the moduli count of
-    a codimension-s linear section of the catalog space ``space`` (coindex c;
-    s defaults to index - c + 1): an oracle independent of the Hodge route."""
-    facts = space_facts(space)
-    c = facts["coindex"]
-    if s is None:
-        s = facts["index"] - c + 1
+    a codimension-s linear section of the catalog space ``space`` (coindex
+    c): an oracle independent of the Hodge route."""
+    c = space.coindex
     return comb(s + c - 2, c - 1) - s * s
 
 
@@ -592,8 +574,7 @@ def closed_form_hcc1(space, s: int | None = None) -> int:
 
 
 def _series_facts(space: HomogSpace) -> tuple[int, int]:
-    facts = space_facts(space)
-    r, c = facts["index"], facts["coindex"]
+    r, c = space.picard_index, space.coindex
     if space.name not in SPECIAL_SERIES:
         raise ValueError(f"{space.name} is outside the special series")
     return r, c
@@ -662,7 +643,8 @@ def dual_correspondence(space: HomogSpace) -> DualReport:
         dual_moduli = ci_moduli(pdim, (degree,))
         dual_dim = pdim - 1
     else:
-        dual_moduli = double_cover_ci_moduli(pdim, degree)
+        dual_moduli = deformation_moduli(
+            section_spec(projective_space(pdim), branch=degree))
         dual_dim = pdim
     return DualReport(
         space=space.name,
@@ -751,7 +733,6 @@ __all__ = [
     "deformation_moduli",
     "moduli_routes",
     "ci_moduli",
-    "double_cover_ci_moduli",
     "closed_form_hcc1",
     "lemma_nonvan_check",
     "lemma_van_scan",

@@ -89,7 +89,7 @@ def _weights_label(weights) -> str:
 def _facts_cells(cat: Catalog, table: str, cuts) -> list[ReportCell]:
     """dim/index(/coindex) columns plus the moduli column of a section table."""
     cells = []
-    tab = cat.tables[table]
+    tab = cat.table(table)
     for name in tab["rows"]:
         sp = cat.space(name)
         fix = cat.fixture(name, table)
@@ -107,7 +107,7 @@ def _facts_cells(cat: Catalog, table: str, cuts) -> list[ReportCell]:
 def _series_cells(cat: Catalog) -> list[ReportCell]:
     """The five tables on the series spaces (series41, moduli43, dual44,
     lemma_nonvan, lemma_van), computed in one walk over series41's rows."""
-    rows = cat.tables["series41"]["rows"]
+    rows = cat.table("series41")["rows"]
     other = [t for t in ("moduli43", "dual44")
              if cat.tables.get(t, {}).get("rows") != rows]
     if other:
@@ -157,7 +157,7 @@ def _series_cells(cat: Catalog) -> list[ReportCell]:
 
 def _weighted31_cells(cat: Catalog) -> list[ReportCell]:
     cells = []
-    for row in cat.tables["weighted31"]["rows"]:
+    for row in cat.table("weighted31")["rows"]:
         name = row["name"]
         reading = row.get("reading")
         if reading is None:
@@ -183,7 +183,7 @@ def _weighted31_cells(cat: Catalog) -> list[ReportCell]:
 
 def _quadric34_cells(cat: Catalog) -> list[ReportCell]:
     cells = []
-    for name in cat.tables["quadric34"]["rows"]:
+    for name in cat.table("quadric34")["rows"]:
         sp = cat.space(name)
         fix = cat.fixture(name, "quadric34")
         row = section_hodge(section_spec(sp, (2,)))
@@ -207,7 +207,7 @@ def _theta_cells(cat: Catalog) -> list[ReportCell]:
 
 def _middle41_cells(cat: Catalog) -> list[ReportCell]:
     cells = []
-    for name in cat.tables["series41"]["rows"]:
+    for name in cat.table("series41")["rows"]:
         sp = cat.space(name)
         facts = space_facts(sp)
         mfix = cat.fixture(name, "moduli43").get("moduli")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from math import factorial
 
 SERIES = ("A", "B", "C", "D", "E", "G")
 
@@ -33,21 +34,14 @@ WEYL_ORDERS = {
 }
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def weyl_order(series: str, rank: int) -> int:
     """Order of the Weyl group, used by enumeration cross-checks."""
     if series == "A":
-        return _factorial(rank + 1)
+        return factorial(rank + 1)
     if series in ("B", "C"):
-        return 2**rank * _factorial(rank)
+        return 2**rank * factorial(rank)
     if series == "D":
-        return 2 ** (rank - 1) * _factorial(rank)
+        return 2 ** (rank - 1) * factorial(rank)
     return WEYL_ORDERS[(series, rank)]
 
 

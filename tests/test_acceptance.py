@@ -112,7 +112,7 @@ def test_criterion_03_middle_hodge_and_moduli_agree():
         m = (sp.dim - s) // 2
         middle = row.entry(m + 1, m)
         assert middle.exact and middle.lo == count, name
-        assert closed_form_hcc1(sp) == count, name
+        assert closed_form_hcc1(sp, s) == count, name
         for route in ("grassmannian", "cohomological"):
             assert deformation_moduli(spec, route).value == count, (name, route)
     assert time.perf_counter() - t0 < 30.0

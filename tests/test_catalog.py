@@ -307,6 +307,33 @@ def test_a_node_outside_its_factor_is_refused_at_load(tmp_path, monkeypatch, nod
         assert exit_.value.code == str(exc.value)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("rank", 3, "space OP2: only E6 and E7 are supported"),
+    ("series", "X", "space OP2: unknown series 'X'"),
+    ("series", None, "a factor of OP2 has no 'series'"),  # None: key deleted
+], ids=["rank", "series", "no-series"])
+def test_a_bad_factor_is_refused_at_load_with_its_space(tmp_path, monkeypatch,
+                                                         key, value, message):
+    raw = json.load(open(default_catalog().path, encoding="utf-8"))
+    for entry in raw["spaces"]:
+        if entry["name"] == "OP2":
+            factor = entry["factors"][0]
+            if value is None:
+                del factor[key]
+            else:
+                factor[key] = value
+    bad = tmp_path / "bad-factor.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(ValueError) as exc:
+        load_catalog(str(bad))
+    assert str(exc.value) == message
+    # a command about another space exits with that message, no traceback
+    monkeypatch.setenv("BWB_CATALOG", str(bad))
+    with pytest.raises(SystemExit) as exit_:
+        main(["bott", "--space", "S10", "--form", "1"])
+    assert exit_.value.code == message
+
+
 # (dim, index, coindex, N, delta)
 FACTS = {
     "OP2": (16, 12, 4, 26, 78),

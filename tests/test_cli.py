@@ -258,6 +258,20 @@ def test_a_missing_fixture_block_reads_as_absent(capsys, tmp_path, monkeypatch):
     assert absent == {"dim", "index", "moduli"}
 
 
+def test_a_missing_table_is_named(capsys, tmp_path, monkeypatch):
+    _, mukai = run_cli(capsys, ["verify", "--table", "mukai34"])
+    raw = json.loads(resources.files("bwb").joinpath("data/catalog.json").read_text())
+    del raw["tables"]["linear33"]
+    trimmed = tmp_path / "no-linear33.json"
+    trimmed.write_text(json.dumps(raw))
+    monkeypatch.setenv("BWB_CATALOG", str(trimmed))
+    for argv in (["verify"], ["verify", "--table", "linear33"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == f"catalog {trimmed} has no table 'linear33'"
+    assert run_cli(capsys, ["verify", "--table", "mukai34"]) == (0, mukai)
+
+
 @pytest.mark.parametrize("table, argv", [("moduli43", ["verify"]),
                                          ("dual44", ["verify", "--table", "series41"])])
 def test_series_tables_must_share_their_rows(tmp_path, monkeypatch, table, argv):

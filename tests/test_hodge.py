@@ -22,7 +22,6 @@ from bwb.hodge import (
     closed_form_hcc1,
     cy_type_verdict,
     deformation_moduli,
-    double_cover_ci_moduli,
     double_cover_hodge,
     dual_correspondence,
     hodge_table,
@@ -53,10 +52,11 @@ def test_maximal_linear_sections_middle_rows():
 def test_middle_equals_moduli_all_routes():
     for name, count in SERIES_MODULI.items():
         space = CAT.space(name)
-        spec = linear_section(space, space_facts(space)["s"])
+        s = space_facts(space)["s"]
+        spec = linear_section(space, s)
         routes = {m.route: m.value for m in moduli_routes(spec)}
         assert routes == {"grassmannian": count, "cohomological": count}, name
-        assert closed_form_hcc1(space) == count
+        assert closed_form_hcc1(space, s) == count
         row = section_hodge(spec)
         m = (row.n - 1) // 2
         assert row.entry(m + 1, m).exact
@@ -87,6 +87,25 @@ def test_double_cover_hodge_rejects_non_cominuscule():
         double_cover_hodge(spec)
     base = section_spec(CAT.space("G2ad"), ())
     assert chi_section_forms(base, 1, 1) == euler_char(CAT.space("G2ad"), 1, 1)
+
+
+@pytest.mark.parametrize("build, spec, message", [
+    (section_hodge, (projective_space(3), (), 2),
+     "branched specs are handled by double_cover_hodge"),
+    # a branched spec on a bad ambient reports the ambient first
+    (section_hodge, (CAT.space("G2ad"), (), 2), "G2ad is not cominuscule"),
+    (section_hodge, (projective_space(3), (5,), None),
+     r"P3, cut \(5,\) is neither Fano nor Calabi-Yau"),
+    (double_cover_hodge, (projective_space(3), (), None),
+     "double_cover_hodge needs a branch degree"),
+    (double_cover_hodge, (projective_space(3), (), 10),
+     r"P3, double cover branched in \(10,\) is neither Fano nor Calabi-Yau"),
+], ids=["section-branched", "section-branched-non-cominuscule", "section-negative",
+        "cover-unbranched", "cover-negative"])
+def test_every_hodge_table_gate(build, spec, message):
+    ambient, cuts, branch = spec
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(section_spec(ambient, cuts, branch=branch))
 
 
 def test_section_layer_refuses_wrong_length_twists():
@@ -282,10 +301,29 @@ def test_double_covers_of_p5_match_weighted_hypersurfaces():
 
 
 def test_double_cover_moduli_of_p5():
-    assert double_cover_ci_moduli(5, 4).value == 90
-    assert double_cover_ci_moduli(5, 8).value == 1251
+    p5 = projective_space(5)
+    for branch, want in ((4, 90), (8, 1251)):
+        report = deformation_moduli(section_spec(p5, (), branch=branch))
+        assert (report.route, report.value) == ("double-cover-count", want)
     assert steenbrink_hodge((1, 1, 1, 1, 1, 1, 2), 4).moduli == 90
     assert steenbrink_hodge((1, 1, 1, 1, 1, 1, 4), 8).moduli == 1251
+
+
+def test_dual_double_covers_match_their_jacobian_rings():
+    # the dual of an even-degree series space is a double cover of P^{r-c}:
+    # a weighted hypersurface whose Jacobian ring counts the same moduli
+    seen = {}
+    for name in CAT.table("series41")["rows"]:
+        space = CAT.space(name)
+        r, c = space.picard_index, space.coindex
+        if (c - 1) % 2:
+            continue
+        dual = dual_correspondence(space).dual_moduli
+        ring = steenbrink_hodge((1,) * (r - c + 1) + ((c - 1) // 2,), c - 1)
+        assert dual.route == "double-cover-count", name
+        assert dual.value == ring.moduli, name
+        seen[name] = dual.value
+    assert seen == {"S12": 90, "S14": 149}
 
 
 def test_double_cover_of_theta():
