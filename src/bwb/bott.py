@@ -52,7 +52,8 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, starmap
+from math import prod
 
 from .catalog import HomogSpace, _integer
 from .rootsys import minimal_coset_reps, to_dominant, weyl_dim, weyl_dim_levi
@@ -65,11 +66,13 @@ class Bundle(namedtuple("Bundle", "space weights")):
     __slots__ = ()
 
     def twisted(self, k) -> "Bundle":
-        """Tensor with O(k).  Integer ``k`` means k copies of the primitive
-        ample class L; a tuple gives the raw per-factor marked increments."""
+        """Tensor with O(k): k copies of the primitive ample class L, or a
+        tuple of raw per-factor marked increments.  O(0) returns ``self``."""
+        vec = self.space.degree_vector(k)
+        if not any(vec):
+            return self
         new = []
-        for f, w, inc in zip(self.space.factors, self.weights,
-                             self.space.degree_vector(k)):
+        for f, w, inc in zip(self.space.factors, self.weights, vec):
             w = list(w)
             w[f.node] += inc
             new.append(tuple(w))
@@ -390,15 +393,9 @@ def sequence_cohomology(seq):
         seq = tuple([_integer(v, "sequence entry") for v in seq])
     if len(set(seq)) != len(seq):
         return None
-    degree = 0
-    for a, b in combinations(seq, 2):
-        if a < b:
-            degree += 1
-    num = den = 1
-    for a, b in combinations(sorted(seq, reverse=True), 2):
-        num *= a - b
-    for a, b in combinations(range(len(seq) - 1, -1, -1), 2):  # rho
-        den *= a - b
+    degree = sum(starmap(operator.lt, combinations(seq, 2)))
+    num = prod(starmap(operator.sub, combinations(sorted(seq, reverse=True), 2)))
+    den = _vandermonde_den(len(seq), False)
     assert num % den == 0
     return degree, num // den
 
@@ -451,31 +448,41 @@ def spinor_sequence_cohomology(seq, doubled: bool = False):
     for a, b in combinations(s, 2):
         if a == b or a + b == 0:
             return None
-        if a < b:
-            deg += 1
-        if a + b < 0:
-            deg += 1
-    num = den = 1
-    for a, b in combinations(sorted(map(abs, s), reverse=True), 2):
-        num *= a * a - b * b
-    for a, b in combinations(range(2 * len(s) - 2, -1, -2), 2):  # 2 rho
-        den *= a * a - b * b
+        deg += (a < b) + (a + b < 0)
+    num = prod(a * a - b * b
+               for a, b in combinations(sorted(map(abs, s), reverse=True), 2))
+    den = _vandermonde_den(len(s), True)
     assert num % den == 0
     return deg, num // den
 
 
-def _pad_partition(label, parts: int) -> list[int]:
-    """The label as a weakly decreasing list of exactly ``parts``
-    nonnegative integers, trailing zeros added or dropped."""
+@lru_cache(maxsize=None)
+def _vandermonde_den(n: int, squared: bool) -> int:
+    """Product over the pairs of rho = (n-1, ..., 0) of ``a - b``, or of
+    ``a^2 - b^2`` over those of 2 rho when ``squared``: once per length."""
+    return prod(4 * (a * a - b * b) if squared else a - b
+                for a, b in combinations(range(n - 1, -1, -1), 2))
+
+
+def _pad_partition(label, parts: int) -> tuple[int, ...]:
+    """The label as a weakly decreasing tuple of exactly ``parts`` integers
+    >= 0, zeros added or dropped.  Parts go through ``operator.index``
+    before the cache (:func:`_padded`), so 2.0 never takes the slot of 2."""
     try:
-        lam = list(map(operator.index, label))
+        return _padded(tuple(map(operator.index, label)), parts)
     except TypeError:
         raise ValueError(f"label {label!r} must be a sequence of integers") from None
+    except ValueError as exc:
+        raise ValueError(f"{label} {exc}") from None
+
+
+@lru_cache(maxsize=None)
+def _padded(lam: tuple[int, ...], parts: int) -> tuple[int, ...]:
     if any(map(operator.lt, lam, lam[1:])):
-        raise ValueError(f"{label} is not weakly decreasing")
-    if len(lam) > parts and any(c != 0 for c in lam[parts:]):
-        raise ValueError(f"{label} has more than {parts} parts")
+        raise ValueError("is not weakly decreasing")
+    if any(lam[parts:]):
+        raise ValueError(f"has more than {parts} parts")
     lam = lam[:parts]
     if lam and lam[-1] < 0:
-        raise ValueError(f"{label} has negative parts")
-    return lam + [0] * (parts - len(lam))
+        raise ValueError("has negative parts")
+    return lam + (0,) * (parts - len(lam))

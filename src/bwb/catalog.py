@@ -236,12 +236,16 @@ def load_catalog(path: str | None = None) -> Catalog:
     fixtures = {}
     for entry in raw["spaces"]:
         name = entry["name"]
+        if "factors" not in entry:
+            raise ValueError(f"space {name} has no 'factors'")
         factors = []
         for f in entry["factors"]:
             try:
                 series, rank, node = f["series"], f["rank"], f["node"]
             except KeyError as exc:
                 raise ValueError(f"a factor of {name} has no {exc.args[0]!r}") from None
+            if not isinstance(series, str):
+                raise ValueError(f"space {name}: unknown series {series!r}")
             rank = _integer(rank, f"rank of {name}")
             node = _integer(node, f"node of {name}")
             if not 1 <= node <= rank:

@@ -252,11 +252,14 @@ def root_system(series: str, rank: int) -> RootSystem:
 
 
 def simple_reflection(rs: RootSystem, i: int, w) -> tuple[int, ...]:
-    """Reflect the weight ``w`` at node ``i``: subtract ``w_i`` times column
-    ``i`` of the Cartan matrix.  In the simply-laced case this adds coordinate
-    ``i`` to each neighbor and negates coordinate ``i``."""
-    wi = w[i]
-    return tuple(w[j] - wi * rs.cartan[j][i] for j in range(rs.rank))
+    """Reflect ``w`` at node ``i``: subtract ``w_i`` times column ``i`` of the
+    Cartan matrix, whose nonzeros are the 2 at ``i`` and ``rs.neighbours[i]``
+    (the rule ``to_dominant`` applies in place to the same neighbours)."""
+    out = list(w)
+    for j, c in rs.neighbours[i]:
+        out[j] -= w[i] * c
+    out[i] = -w[i]
+    return tuple(out)
 
 
 def inversions(rs: RootSystem, w) -> int:

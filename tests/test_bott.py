@@ -15,6 +15,9 @@ from bwb.bott import (
     _factor_forms,
     _factor_group,
     _kostant_pairings,
+    _pad_partition,
+    _padded,
+    _vandermonde_den,
     bott,
     bundle,
     euler_char,
@@ -370,6 +373,68 @@ def test_schur_inputs_must_be_integers():
     # integer-like values that are not floats still pass
     assert grassmann_bundle(g26, (True,), (), False) == grassmann_bundle(g26, (1,), ())
     assert bundle(s10, [[0, 0, 0, 0, -8]]) == bundle(s10, [(0,) * 5], -8)
+
+
+# (label, parts) -> the refusal text, unchanged since before the label cache
+LABEL_REFUSALS = [
+    ((2.0, 1), 2, "label (2.0, 1) must be a sequence of integers"),
+    ([1.5], 2, "label [1.5] must be a sequence of integers"),
+    (3, 2, "label 3 must be a sequence of integers"),
+    ([1, 2], 2, "[1, 2] is not weakly decreasing"),
+    ((1, 1, 1), 2, "(1, 1, 1) has more than 2 parts"),
+    ([1, -1], 3, "[1, -1] has negative parts"),
+]
+
+
+def test_a_refused_schur_label_keeps_its_text_and_leaves_no_cache_entry():
+    _padded.cache_clear()
+    for label, parts, text in LABEL_REFUSALS:
+        with pytest.raises(ValueError) as exc:
+            _pad_partition(label, parts)
+        assert str(exc.value) == text
+    assert _padded.cache_info().currsize == 0
+    # (2.0, 1) == (2, 1): a key built before the integer gate would share
+    # the slot; the integer label is padded with ints
+    got = _pad_partition((2, 1), 3)
+    assert got == (2, 1, 0) and all(type(c) is int for c in got)
+    with pytest.raises(ValueError, match="must be a sequence of integers"):
+        _pad_partition((2.0, 1), 3)
+    assert _padded.cache_info().currsize == 1
+
+
+def test_list_and_tuple_labels_pad_to_one_tuple():
+    _padded.cache_clear()
+    got = _pad_partition([2, 1], 4)
+    assert type(got) is tuple and got == (2, 1, 0, 0)
+    assert _pad_partition((2, 1), 4) is got  # one cache entry for both
+    assert _pad_partition((True, 0, 0, 0, 0), 2) == (1, 0)
+    assert _padded.cache_info().currsize == 2
+
+
+def test_each_vandermonde_denominator_equals_the_explicit_product():
+    for n in range(1, 13):
+        rho_den = two_rho_den = 1
+        for a, b in itertools.combinations(range(n - 1, -1, -1), 2):
+            rho_den *= a - b
+        for a, b in itertools.combinations(range(2 * n - 2, -1, -2), 2):
+            two_rho_den *= a * a - b * b
+        assert _vandermonde_den(n, False) == rho_den, n
+        assert _vandermonde_den(n, True) == two_rho_den, n
+
+
+def test_the_zero_twist_returns_the_bundle_and_keeps_the_integer_gate():
+    s10, p3p3 = CAT.space("S10"), CAT.space("P3xP3")
+    b = bundle(s10, ((0, 1, 0, 0, -3),))
+    for zero in (0, (0,), [0], False):
+        assert b.twisted(zero) is b
+    assert bundle(s10, ((0, 1, 0, 0, -3),), 0) == b
+    assert b.twisted(1) == bundle(s10, ((0, 1, 0, 0, -2),))
+    pair = trivial_bundle(p3p3)
+    assert pair.twisted((0, 0)) is pair
+    assert pair.twisted((0, 1)).weights == ((0, 0, 0), (1, 0, 0))
+    for bad in (0.0, (0.0,), (0, 0)):
+        with pytest.raises(ValueError):
+            b.twisted(bad)
 
 
 def test_schur_constructors_refuse_product_spaces():

@@ -311,17 +311,21 @@ def test_a_node_outside_its_factor_is_refused_at_load(tmp_path, monkeypatch, nod
     ("rank", 3, "space OP2: only E6 and E7 are supported"),
     ("series", "X", "space OP2: unknown series 'X'"),
     ("series", None, "a factor of OP2 has no 'series'"),  # None: key deleted
-], ids=["rank", "series", "no-series"])
+    # a list series used to reach root_system's cache: "unhashable type"
+    ("series", ["E"], "space OP2: unknown series ['E']"),
+    # a key of the space, not of its factor; it used to print only "factors"
+    ("factors", None, "space OP2 has no 'factors'"),
+], ids=["rank", "series", "no-series", "list-series", "no-factors"])
 def test_a_bad_factor_is_refused_at_load_with_its_space(tmp_path, monkeypatch,
                                                          key, value, message):
     raw = json.load(open(default_catalog().path, encoding="utf-8"))
     for entry in raw["spaces"]:
         if entry["name"] == "OP2":
-            factor = entry["factors"][0]
+            target = entry if key == "factors" else entry["factors"][0]
             if value is None:
-                del factor[key]
+                del target[key]
             else:
-                factor[key] = value
+                target[key] = value
     bad = tmp_path / "bad-factor.json"
     bad.write_text(json.dumps(raw))
     with pytest.raises(ValueError) as exc:

@@ -243,6 +243,35 @@ def test_reflection_preserves_orbit_data(case):
         assert other.dominant == walk.dominant
 
 
+def cartan_column_reflection(rs, i, w):
+    """The dense reflection: subtract ``w_i`` times column ``i`` of the
+    Cartan matrix, every node included.  The reference for
+    ``simple_reflection``, which touches the Dynkin neighbours only."""
+    return tuple(w[j] - w[i] * rs.cartan[j][i] for j in range(rs.rank))
+
+
+# B, C and G have cartan[j][i] = -2 or -3 at a neighbour
+REFLECTION_SYSTEMS = [("A", 1), ("A", 5), ("B", 3), ("B", 5), ("C", 3),
+                      ("C", 4), ("D", 4), ("D", 7), ("E", 6), ("E", 7), ("G", 2)]
+
+
+def test_simple_reflection_equals_the_cartan_column_formula():
+    rng = random.Random(20261019)
+    cases = 0
+    for ser, rk in REFLECTION_SYSTEMS:
+        rs = root_system(ser, rk)
+        for _ in range(120):
+            w = [rng.randint(-9, 9) for _ in range(rk)]
+            before = list(w)
+            for i in range(rk):
+                got = simple_reflection(rs, i, w)
+                assert got == cartan_column_reflection(rs, i, w), (rs, i, w)
+                assert simple_reflection(rs, i, tuple(w)) == got
+                cases += 1
+            assert w == before  # the input list is read, not changed
+    assert cases == 120 * sum(rk for _, rk in REFLECTION_SYSTEMS)
+
+
 # Every supported root system the walk oracle below draws from.
 ORACLE_SYSTEMS = (
     [("A", r) for r in range(1, 11)]
