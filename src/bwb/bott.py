@@ -309,9 +309,9 @@ def euler_char(space: HomogSpace, p: int, k=0) -> int:
     The class of Omega^p in K-theory is the sum of the lines with weights
     -(alpha_1 + ... + alpha_p) over p-subsets of the nilradical roots of each
     factor, so chi is a signed sum of Weyl dimensions.  Works on any marked
-    space; cost is binomial in the factor dimension (guarded).  Each weight
-    is walked with ``to_dominant``, which :func:`forms_cohomology` never
-    calls, so the two share no Bott code.
+    space; cost is binomial in the factor dimension (guarded).  Each weight's
+    group is read from the walk cache :func:`_factor_group`, which
+    :func:`forms_cohomology` never reads, so the two share no Bott code.
     """
     p = _integer(p, "form degree")
     down = tuple(-v for v in space.degree_vector(k))
@@ -321,20 +321,17 @@ def euler_char(space: HomogSpace, p: int, k=0) -> int:
             raise ValueError(f"factor {f.describe()} too large for weight-level chi")
         by_p = []
         for pf in range(min(p, f.dim) + 1):
-            acc = {}
+            chi = 0
             for subset in combinations(f.u_root_indices, pf):
                 w = [0] * f.rs.rank
                 for i in subset:
                     for j, c in enumerate(f.rs.root_coords[i]):
                         w[j] -= c
                 w[f.node] += inc
-                walk = to_dominant(f.rs, tuple(c + 1 for c in w))
-                if walk.singular:
-                    continue
-                mu = tuple(c - 1 for c in walk.dominant)
-                sign = -1 if walk.length % 2 else 1
-                acc[mu] = acc.get(mu, 0) + sign
-            by_p.append(sum(s * weyl_dim(f.rs, mu) for mu, s in acc.items()))
+                g = _factor_group(f.rs, tuple(w))
+                if g is not None:
+                    chi += -g[2] if g[0] % 2 else g[2]
+            by_p.append(chi)
         per_factor.append(by_p)
 
     def rec(i, left):

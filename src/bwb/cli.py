@@ -102,8 +102,11 @@ def _parse_schur(space, spec: str, twist: int):
                              f"accepted: {', '.join(accepted)}")
         if name in blocks:
             raise SystemExit(f"--schur block {name!r} is given twice")
-        blocks[name] = tuple(int(x) for x in body.split(",")) if "," in body \
-            else tuple(int(ch) for ch in body)
+        try:
+            blocks[name] = tuple(map(int, body.split(",") if "," in body else body))
+        except ValueError:
+            raise SystemExit(f"--schur block {name!r} has label {body!r}; use digits "
+                             "(21) or comma-separated integers (2,1)") from None
     if series == ["A"]:
         return grassmann_bundle(space, blocks.get("Q*", ()), blocks.get("E", ()),
                                 twist)
@@ -205,8 +208,11 @@ def _cmd_moduli(args) -> int:
         except ValueError:
             pass
         payloads = [{"routes": dict(routes)}]
-        text = [" = ".join(str(v) for _, v in routes)
-                + "  (" + ", ".join(r for r, _ in routes) + ")"]
+        values = [v for _, v in routes]
+        words = [str(v) for v in values[:1]]  # "=" only between equal neighbours
+        for a, b in zip(values, values[1:]):
+            words += ["=" if a == b else "!=", str(b)]
+        text = [" ".join(words) + "  (" + ", ".join(r for r, _ in routes) + ")"]
     else:
         rep = deformation_moduli(spec, route=args.route)
         routes = [(rep.route, rep.value)]

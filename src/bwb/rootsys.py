@@ -101,15 +101,14 @@ def _immutable(self, name, value=None):
 
 
 class RootSystem(namedtuple("RootSystem", "series rank cartan positive_roots "
-                            "root_coords coroot_coords neighbours pivot_order "
+                            "root_coords neighbours pivot_order "
                             "dim_steps dim_den")):
     """A root system is determined by its series and rank, so equality and
     hashing look at those two fields only; every derived field is built once
     by :func:`root_system`:
 
     * ``positive_roots``: coefficient vectors over the simple roots, sorted
-      by height; ``root_coords`` and ``coroot_coords`` hold the fundamental
-      and the integer coroot coordinates of each;
+      by height; ``root_coords`` holds the fundamental coordinates of each;
     * ``neighbours[i]``: ``(j, cartan[j][i])`` for the Dynkin neighbours j
       of i, the off-diagonal nonzeros of column i that a reflection at i
       touches; ``pivot_order``: the nodes by (number of neighbours, index),
@@ -242,7 +241,6 @@ def root_system(series: str, rank: int) -> RootSystem:
         cartan=cartan,
         positive_roots=tuple(positives),
         root_coords=tuple(fund_of[a] for a in positives),
-        coroot_coords=tuple(coroots),
         neighbours=neighbours,
         pivot_order=tuple(sorted(range(rank),
                                  key=lambda i: (len(neighbours[i]), i))),
@@ -263,19 +261,19 @@ def simple_reflection(rs: RootSystem, i: int, w) -> tuple[int, ...]:
 
 
 def inversions(rs: RootSystem, w) -> int:
-    """Number of positive coroots pairing negatively with ``w``.
+    """Number of positive coroots pairing negatively with ``w``, each pairing
+    one step of the ``rs.dim_steps`` chain.
 
     For regular ``w = u(rho + lam)`` this is the length of ``u^{-1}``, hence
     the number of reflections any pivot order needs to reach the chamber.
     """
-    count = 0
-    for cv in rs.coroot_coords:
-        s = sum(w[j] * cv[j] for j in range(rs.rank))
-        if s < 0:
-            count += 1
-        elif s == 0:
+    pairings = [0]
+    for k, j in rs.dim_steps:
+        s = pairings[k] + w[j]
+        if not s:
             return -1  # singular; no well-defined inversion count
-    return count
+        pairings.append(s)
+    return sum(s < 0 for s in pairings)
 
 
 DominanceWalk = namedtuple("DominanceWalk", "dominant length singular pivots")
@@ -329,30 +327,23 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     return num // rs.dim_den
 
 
-@lru_cache(maxsize=None)
-def _levi_coroots(rs: RootSystem, unmarked: frozenset[int]):
-    """Coroots of the positive roots supported on ``unmarked`` nodes, as
-    ``(j, c)`` pairs over their nonzero coordinates, with the product of
-    their heights (the Levi Weyl denominator)."""
-    out = []
-    den = 1
-    for alpha, cv in zip(rs.positive_roots, rs.coroot_coords):
-        if all(j in unmarked for j, a in enumerate(alpha) if a):
-            out.append(tuple((j, c) for j, c in enumerate(cv) if c))
-            den *= sum(cv)
-    return tuple(out), den
-
-
 def weyl_dim_levi(rs: RootSystem, unmarked: frozenset[int], lam) -> int:
     """Weyl dimension over the Levi subsystem spanned by ``unmarked`` nodes.
 
-    Only the positive roots supported on unmarked nodes contribute, so marked
-    coordinates of ``lam`` never enter and any twist leaves the value fixed.
+    Only the positive coroots supported on unmarked nodes contribute, so
+    marked coordinates of ``lam`` never enter and any twist leaves the value
+    fixed.  On the ``rs.dim_steps`` chain the coroot of step ``(k, j)`` is one
+    of them iff the coroot of step ``k`` is and ``j`` is unmarked.
     """
-    coroots, den = _levi_coroots(rs, unmarked)
-    num = 1
-    for cv in coroots:
-        num *= sum((lam[j] + 1) * c for j, c in cv)
+    levi, pairings, heights = [True], [0], [0]
+    num = den = 1
+    for k, j in rs.dim_steps:
+        levi.append(levi[k] and j in unmarked)
+        pairings.append(pairings[k] + lam[j] + 1)
+        heights.append(heights[k] + 1)
+        if levi[-1]:
+            num *= pairings[-1]
+            den *= heights[-1]
     assert num % den == 0
     return num // den
 

@@ -223,6 +223,23 @@ def test_euler_characteristic_oracle_matches_walk():
                 assert walked == euler_char(space, p, k), (name, p, k)
 
 
+def test_euler_characteristic_reads_every_weight_from_the_walk_cache():
+    s10 = CAT.space("S10")
+    f = s10.factors[0]
+    weights = set()
+    for pf in range(3):
+        for subset in itertools.combinations(f.u_root_indices, pf):
+            weights.add(tuple(-sum(f.rs.root_coords[i][j] for i in subset)
+                              for j in range(f.rs.rank)))
+    _factor_group.cache_clear()
+    euler_char(s10, 2, 0)
+    info = _factor_group.cache_info()
+    assert info.currsize == len(weights)
+    for w in weights:
+        _factor_group(f.rs, w)
+    assert _factor_group.cache_info().misses == info.misses
+
+
 def test_euler_characteristic_of_structure_sheaf_is_one():
     for name in ("S10", "OP2", "G(2,10)", "P3xP3", "(P1)^6"):
         assert euler_char(CAT.space(name), 0) == 1, name

@@ -11,28 +11,30 @@ from bwb.chase import ChaseError, Iv, exact, ses_middle, solve_exact_complex, un
 
 
 @st.composite
-def exact_complexes(draw, max_top=4, max_m=3, nonzero=None, paired=False):
+def exact_complexes(draw, max_top=4, max_m=3, nonzero=None, paired=False,
+                    max_dim=5):
     """Image dimensions h^q(B_i) and connecting ranks r_i[q] <=
     min(h^q(B_i), h^{q+1}(B_{i-1})), and the terms they force:
     T_0 = B_0 and h^q(T_i) = B_{i-1}[q] - r_i[q-1] + B_i[q] - r_i[q].
     With ``nonzero`` = k the images are zero but in at most k cells, the
     shape of the Koszul chases; ``paired`` gives each cell B_i[q] a nonzero
     partner B_{i-1}[q+1], so that the rank r_i[q] between them may be
-    nonzero."""
+    nonzero.  Image dimensions are at most ``max_dim``."""
     low = 1 if paired else 0  # a pair needs two blocks and two degrees
     top = draw(st.integers(low, max_top))
     m = draw(st.integers(low, max_m))
     if nonzero is None:
-        dims = st.lists(st.integers(0, 5), min_size=top + 1, max_size=top + 1)
+        dims = st.lists(st.integers(0, max_dim), min_size=top + 1,
+                        max_size=top + 1)
         images = [draw(dims) + [0] for _ in range(m + 1)]  # degree top + 1 is 0
     else:
         images = [[0] * (top + 2) for _ in range(m + 1)]
         cells = st.tuples(st.integers(low, m), st.integers(0, top - low))
-        for (i, q), v in draw(st.dictionaries(cells, st.integers(1, 5),
+        for (i, q), v in draw(st.dictionaries(cells, st.integers(1, max_dim),
                                               max_size=nonzero)).items():
             images[i][q] = v
             if paired:
-                images[i - 1][q + 1] = draw(st.integers(1, 5))
+                images[i - 1][q + 1] = draw(st.integers(1, max_dim))
     terms = [images[0][: top + 1]]
     for i in range(1, m + 1):
         a, c = images[i - 1], images[i]
@@ -73,6 +75,43 @@ def test_truth_lies_inside_every_returned_interval(model, data):
     for i in range(1, len(terms)):
         mid = ses_middle(images[i - 1], images[i], top)
         assert all(_inside(t, iv) for t, iv in zip(terms[i], mid))
+
+
+def _projection(terms, top):
+    """[min, max] of each target cell over every integer point of the
+    chase's system on exact terms, enumerated block by block from B_0 = T_0:
+    ranks r_i[q] <= B_{i-1}[q+1], and each B_i[q] = T_i[q] - B_{i-1}[q]
+    + r_i[q-1] + r_i[q] at least r_i[q]."""
+    blocks = {tuple(terms[0])}
+    for t in terms[1:]:
+        nxt = set()
+
+        def extend(a, q, prev, row):
+            if q > top:
+                nxt.add(tuple(row))
+                return
+            for r in range(a[q + 1] + 1):
+                b = t[q] - a[q] + prev + r
+                if b >= r:
+                    extend(a, q + 1, r, row + [b])
+
+        for a in blocks:
+            extend(a + (0,), 0, 0, [])
+        blocks = nxt
+    return [(min(b[q] for b in blocks), max(b[q] for b in blocks))
+            for q in range(top + 1)]
+
+
+@settings(deadline=None)
+@given(exact_complexes(max_top=3, max_m=3, max_dim=3))
+def test_solver_interval_holds_the_exact_projection(model):
+    """Soundness without the scheduler: every value the system allows for a
+    target cell lies inside the solver's interval (which may be wider)."""
+    top, images, terms = model
+    out = solve_exact_complex(terms, {}, top)
+    for truth, (lo, hi), iv in zip(images[-1], _projection(terms, top), out):
+        assert lo <= truth <= hi
+        assert iv.lo <= lo and (iv.hi is None or hi <= iv.hi), (lo, hi, iv)
 
 
 def _reference_solve(terms, seed, top):

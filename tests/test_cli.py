@@ -83,6 +83,14 @@ def test_moduli_all_routes(capsys):
                    "(grassmannian, cohomological, closed-form, hodge-middle)\n")
 
 
+def test_moduli_all_routes_marks_the_counts_that_differ(capsys):
+    rc, out = run_cli(capsys, ["moduli", "--space", "G(2,6)", "--linear", "1",
+                               "--all-routes"])
+    assert rc == 0
+    assert out == ("-21 = -21 != 0 = 0  "
+                   "(grassmannian, cohomological, closed-form, hodge-middle)\n")
+
+
 def test_moduli_single_route(capsys):
     rc, out = run_cli(capsys, ["moduli", "--space", "S10", "--cut", "2"])
     assert rc == 0
@@ -381,6 +389,26 @@ def test_schur_refuses_repeated_blocks(capsys, space, label, name):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("space, label, name, body", [
+    ("S10", "E:2.0", "E", "2.0"),
+    ("S10", "E:2,x", "E", "2,x"),
+    ("S10", "E:-1", "E", "-1"),
+    ("G(2,6)", "Q*:2.0;E:1", "Q*", "2.0"),
+])
+def test_schur_refuses_labels_that_are_not_integers(capsys, space, label, name, body):
+    message = (f"--schur block {name!r} has label {body!r}; use digits (21) "
+               "or comma-separated integers (2,1)")
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        main(["bott", "--space", space, "--schur", label])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("label, out", [
+    ("E:21", "acyclic\n"), ("E:2,1", "acyclic\n"), ("E:", "H^0, dim 1\n")])
+def test_schur_digit_comma_and_empty_labels(capsys, label, out):
+    assert run_cli(capsys, ["bott", "--space", "S10", "--schur", label]) == (0, out)
+
+
 def test_form_and_schur_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bott", "--space", "G(2,6)", "--form", "2", "--schur", "E:1"])
@@ -453,7 +481,7 @@ FORMAT_BYTES = {
     ("moduli", "csv"): "route,value\ncohomological,80\n",
     ("moduli", "markdown"):
         "| route | value |\n|---|---|\n| cohomological | 80 |\n",
-    ("moduli-all", "text"): "80 = 70  (cohomological, hodge-middle)\n",
+    ("moduli-all", "text"): "80 != 70  (cohomological, hodge-middle)\n",
     ("moduli-all", "json"): '{"routes": {"cohomological": 80, '
                             '"hodge-middle": 70}, "schema_version": 1}\n',
     ("moduli-all", "csv"): "route,value\ncohomological,80\nhodge-middle,70\n",

@@ -1,11 +1,13 @@
 """Root-system engine: exact data cross-checked against closed forms and
 brute-force Weyl orbits."""
 
+import itertools
 import os
 import pickle
 import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,7 @@ def fund(rs, coeffs):
                  for i in range(rs.rank))
 
 
+@lru_cache(maxsize=None)
 def root_strings(rs):
     """Positive roots (sorted by height) and their coroot coordinates by
     root strings: alpha + alpha_j is a root iff q - <alpha, alpha_j^vee> > 0,
@@ -84,6 +87,17 @@ def root_strings(rs):
     return tuple(positives), tuple(coroots)
 
 
+def chain_coroots(rs):
+    """The positive coroots as the ``dim_steps`` chain builds them: step
+    ``(k, j)`` adds alpha_j^vee to the coroot of step k (0: zero)."""
+    chain = [(0,) * rs.rank]
+    for k, j in rs.dim_steps:
+        cv = list(chain[k])
+        cv[j] += 1
+        chain.append(tuple(cv))
+    return chain[1:]
+
+
 ROOT_SYSTEMS = ([("A", r) for r in range(1, 12)] + [("B", r) for r in range(1, 8)]
                 + [("C", r) for r in range(1, 8)] + [("D", r) for r in range(3, 9)]
                 + [("E", 6), ("E", 7), ("G", 2)])
@@ -93,7 +107,11 @@ ROOT_SYSTEMS = ([("A", r) for r in range(1, 12)] + [("B", r) for r in range(1, 8
                          ids=[f"{s}{r}" for s, r in ROOT_SYSTEMS])
 def test_reflection_closure_matches_root_strings(series, rank):
     rs = root_system(series, rank)
-    assert (rs.positive_roots, rs.coroot_coords) == root_strings(rs)
+    positives, coroots = root_strings(rs)
+    assert rs.positive_roots == positives
+    # the dim_steps chain rebuilds exactly the coroots, each once
+    chain = chain_coroots(rs)
+    assert len(chain) == len(set(chain)) and set(chain) == set(coroots)
     # the closure's sparse column updates equal the dense Cartan product
     assert rs.root_coords == tuple(fund(rs, a) for a in rs.positive_roots)
 
@@ -154,6 +172,46 @@ def test_weyl_dim_levi_ignores_marked_coordinate():
     )
     for t in range(-3, 4):
         assert weyl_dim_levi(rs, unmarked, (1, 0, 0, 0, t)) == 5
+
+
+def levi_subsets(rank):
+    """Every unmarked subset up to rank 6, every co-singleton above it."""
+    if rank <= 6:
+        return [frozenset(c) for n in range(rank + 1)
+                for c in itertools.combinations(range(rank), n)]
+    return [frozenset(range(rank)) - {i} for i in range(rank)]
+
+
+@pytest.mark.parametrize("series, rank", ROOT_SYSTEMS,
+                         ids=[f"{s}{r}" for s, r in ROOT_SYSTEMS])
+def test_weyl_dim_levi_equals_the_levi_product_over_root_strings(series, rank):
+    rs = root_system(series, rank)
+    positives, coroots = root_strings(rs)
+    rng = random.Random(f"{series}{rank}")
+    for unmarked in levi_subsets(rank):
+        levi = [cv for alpha, cv in zip(positives, coroots)
+                if all(j in unmarked for j, a in enumerate(alpha) if a)]
+        for _ in range(4):
+            lam = tuple(rng.randint(0, 4) if j in unmarked else rng.randint(-5, 5)
+                        for j in range(rank))
+            num = den = 1
+            for cv in levi:
+                num *= sum((lam[j] + 1) * c for j, c in enumerate(cv))
+                den *= sum(cv)
+            assert weyl_dim_levi(rs, unmarked, lam) == num // den, (unmarked, lam)
+
+
+@pytest.mark.parametrize("series, rank", ROOT_SYSTEMS,
+                         ids=[f"{s}{r}" for s, r in ROOT_SYSTEMS])
+def test_inversions_equal_an_explicit_count(series, rank):
+    rs = root_system(series, rank)
+    _, coroots = root_strings(rs)
+    rng = random.Random(f"{series}{rank}")
+    for _ in range(150):
+        w = tuple(rng.randint(-6, 6) for _ in range(rank))
+        pairings = [sum(a * c for a, c in zip(w, cv)) for cv in coroots]
+        want = -1 if 0 in pairings else sum(s < 0 for s in pairings)
+        assert inversions(rs, w) == want, w
 
 
 def test_walk_of_dominant_weight_is_trivial():
@@ -313,9 +371,9 @@ def reference_walk(rs, w, pivot=None):
 
 
 def reference_weyl_dim(rs, lam):
-    """Dense Weyl dimension formula over the coroot coordinates."""
+    """Dense Weyl dimension formula over the root strings' coroots."""
     num = den = 1
-    for cv in rs.coroot_coords:
+    for cv in root_strings(rs)[1]:
         num *= sum((lam[j] + 1) * cv[j] for j in range(rs.rank))
         den *= sum(cv)
     assert num % den == 0
