@@ -23,7 +23,9 @@ bookkeeping: no spectral-sequence differential is ever guessed.
 at B, so there is one copy of these equations.
 
 A term is a list of top + 1 entries, one per degree, each an ``Iv`` or an
-int, and every finite end must be an integer (``ValueError`` otherwise).
+int, and every finite end must be an integer (``ValueError`` otherwise).  A
+term of plain ints, or of Ivs with plain int ends, inside [0, inf] passes one
+typed gate; any other term takes each entry through the integer check.
 Inside the solver an interval vector over degrees 0..top is a pair of int
 lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the two
 end slots are the exact zeros at degrees -1 and top + 1.  Each chase picks
@@ -33,9 +35,11 @@ The equations of sequence i in degree q form slot (i, q), and one FIFO of
 slots runs a slot again only when one of the variables it reads narrowed: a
 narrowed h^q(B_i) pushes slots (i, q), (i + 1, q) and (i + 1, q - 1) (whose
 rank cap reads it), a narrowed r_i[q] slots (i, q) and (i, q + 1), a
-narrowed h^q(T_i) slot (i, q).  After the telescoped upper bounds and rank
-caps, slot (i, q) is first pushed only when h^q(B_{i-1}), h^q(B_i), h^q(T_i),
-r_i[q-1] or r_i[q] is an interval; with all five exact it is checked once.
+narrowed h^q(T_i) slot (i, q); but one pass over a linear equation is its own
+fixpoint, so a slot pushes itself only after it narrowed r_i[q].  After the
+telescoped upper bounds and rank caps, slot (i, q) is first pushed only when
+h^q(B_{i-1}), h^q(B_i), h^q(T_i), r_i[q-1] or r_i[q] is an interval; with
+all five exact it is checked once.
 Every narrowing is a monotone contraction, so by the chaotic-iteration
 theorem the fixpoint does not depend on the order the slots run in, and an
 empty interval is reached in every order or in none.
@@ -44,6 +48,7 @@ empty interval is reached in every order or in none.
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from operator import gt
 
 from .catalog import _integer
 
@@ -149,33 +154,35 @@ def _narrow(lo, hi, s: int, nlo: int, nhi: int, cap: int) -> bool:
 def _vectors(terms, top: int):
     """The interval vectors of ``terms`` (each top + 1 entries, an Iv or an
     int per degree, met with [0, inf]) and the marker ``inf`` of the chase
-    that reads them.  The pass that takes every int and every finite Iv end
-    through ``_integer`` also finds their maximum M."""
+    that reads them, from the maximum M of every finite end (an unbounded
+    one counts with its lower end)."""
     big, vecs = 1, []
     for t in terms:
         if len(t) != top + 1:
             raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
+        los = his = ends = t
+        kinds = set(map(type, t))
+        if kinds == {Iv}:
+            los, his = zip(*t)
+            ends = [l if h is None else h for l, h in zip(los, his)]
+            kinds = {*map(type, los), *map(type, ends)}
+        if kinds == {int} and min(los) >= 0 and (
+                los is ends or not any(map(gt, los, ends))):
+            vecs.append(([0, *los, 0], [0, *his, 0]))
+            big = max(big, *ends)
+            continue
         lo, hi = [0], [0]
         for q, v in enumerate(t):
             nlo, nhi = (v.lo, v.hi) if isinstance(v, Iv) else (v, v)
-            nlo = _integer(nlo, "chase entry")
+            nlo = max(_integer(nlo, "chase entry"), 0)
             if nhi is not None:
                 nhi = _integer(nhi, "chase entry")
-            if nlo < 0:
-                nlo = 0
-            if nhi is None:
-                end = nlo
-            else:
                 if nlo > nhi:
                     raise ChaseError(f"empty interval [{nlo},{nhi}] in degree {q}")
-                end = nhi
-            if end > big:
-                big = end
+            big = max(big, nlo if nhi is None else nhi)
             lo.append(nlo)
             hi.append(nhi)
-        lo.append(0)
-        hi.append(0)
-        vecs.append((lo, hi))
+        vecs.append((lo + [0], hi + [0]))
     inf = 4 << (len(terms) * big).bit_length() + 6 * len(terms) * (top + 1)
     for _, hi in vecs:
         if None in hi:
@@ -202,16 +209,17 @@ def solve_exact_complex(terms, target_seed, top: int):
     if any((v.lo if isinstance(v, Iv) else v) > 0
            for q, v in seed.items() if not 0 <= q <= top):
         raise ChaseError("seed outside degree window")
-    T, inf = _vectors([*terms, [seed.get(q, free) for q in range(top + 1)]], top)
+    row = (seed.get(q, free) for q in range(top + 1))  # as Ivs, for the gate
+    T, inf = _vectors([*terms, [v if isinstance(v, Iv) else Iv(v, v) for v in row]], top)
     target = T.pop()
     _chase(T, target, top, inf)
     return _ivs(*target, inf)
 
 
-def _chase(T, target, top: int, inf: int) -> None:
+def _chase(T, target, top: int, inf: int) -> int:
     """Narrow the vectors of 0 -> T_0 -> ... -> T_m -> target -> 0 in place
     to the fixpoint of the equations of its short exact sequences; ``inf``
-    is their unbounded marker."""
+    is their unbounded marker.  Returns the number of slot visits."""
     # 0 -> 0 -> T_0 -> target -> 0 pins the target to T_0, and with no term
     # to 0; each zero term gets its own lists, since the chase narrows in place
     T = [([0] * (top + 3), [0] * (top + 3)) for _ in range(2 - len(T))] + T
@@ -230,11 +238,10 @@ def _chase(T, target, top: int, inf: int) -> None:
                          for _ in range(m)] + [closed]
     work = deque()
 
-    def push(*slots):
-        for i, s in slots:
-            if not queued[i][s]:
-                queued[i][s] = True
-                work.append((i, s))
+    def push(i, s):
+        if not queued[i][s]:
+            queued[i][s] = True
+            work.append((i, s))
 
     # The sparse start: telescoped upper bounds h^q(B_i) <= h^{q+1}(B_{i-1})
     # + h^q(T_i) and rank caps, block by block; a slot whose A[s], C[s] and
@@ -246,6 +253,9 @@ def _chase(T, target, top: int, inf: int) -> None:
         tlo, thi = T[i]
         rhi = R[i][1]
         for s in range(1, top + 2):
+            if not (ahi[s + 1] or thi[s] or ahi[s] or clo[s] or rhi[s - 1]):
+                chi[s] = rhi[s] = 0  # so all five are exact 0
+                continue
             a, b = ahi[s + 1], ahi[s + 1] + thi[s]
             if b < chi[s]:  # only the target can come out empty
                 chi[s] = b
@@ -255,7 +265,7 @@ def _chase(T, target, top: int, inf: int) -> None:
             rhi[s] = a if a < chi[s] else chi[s]
             if (alo[s] != ahi[s] or clo[s] != chi[s] or tlo[s] != thi[s]
                     or rhi[s - 1] or rhi[s]):
-                push((i, s))
+                push(i, s)
             elif tlo[s] != alo[s] + clo[s]:
                 raise ChaseError(f"inexact sequence {i} in degree {s - 1}")
     visits, limit = 0, 10000 * (m + 1) * (top + 1)
@@ -270,25 +280,36 @@ def _chase(T, target, top: int, inf: int) -> None:
         tlo, thi = T[i]
         rlo, rhi = R[i]
         # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
-        if _narrow(tlo, thi, s, alo[s] + clo[s] - rhi[s - 1] - rhi[s],
-                   ahi[s] + chi[s] - rlo[s - 1] - rlo[s], cap):
-            push((i, s))
+        nlo = alo[s] + clo[s] - rhi[s - 1] - rhi[s]
+        nhi = ahi[s] + chi[s] - rlo[s - 1] - rlo[s]
+        if nlo > tlo[s] or nhi < thi[s]:
+            _narrow(tlo, thi, s, nlo, nhi, cap)
         # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
         u_lo = tlo[s] + rlo[s - 1] + rlo[s]
         u_hi = thi[s] + rhi[s - 1] + rhi[s]
-        if _narrow(clo, chi, s, u_lo - ahi[s], u_hi - alo[s], cap):
-            push((i, s), (i + 1, s), (i + 1, s - 1))
-        if _narrow(alo, ahi, s, u_lo - chi[s], u_hi - clo[s], cap):
-            push((i - 1, s), (i, s), (i, s - 1))
+        nlo, nhi = u_lo - ahi[s], u_hi - alo[s]
+        if (nlo > clo[s] or nhi < chi[s]) and _narrow(clo, chi, s, nlo, nhi, cap):
+            push(i + 1, s)
+            push(i + 1, s - 1)
+        nlo, nhi = u_lo - chi[s], u_hi - clo[s]
+        if (nlo > alo[s] or nhi < ahi[s]) and _narrow(alo, ahi, s, nlo, nhi, cap):
+            push(i - 1, s)
+            push(i, s - 1)
         # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
         d_lo = alo[s] + clo[s] - thi[s]
         d_hi = ahi[s] + chi[s] - tlo[s]
-        r_ch = _narrow(rlo, rhi, s, d_lo - rhi[s - 1], d_hi - rlo[s - 1], cap)
-        if s > 1 and _narrow(rlo, rhi, s - 1, d_lo - rhi[s], d_hi - rlo[s], cap):
-            push((i, s - 1), (i, s))
+        nlo, nhi = d_lo - rhi[s - 1], d_hi - rlo[s - 1]
+        r_ch = (nlo > rlo[s] or nhi < rhi[s]) and _narrow(rlo, rhi, s, nlo, nhi, cap)
+        nlo, nhi = d_lo - rhi[s], d_hi - rlo[s]
+        if s > 1 and (nlo > rlo[s - 1] or nhi < rhi[s - 1]) and _narrow(
+                rlo, rhi, s - 1, nlo, nhi, cap):
+            push(i, s - 1)
         # a rank is bounded by both ends of its map
-        if _narrow(rlo, rhi, s, 0, min(chi[s], ahi[s + 1]), cap) or r_ch:
-            push((i, s), (i, s + 1))
+        nhi = chi[s] if chi[s] < ahi[s + 1] else ahi[s + 1]
+        if nhi < rhi[s] and _narrow(rlo, rhi, s, 0, nhi, cap) or r_ch:
+            push(i, s)
+            push(i, s + 1)
+    return visits
 
 
 def ses_middle(left, right, top: int):

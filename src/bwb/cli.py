@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -42,6 +43,7 @@ from .report import render, render_cells, run_verify
 from .rootsys import simple_reflection, to_dominant, weyl_dim
 
 _LETTERS = {10: "A", 11: "B"}
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # int() also takes "2_0", " 2" and "٢"
 
 
 def _tok(v: int) -> str:
@@ -102,19 +104,22 @@ def _parse_schur(space, spec: str, twist: int):
                              f"accepted: {', '.join(accepted)}")
         if name in blocks:
             raise SystemExit(f"--schur block {name!r} is given twice")
-        try:
-            blocks[name] = tuple(map(int, body.split(",") if "," in body else body))
-        except ValueError:
+        parts = body.split(",") if "," in body else list(body)
+        if not all(map(_INTEGER.fullmatch, parts)):
             raise SystemExit(f"--schur block {name!r} has label {body!r}; use digits "
-                             "(21) or comma-separated integers (2,1)") from None
+                             "(21) or comma-separated integers (2,1)")
+        blocks[name] = tuple(map(int, parts))
     if series == ["A"]:
         return grassmann_bundle(space, blocks.get("Q*", ()), blocks.get("E", ()),
                                 twist)
     return spinor_bundle(space, blocks.get("E", ()), twist)
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _csv_ints(flag: str, text: str) -> tuple[int, ...]:
+    parts = text.split(",")
+    if not all(map(_INTEGER.fullmatch, parts)):
+        raise SystemExit(f"{flag} takes comma-separated integers, got {text!r}")
+    return tuple(map(int, parts))
 
 
 def _emit(args, *blocks: str) -> None:
@@ -169,7 +174,7 @@ def _spec_from_args(cat, args):
     if args.linear is not None:
         return linear_section(space, args.linear)
     if args.cut is not None:
-        return section_spec(space, _csv_ints(args.cut))
+        return section_spec(space, _csv_ints("--cut", args.cut))
     raise SystemExit("need --cut or --linear")
 
 
@@ -234,7 +239,7 @@ def _cmd_jacring(args) -> int:
     elif args.degree is None:
         raise SystemExit("jacring --weights needs --degree")
     else:
-        weights = _csv_ints(args.weights)
+        weights = _csv_ints("--weights", args.weights)
         rows = [steenbrink_hodge(weights, args.degree)]
         if args.at is not None:
             _emit(args, str(jacobian_hilbert(weights, args.degree, args.at)))

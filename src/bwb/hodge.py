@@ -193,11 +193,13 @@ def _cotangent_terms(space, cuts, p: int, down):
     nf = len(space.factors)
     out = []
     for k in range(p, -1, -1):
-        acc = (exact(0),) * (n_x + 1)
+        lo = hi = (0,) * (n_x + 1)  # the sum's ends, None for unbounded
         for vec, mult in _groups(cuts, nf, k, True):
-            rv = restricted_forms(space, cuts, p - k, _vadd(down, vec))
-            acc = tuple(a + mult * r for a, r in zip(acc, rv))
-        out.append(acc)
+            rlo, rhi = zip(*restricted_forms(space, cuts, p - k, _vadd(down, vec)))
+            lo = [a + mult * b for a, b in zip(lo, rlo)]
+            hi = [None if a is None or b is None else a + mult * b
+                  for a, b in zip(hi, rhi)]
+        out.append(tuple(map(Iv, lo, hi)))
     return tuple(out)
 
 
@@ -475,7 +477,16 @@ def deformation_moduli(spec: SectionSpec, route: str | None = None) -> ModuliRep
     """Number of moduli of X (or of the double cover), via the requested
     route; defaults to the Grassmannian quotient for linear sections and to
     section counting otherwise.  A double cover has one route,
-    ``double-cover-count``, and refuses any other."""
+    ``double-cover-count``, and refuses any other.  A count below 0, where
+    the route's assumptions fail, is refused."""
+    rep = _route_count(spec, route)
+    if rep.value < 0:
+        raise ValueError(f"{spec.describe()}: the {rep.route} route counts "
+                         f"{rep.value} moduli; a count below 0 is refused")
+    return rep
+
+
+def _route_count(spec: SectionSpec, route: str | None) -> ModuliReport:
     space = spec.ambient
     delta = space.delta
 

@@ -1,7 +1,12 @@
 """Shared pytest hooks: tests carrying the ``criterion`` marker get one
-PASS/FAIL summary line each, written as they finish."""
+PASS/FAIL summary line each, written as they finish.  ``--hypothesis-profile
+deep`` runs every property test that sets no example count of its own on ten
+times the default examples, derandomized (CI runs the chase tests so)."""
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("deep", max_examples=1000, derandomize=True)
 
 
 def pytest_configure(config):

@@ -1,12 +1,14 @@
 """Interval chase: soundness on random exact complexes built from the model
 itself, agreement with a plain round-robin reference solver, fixed cases for
-ses_middle and for an inconsistent seed, and the arithmetic of the interval
-type."""
+ses_middle and for an inconsistent seed, the solver's work on fixed tables,
+and the arithmetic of the interval type."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwb import chase, hodge
+from bwb.catalog import default_catalog, projective_space
 from bwb.chase import ChaseError, Iv, exact, ses_middle, solve_exact_complex, unknown
 
 
@@ -278,6 +280,45 @@ def test_non_integer_entries_are_refused():
             call()
 
 
+class _Int(int):
+    pass
+
+
+# One place per way an entry reaches the solver; each takes the entry v.
+ENTRY_PLACES = {
+    "int term": lambda v: solve_exact_complex([[1, v], [2, 3]], {}, 1),
+    "Iv lower end": lambda v: solve_exact_complex([[1, Iv(v, 4)], [2, 3]], {}, 1),
+    "Iv upper end": lambda v: solve_exact_complex([[1, Iv(0, v)], [2, 3]], {}, 1),
+    "seed": lambda v: solve_exact_complex([[1, unknown()], [2, 3]], {1: v}, 1),
+    "ses_middle": lambda v: ses_middle([1, v], [unknown(), 2], 1),
+}
+
+
+def _outcome(call, v):
+    try:
+        return call(v)
+    except (ChaseError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("place", ENTRY_PLACES)
+def test_entries_off_the_typed_gate_take_the_integer_check(place):
+    """An entry that is not a plain int, or a plain int below 0, misses the
+    one typed gate per term and goes through the integer check."""
+    call = ENTRY_PLACES[place]
+    # an int-valued bool or int subclass reads as its int
+    for v in (True, False, _Int(2)):
+        assert _outcome(call, v) == _outcome(call, int(v))
+    # a lower end below 0 is clamped to 0; any other end below 0 empties
+    if place == "Iv lower end":
+        assert _outcome(call, -1) == _outcome(call, 0)
+    else:
+        assert _outcome(call, -1) == (ChaseError, "empty interval [0,-1] in degree 1")
+    for v in (1.5, 2.0, 2.5):
+        assert _outcome(call, v) == (ValueError,
+                                     f"chase entry must be an integer, got {v}")
+
+
 def test_inconsistent_exact_complexes_raise():
     with pytest.raises(ChaseError):
         solve_exact_complex([[0, 0], [1, 0], [0, 0]], {}, 1)
@@ -332,6 +373,40 @@ DEPENDENCY_CASES = [
 @pytest.mark.parametrize("terms, seed, top, want", DEPENDENCY_CASES)
 def test_every_dirty_mask_dependency(terms, seed, top, want):
     assert _same_as_reference(terms, seed, top) == want
+
+
+# (label, ambient, cuts, branch, slot visits, _narrow calls) of each
+# double-cover table from cold hodge caches.  The tables do not depend on
+# the order the slots run in, so a redundant self-push, or a missing reader
+# push, shows only in these counts.
+DOUBLE_COVER_WORK = [
+    ("P5 double cover, branch 4", None, (), 4, 168, 100),
+    ("P5 double cover, branch 8", None, (), 8, 186, 116),
+    ("LG(3,6) hyperplane double cover, branch 2", "LG(3,6)", (1,), 2, 729, 436),
+]
+
+
+@pytest.mark.parametrize("label, ambient, cuts, branch, visits, narrows",
+                         DOUBLE_COVER_WORK, ids=[w[0] for w in DOUBLE_COVER_WORK])
+def test_slot_visits_and_narrowings_on_the_double_cover_tables(
+        monkeypatch, label, ambient, cuts, branch, visits, narrows):
+    space = projective_space(5) if ambient is None else default_catalog().space(ambient)
+    for cached in (hodge.restricted_forms, hodge._cotangent_terms, hodge.hodge_table):
+        cached.cache_clear()
+    work = {"visits": 0, "narrows": 0}
+    run_chase, narrow = chase._chase, chase._narrow
+
+    def counted_chase(*args):
+        work["visits"] += run_chase(*args)
+
+    def counted_narrow(*args):
+        work["narrows"] += 1
+        return narrow(*args)
+
+    monkeypatch.setattr(chase, "_chase", counted_chase)
+    monkeypatch.setattr(chase, "_narrow", counted_narrow)
+    hodge.double_cover_hodge(hodge.section_spec(space, cuts, branch=branch))
+    assert work == {"visits": visits, "narrows": narrows}
 
 
 def test_term_of_the_wrong_length_raises():

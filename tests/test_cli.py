@@ -84,11 +84,25 @@ def test_moduli_all_routes(capsys):
 
 
 def test_moduli_all_routes_marks_the_counts_that_differ(capsys):
-    rc, out = run_cli(capsys, ["moduli", "--space", "G(2,6)", "--linear", "1",
+    rc, out = run_cli(capsys, ["moduli", "--space", "(P1)^4", "--linear", "1",
                                "--all-routes"])
     assert rc == 0
-    assert out == ("-21 = -21 != 0 = 0  "
+    assert out == ("3 = 3 != 0 != 1  "
                    "(grassmannian, cohomological, closed-form, hodge-middle)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--space", "G(2,6)", "--linear", "1", "--all-routes"],
+     "G(2,6), cut (1,): the grassmannian route counts -21 moduli; "
+     "a count below 0 is refused"),
+    (["--space", "S10", "--linear", "1"],
+     "S10, cut (1,): the grassmannian route counts -30 moduli; "
+     "a count below 0 is refused"),
+])
+def test_moduli_refuses_negative_counts(capsys, argv, message):
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        main(["moduli", *argv])
+    assert capsys.readouterr().out == ""
 
 
 def test_moduli_single_route(capsys):
@@ -393,6 +407,10 @@ def test_schur_refuses_repeated_blocks(capsys, space, label, name):
     ("S10", "E:2.0", "E", "2.0"),
     ("S10", "E:2,x", "E", "2,x"),
     ("S10", "E:-1", "E", "-1"),
+    ("S10", "E:2_0,1", "E", "2_0,1"),
+    ("S10", "E:2, 1", "E", "2, 1"),
+    ("S10", "E:\u0662", "E", "\u0662"),
+    ("S10", "E:\u0662,1", "E", "\u0662,1"),
     ("G(2,6)", "Q*:2.0;E:1", "Q*", "2.0"),
 ])
 def test_schur_refuses_labels_that_are_not_integers(capsys, space, label, name, body):
@@ -407,6 +425,22 @@ def test_schur_refuses_labels_that_are_not_integers(capsys, space, label, name, 
     ("E:21", "acyclic\n"), ("E:2,1", "acyclic\n"), ("E:", "H^0, dim 1\n")])
 def test_schur_digit_comma_and_empty_labels(capsys, label, out):
     assert run_cli(capsys, ["bott", "--space", "S10", "--schur", label]) == (0, out)
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["hodge", "--space", "S10", "--cut", "1_0"], "--cut", "1_0"),
+    (["moduli", "--space", "S10", "--cut", "2,x"], "--cut", "2,x"),
+    (["hodge", "--space", "S10", "--cut", "\u0662"], "--cut", "\u0662"),
+    (["hodge", "--space", "S10", "--cut", " 2"], "--cut", " 2"),
+    (["hodge", "--space", "S10", "--cut", ""], "--cut", ""),
+    (["jacring", "--weights", "1,1,1_0", "--degree", "3"], "--weights", "1,1,1_0"),
+    (["jacring", "--weights", "1,,1", "--degree", "3"], "--weights", "1,,1"),
+])
+def test_integer_lists_take_only_signed_ascii_digits(capsys, argv, flag, text):
+    message = f"{flag} takes comma-separated integers, got {text!r}"
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 def test_form_and_schur_are_mutually_exclusive(capsys):

@@ -362,8 +362,12 @@ def test_double_cover_moduli_honours_the_route():
     (section_spec(CAT.space("S10"), (1,)), "no-such-route", "unknown route 'no-such-route'"),
     (section_spec(CAT.space("S10"), (1,), branch=2), None,
      "automorphism dimension of .* is not stored"),
+    (linear_section(CAT.space("G(2,6)"), 1), None,
+     r"^G\(2,6\), cut \(1,\): the grassmannian route counts -21 moduli; "
+     "a count below 0 is refused$"),
 ], ids=["no-cuts", "grassmannian-nonlinear", "cohomological-unequal",
-        "default-unequal", "unknown-route", "cover-base-aut-unknown"])
+        "default-unequal", "unknown-route", "cover-base-aut-unknown",
+        "negative-count"])
 def test_every_deformation_moduli_refusal(spec, route, message):
     with pytest.raises(ValueError, match=message):
         deformation_moduli(spec, route=route)
