@@ -23,9 +23,8 @@ bookkeeping: no spectral-sequence differential is ever guessed.
 at B, so there is one copy of these equations.
 
 A term is a list of top + 1 entries, one per degree, each an ``Iv`` or an
-int, and every finite end must be an integer (``ValueError`` otherwise).  A
-term of plain ints, or of Ivs with plain int ends, inside [0, inf] passes one
-typed gate; any other term takes each entry through the integer check.
+int, and every finite end must be an integer (``ValueError`` otherwise; a
+term of plain ints, none below 0, passes one typed gate instead).
 Inside the solver an interval vector over degrees 0..top is a pair of int
 lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the two
 end slots are the exact zeros at degrees -1 and top + 1.  Each chase picks
@@ -35,11 +34,12 @@ The equations of sequence i in degree q form slot (i, q), and one FIFO of
 slots runs a slot again only when one of the variables it reads narrowed: a
 narrowed h^q(B_i) pushes slots (i, q), (i + 1, q) and (i + 1, q - 1) (whose
 rank cap reads it), a narrowed r_i[q] slots (i, q) and (i, q + 1), a
-narrowed h^q(T_i) slot (i, q); but one pass over a linear equation is its own
-fixpoint, so a slot pushes itself only after it narrowed r_i[q].  After the
-telescoped upper bounds and rank caps, slot (i, q) is first pushed only when
-h^q(B_{i-1}), h^q(B_i), h^q(T_i), r_i[q-1] or r_i[q] is an interval; with
-all five exact it is checked once.
+narrowed h^q(T_i) slot (i, q).  One pass over a linear equation is its own
+fixpoint, so what a slot's sum equation narrows, r_i[q] aside, only holds
+the slot's place: it is skipped unless a reader pushed it meanwhile.  After
+the telescoped upper bounds and rank caps, slot (i, q) is first pushed only
+when h^q(B_{i-1}), h^q(B_i), h^q(T_i), r_i[q-1] or r_i[q] is an interval;
+with all five exact it is checked once.
 Every narrowing is a monotone contraction, so by the chaotic-iteration
 theorem the fixpoint does not depend on the order the slots run in, and an
 empty interval is reached in every order or in none.
@@ -48,7 +48,6 @@ empty interval is reached in every order or in none.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from operator import gt
 
 from .catalog import _integer
 
@@ -160,16 +159,9 @@ def _vectors(terms, top: int):
     for t in terms:
         if len(t) != top + 1:
             raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
-        los = his = ends = t
-        kinds = set(map(type, t))
-        if kinds == {Iv}:
-            los, his = zip(*t)
-            ends = [l if h is None else h for l, h in zip(los, his)]
-            kinds = {*map(type, los), *map(type, ends)}
-        if kinds == {int} and min(los) >= 0 and (
-                los is ends or not any(map(gt, los, ends))):
-            vecs.append(([0, *los, 0], [0, *his, 0]))
-            big = max(big, *ends)
+        if set(map(type, t)) == {int} and min(t) >= 0:
+            vecs.append(([0, *t, 0], [0, *t, 0]))
+            big = max(big, *t)
             continue
         lo, hi = [0], [0]
         for q, v in enumerate(t):
@@ -209,8 +201,7 @@ def solve_exact_complex(terms, target_seed, top: int):
     if any((v.lo if isinstance(v, Iv) else v) > 0
            for q, v in seed.items() if not 0 <= q <= top):
         raise ChaseError("seed outside degree window")
-    row = (seed.get(q, free) for q in range(top + 1))  # as Ivs, for the gate
-    T, inf = _vectors([*terms, [v if isinstance(v, Iv) else Iv(v, v) for v in row]], top)
+    T, inf = _vectors([*terms, [seed.get(q, free) for q in range(top + 1)]], top)
     target = T.pop()
     _chase(T, target, top, inf)
     return _ivs(*target, inf)
@@ -231,17 +222,17 @@ def _chase(T, target, top: int, inf: int) -> int:
     # Slot (i, s) reads A[s], A[s+1] (in the rank cap), C[s], T_i[s], R_i[s-1]
     # and R_i[s], where A = B_{i-1} and C = B_i, and is queued whenever one of
     # them narrows.  Block 0 (B_0 = T_0 has no equations), block m + 1 and both
-    # pads count as queued forever, so a push there is dropped.  The visit
-    # limit is a guard only.
-    closed = [True] * (top + 3)
-    queued = [closed] + [[True] + [False] * (top + 1) + [True]
-                         for _ in range(m)] + [closed]
+    # pads count as queued forever, so a push there is dropped.  A slot is
+    # queued 2, or held 1 (skipped when reached).  The visit limit is a guard.
+    closed = [2] * (top + 3)
+    queued = [closed] + [[2] + [0] * (top + 1) + [2] for _ in range(m)] + [closed]
     work = deque()
 
-    def push(i, s):
-        if not queued[i][s]:
-            queued[i][s] = True
-            work.append((i, s))
+    def push(i, s, state=2):
+        if queued[i][s] < state:
+            if not queued[i][s]:
+                work.append((i, s))
+            queued[i][s] = state
 
     # The sparse start: telescoped upper bounds h^q(B_i) <= h^{q+1}(B_{i-1})
     # + h^q(T_i) and rank caps, block by block; a slot whose A[s], C[s] and
@@ -253,9 +244,6 @@ def _chase(T, target, top: int, inf: int) -> int:
         tlo, thi = T[i]
         rhi = R[i][1]
         for s in range(1, top + 2):
-            if not (ahi[s + 1] or thi[s] or ahi[s] or clo[s] or rhi[s - 1]):
-                chi[s] = rhi[s] = 0  # so all five are exact 0
-                continue
             a, b = ahi[s + 1], ahi[s + 1] + thi[s]
             if b < chi[s]:  # only the target can come out empty
                 chi[s] = b
@@ -271,7 +259,9 @@ def _chase(T, target, top: int, inf: int) -> int:
     visits, limit = 0, 10000 * (m + 1) * (top + 1)
     while work:
         i, s = work.popleft()
-        queued[i][s] = False
+        state, queued[i][s] = queued[i][s], 0
+        if state == 1:
+            continue
         visits += 1
         if visits > limit:
             raise ChaseError("chase failed to reach a fixpoint")
@@ -282,18 +272,20 @@ def _chase(T, target, top: int, inf: int) -> int:
         # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
         nlo = alo[s] + clo[s] - rhi[s - 1] - rhi[s]
         nhi = ahi[s] + chi[s] - rlo[s - 1] - rlo[s]
-        if nlo > tlo[s] or nhi < thi[s]:
-            _narrow(tlo, thi, s, nlo, nhi, cap)
+        if (nlo > tlo[s] or nhi < thi[s]) and _narrow(tlo, thi, s, nlo, nhi, cap):
+            push(i, s, 1)
         # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
         u_lo = tlo[s] + rlo[s - 1] + rlo[s]
         u_hi = thi[s] + rhi[s - 1] + rhi[s]
         nlo, nhi = u_lo - ahi[s], u_hi - alo[s]
         if (nlo > clo[s] or nhi < chi[s]) and _narrow(clo, chi, s, nlo, nhi, cap):
+            push(i, s, 1)
             push(i + 1, s)
             push(i + 1, s - 1)
         nlo, nhi = u_lo - chi[s], u_hi - clo[s]
         if (nlo > alo[s] or nhi < ahi[s]) and _narrow(alo, ahi, s, nlo, nhi, cap):
             push(i - 1, s)
+            push(i, s, 1)
             push(i, s - 1)
         # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
         d_lo = alo[s] + clo[s] - thi[s]
@@ -304,6 +296,7 @@ def _chase(T, target, top: int, inf: int) -> int:
         if s > 1 and (nlo > rlo[s - 1] or nhi < rhi[s - 1]) and _narrow(
                 rlo, rhi, s - 1, nlo, nhi, cap):
             push(i, s - 1)
+            push(i, s, 1)
         # a rank is bounded by both ends of its map
         nhi = chi[s] if chi[s] < ahi[s + 1] else ahi[s + 1]
         if nhi < rhi[s] and _narrow(rlo, rhi, s, 0, nhi, cap) or r_ch:

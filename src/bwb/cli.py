@@ -115,11 +115,15 @@ def _parse_schur(space, spec: str, twist: int):
     return spinor_bundle(space, blocks.get("E", ()), twist)
 
 
-def _csv_ints(flag: str, text: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    if not all(map(_INTEGER.fullmatch, parts)):
-        raise SystemExit(f"{flag} takes comma-separated integers, got {text!r}")
-    return tuple(map(int, parts))
+def _strict_int(text: str) -> int:
+    """The type of every integer flag: an optional sign and ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def _csv_ints(text: str) -> tuple[int, ...]:
+    return tuple(map(_strict_int, text.split(",")))
 
 
 def _emit(args, *blocks: str) -> None:
@@ -174,7 +178,7 @@ def _spec_from_args(cat, args):
     if args.linear is not None:
         return linear_section(space, args.linear)
     if args.cut is not None:
-        return section_spec(space, _csv_ints("--cut", args.cut))
+        return section_spec(space, args.cut)
     raise SystemExit("need --cut or --linear")
 
 
@@ -239,10 +243,9 @@ def _cmd_jacring(args) -> int:
     elif args.degree is None:
         raise SystemExit("jacring --weights needs --degree")
     else:
-        weights = _csv_ints("--weights", args.weights)
-        rows = [steenbrink_hodge(weights, args.degree)]
+        rows = [steenbrink_hodge(args.weights, args.degree)]
         if args.at is not None:
-            _emit(args, str(jacobian_hilbert(weights, args.degree, args.at)))
+            _emit(args, str(jacobian_hilbert(args.weights, args.degree, args.at)))
             return 0
     table = [(",".join(map(str, r.weights)), r.degree, r.dim,
               " ".join(map(str, r.entries)), r.moduli) for r in rows]
@@ -290,10 +293,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("bott", help="cohomology of one bundle")
     p.add_argument("--space", required=True)
     bundle = p.add_mutually_exclusive_group()
-    bundle.add_argument("--form", type=int,
+    bundle.add_argument("--form", type=_strict_int,
                         help="exterior power p of the cotangent bundle")
     bundle.add_argument("--schur", help='Schur label, e.g. "Q*:1111;E:4"')
-    p.add_argument("--twist", type=int, default=0,
+    p.add_argument("--twist", type=_strict_int, default=0,
                    help="line-bundle twist k in O(k) (negative = downward)")
     p.add_argument("--trace", action="store_true",
                    help="print the reflection walk (text output only)")
@@ -303,8 +306,8 @@ def main(argv=None) -> int:
     for name, fn in (("hodge", _cmd_hodge), ("moduli", _cmd_moduli)):
         p = sub.add_parser(name)
         p.add_argument("--space", required=True)
-        p.add_argument("--cut", help="comma-separated cut degrees, e.g. 2 or 1,1")
-        p.add_argument("--linear", type=int, help="number of hyperplane cuts")
+        p.add_argument("--cut", type=_csv_ints, help="cut degrees, e.g. 2 or 1,1")
+        p.add_argument("--linear", type=_strict_int, help="number of hyperplane cuts")
         if name == "moduli":
             p.add_argument("--all-routes", action="store_true", dest="all_routes")
             p.add_argument("--route", choices=("grassmannian", "cohomological"))
@@ -312,10 +315,10 @@ def main(argv=None) -> int:
         p.set_defaults(func=fn)
 
     p = sub.add_parser("jacring", help="weighted-hypersurface Hodge numbers")
-    p.add_argument("--weights", help="comma-separated weights, e.g. 1,1,1,1,1,1,2")
-    p.add_argument("--degree", type=int)
-    p.add_argument("--at", type=int, help="print one Hilbert coefficient")
-    p.add_argument("--scan", type=int, nargs=3,
+    p.add_argument("--weights", type=_csv_ints, help="weights, e.g. 1,1,1,1,1,1,2")
+    p.add_argument("--degree", type=_strict_int)
+    p.add_argument("--at", type=_strict_int, help="print one Hilbert coefficient")
+    p.add_argument("--scan", type=_strict_int, nargs=3,
                    metavar=("MAXDIM", "MAXWEIGHT", "MAXDEGREE"),
                    help="scan for Calabi-Yau-shaped rows")
     fmt_flags(p)

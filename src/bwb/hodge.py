@@ -193,13 +193,11 @@ def _cotangent_terms(space, cuts, p: int, down):
     nf = len(space.factors)
     out = []
     for k in range(p, -1, -1):
-        lo = hi = (0,) * (n_x + 1)  # the sum's ends, None for unbounded
+        acc = (exact(0),) * (n_x + 1)
         for vec, mult in _groups(cuts, nf, k, True):
-            rlo, rhi = zip(*restricted_forms(space, cuts, p - k, _vadd(down, vec)))
-            lo = [a + mult * b for a, b in zip(lo, rlo)]
-            hi = [None if a is None or b is None else a + mult * b
-                  for a, b in zip(hi, rhi)]
-        out.append(tuple(map(Iv, lo, hi)))
+            rv = restricted_forms(space, cuts, p - k, _vadd(down, vec))
+            acc = tuple(a + mult * r for a, r in zip(acc, rv))
+        out.append(acc)
     return tuple(out)
 
 
