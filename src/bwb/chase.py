@@ -23,8 +23,8 @@ bookkeeping: no spectral-sequence differential is ever guessed.
 at B, so there is one copy of these equations.
 
 A term is a list of top + 1 entries, one per degree, each an ``Iv`` or an
-int, and every finite end must be an integer (``ValueError`` otherwise; a
-term of plain ints, none below 0, passes one typed gate instead).
+int; every finite end and seed degree must be an integer (``ValueError``
+otherwise), and one that is a plain int skips the call that checks it.
 Inside the solver an interval vector over degrees 0..top is a pair of int
 lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the two
 end slots are the exact zeros at degrees -1 and top + 1.  Each chase picks
@@ -36,18 +36,22 @@ narrowed h^q(B_i) pushes slots (i, q), (i + 1, q) and (i + 1, q - 1) (whose
 rank cap reads it), a narrowed r_i[q] slots (i, q) and (i, q + 1), a
 narrowed h^q(T_i) slot (i, q).  One pass over a linear equation is its own
 fixpoint, so what a slot's sum equation narrows, r_i[q] aside, only holds
-the slot's place: it is skipped unless a reader pushed it meanwhile.  After
-the telescoped upper bounds and rank caps, slot (i, q) is first pushed only
-when h^q(B_{i-1}), h^q(B_i), h^q(T_i), r_i[q-1] or r_i[q] is an interval;
-with all five exact it is checked once.
-Every narrowing is a monotone contraction, so by the chaotic-iteration
-theorem the fixpoint does not depend on the order the slots run in, and an
-empty interval is reached in every order or in none.
+the slot's place: it is skipped unless a reader pushed it meanwhile.  The
+start sets the telescoped upper bounds and rank caps forward; backward, it
+applies each sum equation to the upper end of h^q(B_{i-1}), lowers the rank
+caps that read it, and pushes slot (i, q) only when one of its five
+variables is an interval (with all five exact it is checked once).  Every
+narrowing is a monotone contraction, so by the chaotic-iteration theorem the
+fixpoint does not depend on the order the slots run in, and an empty
+interval is reached in every order or in none; a ``ChaseError`` names the
+first one to come out empty, in the start or then in the FIFO.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from functools import partial
+from operator import le
 
 from .catalog import _integer
 
@@ -102,12 +106,30 @@ class Iv(namedtuple("Iv", "lo hi")):
         return f"[{self.lo},{'inf' if self.hi is None else self.hi}]"
 
 
+_new_iv = partial(tuple.__new__, Iv)  # a checked (lo, hi) pair as an Iv, no frame
+
+
+def weighted_sum(pairs, size: int) -> tuple[Iv, ...]:
+    """Sum of mult * vec over (mult, vec) pairs, each mult >= 0, as Iv arithmetic."""
+    lo, hi = [0] * size, [0] * size
+    for mult, vec in pairs:
+        if mult:
+            for q, (l, h) in enumerate(vec):
+                lo[q] += mult * l
+                if hi[q] is not None:
+                    hi[q] = None if h is None else hi[q] + mult * h
+    return tuple(map(_new_iv, zip(lo, hi)))
+
+
 def exact(n: int) -> Iv:
     return Iv(n, n)
 
 
+_FREE = Iv(0, None)  # the one shared unknown, which _vectors takes unchecked
+
+
 def unknown() -> Iv:
-    return Iv(0, None)
+    return _FREE
 
 
 # The marker.  An upper bound equal to ``inf`` means "no bound".  Each chase
@@ -159,16 +181,28 @@ def _vectors(terms, top: int):
     for t in terms:
         if len(t) != top + 1:
             raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
-        if set(map(type, t)) == {int} and min(t) >= 0:
+        kinds = set(map(type, t))
+        if kinds == {int} and min(t) >= 0:
             vecs.append(([0, *t, 0], [0, *t, 0]))
             big = max(big, *t)
             continue
+        if kinds == {Iv}:
+            los, his = zip(*t)
+            if (set(map(type, los)) == set(map(type, his)) == {int}
+                    and min(los) >= 0 and all(map(le, los, his))):
+                vecs.append(([0, *los, 0], [0, *his, 0]))
+                big = max(big, *his)
+                continue
         lo, hi = [0], [0]
         for q, v in enumerate(t):
-            nlo, nhi = (v.lo, v.hi) if isinstance(v, Iv) else (v, v)
-            nlo = max(_integer(nlo, "chase entry"), 0)
+            if v is _FREE:
+                lo.append(0)
+                hi.append(None)
+                continue
+            nlo, nhi = v if isinstance(v, Iv) else (v, v)
+            nlo = max(nlo if type(nlo) is int else _integer(nlo, "chase entry"), 0)
             if nhi is not None:
-                nhi = _integer(nhi, "chase entry")
+                nhi = nhi if type(nhi) is int else _integer(nhi, "chase entry")
                 if nlo > nhi:
                     raise ChaseError(f"empty interval [{nlo},{nhi}] in degree {q}")
             big = max(big, nlo if nhi is None else nhi)
@@ -183,7 +217,7 @@ def _vectors(terms, top: int):
 
 
 def _ivs(lo, hi, inf: int) -> list[Iv]:
-    return [Iv(l, None if h == inf else h) for l, h in zip(lo[1:-1], hi[1:-1])]
+    return list(map(_new_iv, zip(lo[1:-1], [None if h == inf else h for h in hi[1:-1]])))
 
 
 def solve_exact_complex(terms, target_seed, top: int):
@@ -198,6 +232,8 @@ def solve_exact_complex(terms, target_seed, top: int):
     Returns the narrowed target as a list of Iv, indices 0..top.
     """
     seed, free = target_seed or {}, unknown()
+    if set(map(type, seed)) - {int}:
+        seed = {_integer(q, "seed degree"): v for q, v in seed.items()}
     if any((v.lo if isinstance(v, Iv) else v) > 0
            for q, v in seed.items() if not 0 <= q <= top):
         raise ChaseError("seed outside degree window")
@@ -216,8 +252,8 @@ def _chase(T, target, top: int, inf: int) -> int:
     T = [([0] * (top + 3), [0] * (top + 3)) for _ in range(2 - len(T))] + T
     m = len(T) - 1
     B = [T[0]] + [_vec(top, inf) for _ in range(m - 1)] + [target]  # B_0 = T_0
-    # R[i][q]: rank of H^q(B_i) -> H^{q+1}(B_{i-1}), i = 1..m
-    R = [None] + [_vec(top, inf) for _ in range(m)]
+    # R[i][q]: rank of H^q(B_i) -> H^{q+1}(B_{i-1}), i = 1..m; R[0] is scratch
+    R = [_vec(top, inf) for _ in range(m + 1)]
     cap = inf >> 2
     # Slot (i, s) reads A[s], A[s+1] (in the rank cap), C[s], T_i[s], R_i[s-1]
     # and R_i[s], where A = B_{i-1} and C = B_i, and is queued whenever one of
@@ -234,15 +270,10 @@ def _chase(T, target, top: int, inf: int) -> int:
                 work.append((i, s))
             queued[i][s] = state
 
-    # The sparse start: telescoped upper bounds h^q(B_i) <= h^{q+1}(B_{i-1})
-    # + h^q(T_i) and rank caps, block by block; a slot whose A[s], C[s] and
-    # T_i[s] are exact and R_i[s-1] = R_i[s] = 0 (a rank is exact here only
-    # at 0) can narrow nothing, so its sum equation is checked once instead.
+    # The sparse start.  Forward, block by block: the telescoped upper bounds
+    # h^q(B_i) <= h^{q+1}(B_{i-1}) + h^q(T_i) and the rank caps.
     for i in range(1, m + 1):
-        alo, ahi = B[i - 1]
-        clo, chi = B[i]
-        tlo, thi = T[i]
-        rhi = R[i][1]
+        ahi, (clo, chi), thi, rhi = B[i - 1][1], B[i], T[i][1], R[i][1]
         for s in range(1, top + 2):
             a, b = ahi[s + 1], ahi[s + 1] + thi[s]
             if b < chi[s]:  # only the target can come out empty
@@ -251,9 +282,26 @@ def _chase(T, target, top: int, inf: int) -> int:
                     raise ChaseError(
                         f"empty interval [{clo[s]},{b}] in degree {s - 1}")
             rhi[s] = a if a < chi[s] else chi[s]
+    # Backward, i and s descending: A[s] <= T_i[s] + R_i[s-1] + R_i[s] - C[s].lo,
+    # then the rank caps R_i[s-1], R_{i-1}[s] on A[s].  No later step moves a
+    # variable of slot (i, s): with all five exact (a rank only at 0) it can
+    # narrow nothing and its sum is checked once; else it joins the front of
+    # the FIFO, which so starts in (i, s) order.
+    for i in range(m, 0, -1):
+        (alo, ahi), (clo, chi), (tlo, thi) = B[i - 1], B[i], T[i]
+        rhi, below, qi = R[i][1], R[i - 1][1], queued[i]
+        for s in range(top + 1, 0, -1):
+            b = thi[s] + rhi[s - 1] + rhi[s] - clo[s]
+            if b < ahi[s] and b < cap:
+                if alo[s] > b:
+                    raise ChaseError(
+                        f"empty interval [{alo[s]},{b}] in degree {s - 1}")
+                ahi[s] = b
+                rhi[s - 1], below[s] = min(rhi[s - 1], b), min(below[s], b)
             if (alo[s] != ahi[s] or clo[s] != chi[s] or tlo[s] != thi[s]
                     or rhi[s - 1] or rhi[s]):
-                push(i, s)
+                work.appendleft((i, s))
+                qi[s] = 2
             elif tlo[s] != alo[s] + clo[s]:
                 raise ChaseError(f"inexact sequence {i} in degree {s - 1}")
     visits, limit = 0, 10000 * (m + 1) * (top + 1)

@@ -47,7 +47,7 @@ from math import comb
 
 from .bott import euler_char, forms_cohomology
 from .catalog import HomogSpace, _integer, projective_space
-from .chase import Iv, exact, ses_middle, solve_exact_complex, unknown
+from .chase import Iv, exact, ses_middle, solve_exact_complex, unknown, weighted_sum
 
 # Spaces whose minimal linear sections of dimension 2*coindex - 1 carry a
 # one-dimensional extreme middle Hodge piece, and whose projective duals are
@@ -193,11 +193,9 @@ def _cotangent_terms(space, cuts, p: int, down):
     nf = len(space.factors)
     out = []
     for k in range(p, -1, -1):
-        acc = (exact(0),) * (n_x + 1)
-        for vec, mult in _groups(cuts, nf, k, True):
-            rv = restricted_forms(space, cuts, p - k, _vadd(down, vec))
-            acc = tuple(a + mult * r for a, r in zip(acc, rv))
-        out.append(acc)
+        pairs = [(mult, restricted_forms(space, cuts, p - k, _vadd(down, vec)))
+                 for vec, mult in _groups(cuts, nf, k, True)]
+        out.append(weighted_sum(pairs, n_x + 1))
     return tuple(out)
 
 
@@ -573,9 +571,13 @@ def ci_moduli(ambient_proj_dim: int, degrees) -> ModuliReport:
 def closed_form_hcc1(space, s: int) -> int:
     """dim Sym^{c-1}(C^s) - s^2 = C(s+c-2, c-1) - s^2, the moduli count of
     a codimension-s linear section of the catalog space ``space`` (coindex
-    c): an oracle independent of the Hodge route."""
+    c): an oracle independent of the Hodge route, refusing a count below 0."""
     c = space.coindex
-    return comb(s + c - 2, c - 1) - s * s
+    count = comb(s + c - 2, c - 1) - s * s
+    if count < 0:
+        raise ValueError(f"{space.name}, s = {s}: the closed form counts {count} "
+                         f"moduli; a count below 0 is refused")
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,19 @@ def test_moduli_all_routes_marks_the_counts_that_differ(capsys):
                    "(grassmannian, cohomological, closed-form, hodge-middle)\n")
 
 
+@pytest.mark.parametrize("space, s, line", [
+    ("(P1)^4", "2", "16 = 16 != 0  (grassmannian, cohomological, hodge-middle)"),
+    ("G(2,6)", "3", "1 = 1 = 1  (grassmannian, cohomological, hodge-middle)"),
+    ("LG(3,6)", "2", "3 = 3 != 0  (grassmannian, cohomological, hodge-middle)"),
+])
+def test_moduli_all_routes_drops_a_negative_closed_form(capsys, space, s, line):
+    """C(s+c-2, c-1) - s^2 is below 0 on these sections, so the closed-form
+    route raises and --all-routes drops it."""
+    rc, out = run_cli(capsys, ["moduli", "--space", space, "--linear", s,
+                               "--all-routes"])
+    assert (rc, out) == (0, line + "\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--space", "G(2,6)", "--linear", "1", "--all-routes"],
      "G(2,6), cut (1,): the grassmannian route counts -21 moduli; "

@@ -2,6 +2,7 @@
 exact-sequence chase, with Euler characteristics and deformation counts as
 independent oracles."""
 
+import re
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -62,6 +63,14 @@ def test_middle_equals_moduli_all_routes():
         assert row.entry(m + 1, m).exact
         assert row.entry(m + 1, m).lo == count
         assert row.entry(m + 2, m - 1).lo == 1
+
+
+def test_closed_form_refuses_a_negative_count():
+    assert closed_form_hcc1(CAT.space("(P1)^4"), 1) == 0
+    with pytest.raises(ValueError, match=re.escape(
+            "(P1)^4, s = 2: the closed form counts -2 moduli; "
+            "a count below 0 is refused")):
+        closed_form_hcc1(CAT.space("(P1)^4"), 2)
 
 
 def test_cy_type_verdict_on_maximal_sections():
