@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from functools import partial
-from operator import le
 
 from .catalog import _integer
 
@@ -109,27 +108,12 @@ class Iv(namedtuple("Iv", "lo hi")):
 _new_iv = partial(tuple.__new__, Iv)  # a checked (lo, hi) pair as an Iv, no frame
 
 
-def weighted_sum(pairs, size: int) -> tuple[Iv, ...]:
-    """Sum of mult * vec over (mult, vec) pairs, each mult >= 0, as Iv arithmetic."""
-    lo, hi = [0] * size, [0] * size
-    for mult, vec in pairs:
-        if mult:
-            for q, (l, h) in enumerate(vec):
-                lo[q] += mult * l
-                if hi[q] is not None:
-                    hi[q] = None if h is None else hi[q] + mult * h
-    return tuple(map(_new_iv, zip(lo, hi)))
-
-
 def exact(n: int) -> Iv:
     return Iv(n, n)
 
 
-_FREE = Iv(0, None)  # the one shared unknown, which _vectors takes unchecked
-
-
 def unknown() -> Iv:
-    return _FREE
+    return Iv(0, None)
 
 
 # The marker.  An upper bound equal to ``inf`` means "no bound".  Each chase
@@ -181,24 +165,12 @@ def _vectors(terms, top: int):
     for t in terms:
         if len(t) != top + 1:
             raise ChaseError(f"term has {len(t)} degrees, expected {top + 1}")
-        kinds = set(map(type, t))
-        if kinds == {int} and min(t) >= 0:
+        if set(map(type, t)) == {int} and min(t) >= 0:
             vecs.append(([0, *t, 0], [0, *t, 0]))
             big = max(big, *t)
             continue
-        if kinds == {Iv}:
-            los, his = zip(*t)
-            if (set(map(type, los)) == set(map(type, his)) == {int}
-                    and min(los) >= 0 and all(map(le, los, his))):
-                vecs.append(([0, *los, 0], [0, *his, 0]))
-                big = max(big, *his)
-                continue
         lo, hi = [0], [0]
         for q, v in enumerate(t):
-            if v is _FREE:
-                lo.append(0)
-                hi.append(None)
-                continue
             nlo, nhi = v if isinstance(v, Iv) else (v, v)
             nlo = max(nlo if type(nlo) is int else _integer(nlo, "chase entry"), 0)
             if nhi is not None:

@@ -47,7 +47,7 @@ from math import comb
 
 from .bott import euler_char, forms_cohomology
 from .catalog import HomogSpace, _integer, projective_space
-from .chase import Iv, exact, ses_middle, solve_exact_complex, unknown, weighted_sum
+from .chase import Iv, exact, ses_middle, solve_exact_complex, unknown
 
 # Spaces whose minimal linear sections of dimension 2*coindex - 1 carry a
 # one-dimensional extreme middle Hodge piece, and whose projective duals are
@@ -193,9 +193,11 @@ def _cotangent_terms(space, cuts, p: int, down):
     nf = len(space.factors)
     out = []
     for k in range(p, -1, -1):
-        pairs = [(mult, restricted_forms(space, cuts, p - k, _vadd(down, vec)))
-                 for vec, mult in _groups(cuts, nf, k, True)]
-        out.append(weighted_sum(pairs, n_x + 1))
+        acc = (exact(0),) * (n_x + 1)
+        for vec, mult in _groups(cuts, nf, k, True):
+            rv = restricted_forms(space, cuts, p - k, _vadd(down, vec))
+            acc = tuple(a + mult * r for a, r in zip(acc, rv))
+        out.append(acc)
     return tuple(out)
 
 

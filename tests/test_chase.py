@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from bwb import chase, hodge
 from bwb.catalog import default_catalog, projective_space
-from bwb.chase import (ChaseError, Iv, exact, ses_middle, solve_exact_complex, unknown,
-                       weighted_sum)
+from bwb.chase import ChaseError, Iv, exact, ses_middle, solve_exact_complex, unknown
 
 
 @st.composite
@@ -290,7 +289,7 @@ ENTRY_PLACES = {
     "int term": lambda v: solve_exact_complex([[1, v], [2, 3]], {}, 1),
     "Iv lower end": lambda v: solve_exact_complex([[1, Iv(v, 4)], [2, 3]], {}, 1),
     "Iv upper end": lambda v: solve_exact_complex([[1, Iv(0, v)], [2, 3]], {}, 1),
-    # a term made only of Ivs, checked on its lo and hi columns at once
+    # a term made only of Ivs
     "Iv term lower end": lambda v: solve_exact_complex(
         [[exact(1), Iv(v, 4)], [exact(2), exact(3)]], {}, 1),
     "Iv term upper end": lambda v: solve_exact_complex(
@@ -312,10 +311,10 @@ def _outcome(call, v):
 
 @pytest.mark.parametrize("place", ENTRY_PLACES)
 def test_entries_off_the_typed_gate_take_the_integer_check(place):
-    """An entry that is not a plain int, an Iv with plain int ends or the
-    unknown, or an end below 0, misses the typed gates and goes through the
-    integer check: a term of Ivs gives what a term mixing ints and Ivs
-    gives."""
+    """An entry that is not a plain int, or a plain int below 0, misses the
+    one typed gate per term; an end that is not a plain int then goes
+    through the integer check, so a term of Ivs gives what a term mixing
+    ints and Ivs gives."""
     call = ENTRY_PLACES[place]
     # an int-valued bool or int subclass reads as its int
     for v in (True, False, _Int(2)):
@@ -537,20 +536,6 @@ def test_interval_sum_multiple_meet_and_membership(ax, by, k, z):
             a.meet(b)
     else:
         assert [v for v in probes if v in a.meet(b)] == common
-
-
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.tuples(
-    st.integers(0, 4), st.lists(intervals(), min_size=n, max_size=n)), max_size=4)))
-def test_weighted_sum_equals_interval_arithmetic(pairs):
-    """Multiplicity 0 and unbounded ends included, the one-pass sum is the
-    sum that Iv's own + and k * give."""
-    size = len(pairs[0][1]) if pairs else 3
-    pairs = [(k, [iv for iv, _ in vec]) for k, vec in pairs]
-    want = (exact(0),) * size
-    for k, vec in pairs:
-        want = tuple(a + k * b for a, b in zip(want, vec))
-    got = weighted_sum(pairs, size)
-    assert got == want and all(type(iv) is Iv for iv in got)
 
 
 @given(st.integers(0, 50), st.integers(0, 50))
