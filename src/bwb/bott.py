@@ -52,11 +52,12 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, starmap
+from itertools import combinations, compress, starmap
 from math import prod
 
 from .catalog import HomogSpace, _integer
-from .rootsys import minimal_coset_reps, to_dominant, weyl_dim, weyl_dim_levi
+from .rootsys import (coroot_pairings, minimal_coset_reps, to_dominant, weyl_dim,
+                      weyl_dim_levi)
 
 
 class Bundle(namedtuple("Bundle", "space weights")):
@@ -217,28 +218,16 @@ def _kostant_pairings(f, pf: int):
     them); their ``c`` form one tuple shared by every weight, and each
     weight keeps its ``a`` in a flat tuple of the same order.  Returns
     ``(c, ((|product|, negative, a), ...))``."""
-    chain = [0]
-    for k, j in f.rs.dim_steps:
-        chain.append(chain[k] + (j == f.node))
-    coeffs = chain[1:]
+    coeffs = coroot_pairings(f.rs, f.omega())
+    fixed_at = [not c for c in coeffs]
     out = []
     for w in minimal_coset_reps(f.rs, f.node)[pf]:
-        pairings = [0]
-        fixed, negative = 1, 0
-        moving = []
-        for (k, j), c in zip(f.rs.dim_steps, coeffs):
-            a = pairings[k] + w[j] + 1
-            pairings.append(a)
-            if c:
-                moving.append(a)
-            elif a:
-                fixed *= a
-                negative += a < 0
-            else:
-                break  # u + inc * omega is singular for every inc
-        else:
-            out.append((abs(fixed), negative, tuple(moving)))
-    return tuple(c for c in coeffs if c), tuple(out)
+        pairings = coroot_pairings(f.rs, [x + 1 for x in w])
+        fixed = list(compress(pairings, fixed_at))
+        if 0 not in fixed:  # else u + inc * omega is singular for every inc
+            out.append((abs(prod(fixed)), sum(a < 0 for a in fixed),
+                        tuple(compress(pairings, coeffs))))
+    return tuple(filter(None, coeffs)), tuple(out)
 
 
 def _factor_forms(f, pf: int, inc: int) -> dict[int, int]:

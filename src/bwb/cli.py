@@ -208,14 +208,14 @@ def _cmd_moduli(args) -> int:
                                closed_form_hcc1(spec.ambient, args.linear)))
             except ValueError:
                 pass
-        try:
-            row = section_hodge(spec)
-            m = (row.n - 1) // 2
-            iv = row.entry(m + 1, m)
-            if iv.exact:
-                routes.append(("hodge-middle", iv.lo))
-        except ValueError:
-            pass
+        if spec.dim % 2:  # h^{m+1,m} is a middle cell only when dim X = 2m + 1
+            try:
+                row = section_hodge(spec)
+                iv = row.entry(row.n // 2 + 1, row.n // 2)
+                if iv.exact:
+                    routes.append(("hodge-middle", iv.lo))
+            except ValueError:
+                pass
         payloads = [{"routes": dict(routes)}]
         values = [v for _, v in routes]
         words = [str(v) for v in values[:1]]  # "=" only between equal neighbours

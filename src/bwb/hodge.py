@@ -570,18 +570,6 @@ def ci_moduli(ambient_proj_dim: int, degrees) -> ModuliReport:
     )
 
 
-def closed_form_hcc1(space, s: int) -> int:
-    """dim Sym^{c-1}(C^s) - s^2 = C(s+c-2, c-1) - s^2, the moduli count of
-    a codimension-s linear section of the catalog space ``space`` (coindex
-    c): an oracle independent of the Hodge route, refusing a count below 0."""
-    c = space.coindex
-    count = comb(s + c - 2, c - 1) - s * s
-    if count < 0:
-        raise ValueError(f"{space.name}, s = {s}: the closed form counts {count} "
-                         f"moduli; a count below 0 is refused")
-    return count
-
-
 # ---------------------------------------------------------------------------
 # The special series: twisted-form lemmas and projective duality
 
@@ -591,6 +579,18 @@ def _series_facts(space: HomogSpace) -> tuple[int, int]:
     if space.name not in SPECIAL_SERIES:
         raise ValueError(f"{space.name} is outside the special series")
     return r, c
+
+
+def closed_form_hcc1(space, s: int) -> int:
+    """dim Sym^{c-1}(C^s) - s^2 = C(s+c-2, c-1) - s^2, the moduli count of
+    the dual hypersurface of :func:`dual_correspondence`, hence of the
+    codimension-s linear section of a special-series space, at s = r-c+1
+    only: an oracle independent of the Hodge route, refused elsewhere."""
+    r, c = _series_facts(space)
+    if s != r - c + 1:
+        raise ValueError(f"{space.name}, s = {s}: the closed form holds "
+                         f"at s = {r - c + 1} only")
+    return comb(s + c - 2, c - 1) - s * s
 
 
 def lemma_nonvan_check(space: HomogSpace) -> tuple[int, int]:

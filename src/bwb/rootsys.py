@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from math import factorial
+from itertools import compress
+from math import factorial, prod
 
 SERIES = ("A", "B", "C", "D", "E", "G")
 
@@ -226,7 +227,7 @@ def root_system(series: str, rank: int) -> RootSystem:
     # The coroots form a root system, so every positive coroot is a smaller
     # one (or zero) plus a simple coroot, and in order of height each pairing
     # <w, alpha^vee> is one addition to an earlier one.
-    slot = {(0,) * rank: 0}  # coroot -> its slot in weyl_dim's pairing list
+    slot = {(0,) * rank: 0}  # coroot -> its slot in coroot_pairings' walk
     dim_steps = []
     dim_den = 1
     for cv in sorted(coroots, key=sum):
@@ -260,20 +261,25 @@ def simple_reflection(rs: RootSystem, i: int, w) -> tuple[int, ...]:
     return tuple(out)
 
 
+def coroot_pairings(rs: RootSystem, w) -> list[int]:
+    """The pairings <w, alpha^vee> with the positive coroots, in
+    ``rs.dim_steps`` order: the pairing of step ``(k, j)`` is the one of
+    step k plus ``w[j]``, so each costs one addition."""
+    pairings = [0]
+    for k, j in rs.dim_steps:
+        pairings.append(pairings[k] + w[j])
+    return pairings[1:]
+
+
 def inversions(rs: RootSystem, w) -> int:
-    """Number of positive coroots pairing negatively with ``w``, each pairing
-    one step of the ``rs.dim_steps`` chain.
+    """Number of positive coroots pairing negatively with ``w``, or -1 when
+    one pairs to zero (singular; no well-defined inversion count).
 
     For regular ``w = u(rho + lam)`` this is the length of ``u^{-1}``, hence
     the number of reflections any pivot order needs to reach the chamber.
     """
-    pairings = [0]
-    for k, j in rs.dim_steps:
-        s = pairings[k] + w[j]
-        if not s:
-            return -1  # singular; no well-defined inversion count
-        pairings.append(s)
-    return sum(s < 0 for s in pairings)
+    pairings = coroot_pairings(rs, w)
+    return -1 if 0 in pairings else sum(s < 0 for s in pairings)
 
 
 DominanceWalk = namedtuple("DominanceWalk", "dominant length singular pivots")
@@ -317,12 +323,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     (dominant, fundamental coordinates), by the Weyl dimension formula
     prod <lam + rho, alpha^vee> / prod <rho, alpha^vee>.
     Exact integer arithmetic throughout."""
-    pairings = [0]
-    num = 1
-    for k, j in rs.dim_steps:
-        v = pairings[k] + lam[j] + 1
-        pairings.append(v)
-        num *= v
+    num = prod(coroot_pairings(rs, [c + 1 for c in lam]))
     assert num % rs.dim_den == 0, "Weyl dimension must be an integer"
     return num // rs.dim_den
 
@@ -332,18 +333,13 @@ def weyl_dim_levi(rs: RootSystem, unmarked: frozenset[int], lam) -> int:
 
     Only the positive coroots supported on unmarked nodes contribute, so
     marked coordinates of ``lam`` never enter and any twist leaves the value
-    fixed.  On the ``rs.dim_steps`` chain the coroot of step ``(k, j)`` is one
-    of them iff the coroot of step ``k`` is and ``j`` is unmarked.
+    fixed.  Those coroots are the ones pairing to 0 with the sum of the
+    marked fundamental weights; their heights are their pairings with rho.
     """
-    levi, pairings, heights = [True], [0], [0]
-    num = den = 1
-    for k, j in rs.dim_steps:
-        levi.append(levi[k] and j in unmarked)
-        pairings.append(pairings[k] + lam[j] + 1)
-        heights.append(heights[k] + 1)
-        if levi[-1]:
-            num *= pairings[-1]
-            den *= heights[-1]
+    marked = coroot_pairings(rs, [int(j not in unmarked) for j in range(rs.rank)])
+    levi = [not m for m in marked]
+    num = prod(compress(coroot_pairings(rs, [c + 1 for c in lam]), levi))
+    den = prod(compress(coroot_pairings(rs, rs.rho), levi))
     assert num % den == 0
     return num // den
 

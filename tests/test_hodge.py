@@ -65,12 +65,29 @@ def test_middle_equals_moduli_all_routes():
         assert row.entry(m + 2, m - 1).lo == 1
 
 
-def test_closed_form_refuses_a_negative_count():
-    assert closed_form_hcc1(CAT.space("(P1)^4"), 1) == 0
+def test_closed_form_answers_only_at_the_series_sections():
+    """C(s+c-2, c-1) - s^2 is the count of the series' dual hypersurfaces,
+    so it answers at the four maximal series sections only, and there it
+    equals both deformation routes; every other (space, s) is refused."""
+    answered = {}
+    for name in CAT.spaces:
+        space = CAT.space(name)
+        for s in range(1, space.dim):
+            try:
+                answered[name, s] = closed_form_hcc1(space, s)
+            except ValueError:
+                pass
+    assert answered == {(name, space_facts(CAT.space(name))["s"]): count
+                        for name, count in SERIES_MODULI.items()}
+    for (name, s), count in answered.items():
+        routes = moduli_routes(linear_section(CAT.space(name), s))
+        assert [m.value for m in routes] == [count, count], name
     with pytest.raises(ValueError, match=re.escape(
-            "(P1)^4, s = 2: the closed form counts -2 moduli; "
-            "a count below 0 is refused")):
+            "(P1)^4 is outside the special series")):
         closed_form_hcc1(CAT.space("(P1)^4"), 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "OP2, s = 8: the closed form holds at s = 9 only")):
+        closed_form_hcc1(CAT.space("OP2"), 8)
 
 
 def test_cy_type_verdict_on_maximal_sections():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bwb.rootsys import (
     _lengths,
+    coroot_pairings,
     inversions,
     minimal_coset_reps,
     root_system,
@@ -206,12 +207,16 @@ def test_weyl_dim_levi_equals_the_levi_product_over_root_strings(series, rank):
 def test_inversions_equal_an_explicit_count(series, rank):
     rs = root_system(series, rank)
     _, coroots = root_strings(rs)
+    chain = chain_coroots(rs)
     rng = random.Random(f"{series}{rank}")
     for _ in range(150):
         w = tuple(rng.randint(-6, 6) for _ in range(rank))
         pairings = [sum(a * c for a, c in zip(w, cv)) for cv in coroots]
         want = -1 if 0 in pairings else sum(s < 0 for s in pairings)
         assert inversions(rs, w) == want, w
+        # the one walk: the pairings with the chain's coroots, in its order
+        assert coroot_pairings(rs, w) == [
+            sum(a * c for a, c in zip(w, cv)) for cv in chain], w
 
 
 def test_walk_of_dominant_weight_is_trivial():
