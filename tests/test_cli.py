@@ -82,14 +82,11 @@ def test_moduli_all_routes(capsys):
     assert out == ("84 = 84 = 84 = 84  "
                    "(grassmannian, cohomological, closed-form, hodge-middle)\n")
     # off the series section the closed form is refused, and on an
-    # even-dimensional X (an eightfold, a surface) h^{m+1,m} is no middle
-    # cell, so hodge-middle is dropped
+    # even-dimensional X (here an eightfold) h^{m+1,m} is no middle cell, so
+    # hodge-middle is dropped
     rc, out = run_cli(capsys, ["moduli", "--space", "OP2", "--linear", "8",
                                "--all-routes"])
     assert (rc, out) == (0, "74 = 74  (grassmannian, cohomological)\n")
-    rc, out = run_cli(capsys, ["moduli", "--space", "(P1)^4", "--linear", "2",
-                               "--all-routes"])
-    assert (rc, out) == (0, "16 = 16  (grassmannian, cohomological)\n")
     rc, out = run_cli(capsys, ["moduli", "--space", "(P1)^6", "--linear", "1",
                                "--all-routes"])
     assert (rc, out) == (
@@ -104,14 +101,16 @@ def test_moduli_all_routes_marks_the_counts_that_differ(capsys):
 
 
 @pytest.mark.parametrize("space, s, line", [
+    pytest.param("(P1)^4", "2", "16 = 16  (grassmannian, cohomological)",
+                 id="(P1)^4-2"),
     ("G(2,6)", "3", "1 = 1 = 1  (grassmannian, cohomological, hodge-middle)"),
     ("LG(3,6)", "2", "3 = 3  (grassmannian, cohomological)"),
 ])
 def test_moduli_all_routes_drops_a_negative_closed_form(capsys, space, s, line):
     """C(s+c-2, c-1) - s^2 would be below 0 on these sections; the closed
     form is refused off the four series sections, and --all-routes drops it.
-    The fourfold LG(3,6) section also drops hodge-middle, which reads
-    h^{m+1,m} only on an odd-dimensional X."""
+    The surface (P1)^4 section and the fourfold LG(3,6) section also drop
+    hodge-middle, which reads h^{m+1,m} only on an odd-dimensional X."""
     rc, out = run_cli(capsys, ["moduli", "--space", space, "--linear", s,
                                "--all-routes"])
     assert (rc, out) == (0, line + "\n")
