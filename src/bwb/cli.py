@@ -209,10 +209,11 @@ def _cmd_moduli(args) -> int:
             except ValueError:
                 pass
         if spec.dim % 2:  # h^{m+1,m} is a middle cell only when dim X = 2m + 1
-            try:
+            try:  # and counts moduli only where X is of CY type, h^{m+2,m-1} = 1
                 row = section_hodge(spec)
-                iv = row.entry(row.n // 2 + 1, row.n // 2)
-                if iv.exact:
+                m = row.n // 2
+                iv, extreme = row.entry(m + 1, m), row.entry(m + 2, m - 1)
+                if iv.exact and extreme.exact and 1 in extreme:
                     routes.append(("hodge-middle", iv.lo))
             except ValueError:
                 pass

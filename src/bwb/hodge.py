@@ -21,7 +21,8 @@ E = O(d_1) + ... + O(d_s) on a cominuscule space Sigma:
   whose terms are handled by the restriction step (the multiplicity spaces
   Sym^k of the cut degrees enter as plain integer multiplicities).
 
-Both complexes are resolved by the interval solver in :mod:`bwb.chase`,
+Both complexes are resolved by the interval solver in :mod:`bwb.chase` (a
+Koszul complex that degenerates at E1 for degree reasons is summed instead),
 which never guesses a connecting map: whatever exactness, Serre duality and
 Hodge symmetry do not pin down stays an integer range flagged indeterminate.
 A full Hodge table iterates the per-p chases with two cross-entry rules --
@@ -164,12 +165,27 @@ def _groups(cuts, nf: int, k: int, sym: bool):
     return tuple(sorted((w, m) for (used, w), m in states.items() if used == k))
 
 
+def _e1_sums(terms, top: int):
+    """h^k(F), k = 0..top, for 0 -> T_0 -> ... -> T_m -> F -> 0 exact: the sum
+    of the entries T_i[q] of total degree q + i - m = k, when no nonzero entry
+    has one of total degree k + 1 in a later term, so every differential of
+    the hypercohomology spectral sequence vanishes (E1 degeneration); None
+    otherwise, or when a nonzero entry falls outside 0..top."""
+    m = len(terms) - 1
+    cells = [(q + i - m, i, d) for i, t in enumerate(terms) for q, d in enumerate(t) if d]
+    if any(not 0 <= k <= top for k, _, _ in cells) or any(
+            k2 == k + 1 and i2 > i for k, i, _ in cells for k2, i2, _ in cells):
+        return None
+    return tuple(exact(sum(d for j, _, d in cells if j == k)) for k in range(top + 1))
+
+
 @lru_cache(maxsize=None)
 def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
     """h^q(X, Omega^a_Sigma(-down)|X) for q = 0..dim X, as intervals.
 
-    Chases the Koszul resolution of O_X twisted by Omega^a_Sigma(-down);
-    support on X caps the degrees at dim X, which the solver exploits.
+    Closes the Koszul resolution of O_X twisted by Omega^a_Sigma(-down) by
+    ``_e1_sums`` or else chases it; support on X caps the degrees at dim X,
+    which the solver exploits.
     """
     n_amb = space.dim
     n_x = n_amb - len(cuts)
@@ -183,7 +199,7 @@ def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
                 total[q] += mult * d
         terms.append(total)
     seed = {q: 0 for q in range(n_x + 1, n_amb + 1)}
-    return tuple(solve_exact_complex(terms, seed, n_amb)[: n_x + 1])
+    return _e1_sums(terms, n_x) or tuple(solve_exact_complex(terms, seed, n_amb)[: n_x + 1])
 
 
 @lru_cache(maxsize=None)
@@ -232,18 +248,19 @@ def section_forms(spec: SectionSpec, p: int, down=0) -> tuple[Iv, ...]:
 
 
 def _symmetrize(table, n: int) -> bool:
-    """Meet every h^{p,q} with the rest of its orbit, h^{q,p}, h^{n-p,n-q}
-    and h^{n-q,n-p}, in place; True when some entry narrowed.  Hodge
-    symmetry and Serre duality generate a group of order 4, so the first
-    entry of an orbit takes the meet of all four and the others meet it:
-    one call closes the table."""
+    """Meet each orbit {(p,q), (q,p), (n-p,n-q), (n-q,n-p)} of Hodge symmetry
+    and Serre duality once, at p <= q <= n - p, and write the meet to each of
+    its cells, in place: one call closes the table.  True when some entry
+    narrowed; ``ChaseError`` when a meet is empty."""
     changed = False
-    for p in range(n + 1):
-        for q in range(n + 1):
-            new = (table[p][q].meet(table[q][p]).meet(table[n - p][n - q])
-                   .meet(table[n - q][n - p]))
-            if new != table[p][q]:
-                table[p][q], changed = new, True
+    for p in range(n // 2 + 1):
+        for q in range(p, n - p + 1):
+            cells = ((p, q), (q, p), (n - p, n - q), (n - q, n - p))
+            new = table[p][q].meet(table[q][p]).meet(table[n - p][n - q]).meet(
+                table[n - q][n - p])
+            for i, j in cells:
+                if table[i][j] != new:
+                    table[i][j], changed = new, True
     return changed
 
 

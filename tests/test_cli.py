@@ -94,23 +94,38 @@ def test_moduli_all_routes(capsys):
 
 
 def test_moduli_all_routes_marks_the_counts_that_differ(capsys):
-    rc, out = run_cli(capsys, ["moduli", "--space", "(P1)^4", "--linear", "1",
+    rc, out = run_cli(capsys, ["moduli", "--space", "S10", "--cut", "2",
                                "--all-routes"])
     assert rc == 0
-    assert out == "3 = 3 != 1  (grassmannian, cohomological, hodge-middle)\n"
+    assert out == "80 != 70  (cohomological, hodge-middle)\n"
+
+
+def test_moduli_all_routes_drops_hodge_middle_off_cy_type(capsys):
+    """h^{m+1,m} counts moduli only where h^{m+2,m-1} = 1: the threefold
+    (P1)^4 section (h^{3,0} = 0, where h^{2,1} = 1 would read 3 != 1) and
+    the 13-fold G(2,10) section (h^{8,5} = 0, where h^{7,6} = 6 would read
+    27 != 6) drop hodge-middle."""
+    for space, s, line in (("(P1)^4", "1", "3 = 3  (grassmannian, cohomological)"),
+                           ("G(2,10)", "3", "27 = 27  (grassmannian, cohomological)")):
+        rc, out = run_cli(capsys, ["moduli", "--space", space, "--linear", s,
+                                   "--all-routes"])
+        assert (rc, out) == (0, line + "\n")
 
 
 @pytest.mark.parametrize("space, s, line", [
     pytest.param("(P1)^4", "2", "16 = 16  (grassmannian, cohomological)",
                  id="(P1)^4-2"),
-    ("G(2,6)", "3", "1 = 1 = 1  (grassmannian, cohomological, hodge-middle)"),
-    ("LG(3,6)", "2", "3 = 3  (grassmannian, cohomological)"),
+    pytest.param("G(2,6)", "3", "1 = 1  (grassmannian, cohomological)",
+                 id="G(2,6)-3"),
+    pytest.param("LG(3,6)", "2", "3 = 3  (grassmannian, cohomological)",
+                 id="LG(3,6)-2"),
 ])
 def test_moduli_all_routes_drops_a_negative_closed_form(capsys, space, s, line):
     """C(s+c-2, c-1) - s^2 would be below 0 on these sections; the closed
     form is refused off the four series sections, and --all-routes drops it.
     The surface (P1)^4 section and the fourfold LG(3,6) section also drop
-    hodge-middle, which reads h^{m+1,m} only on an odd-dimensional X."""
+    hodge-middle, which reads h^{m+1,m} only on an odd-dimensional X, and
+    the fivefold G(2,6) section drops it for h^{4,1} = 0."""
     rc, out = run_cli(capsys, ["moduli", "--space", space, "--linear", s,
                                "--all-routes"])
     assert (rc, out) == (0, line + "\n")

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwb import hodge
 from bwb.bott import euler_char
 from bwb.catalog import default_catalog, projective_space, space_facts
-from bwb.chase import Iv
+from bwb.chase import ChaseError, Iv, solve_exact_complex, unknown
 from bwb.hodge import (
     HodgeRow,
     ModuliReport,
@@ -36,6 +37,7 @@ from bwb.hodge import (
     section_spec,
 )
 from bwb.jacring import steenbrink_hodge
+from bwb.report import run_verify
 
 CAT = default_catalog()
 
@@ -576,3 +578,64 @@ def test_symmetrize_meets_each_orbit_in_one_call(case):
             assert old.hi is None or (new.hi is not None and new.hi <= old.hi)
     assert changed == (table != before)
     assert not _symmetrize(table, n)
+
+
+@pytest.mark.parametrize("cell, other", [((1, 2), (2, 1)), ((0, 1), (3, 2))],
+                         ids=["hodge-symmetry", "serre-duality"])
+def test_symmetrize_raises_on_an_orbit_with_an_empty_meet(cell, other):
+    """Two cells of one orbit of a threefold's table that exclude each other
+    make the table inconsistent, which the meet of the orbit reports."""
+    table = [[unknown() for _ in range(4)] for _ in range(4)]
+    (p, q), (a, b) = cell, other
+    table[p][q], table[a][b] = Iv(0, 1), Iv(2, None)
+    with pytest.raises(ChaseError, match="empty interval"):
+        _symmetrize(table, 3)
+
+
+# ------------------------------------------------------ E1 on Koszul terms
+
+# (ambient, cuts, branch) of the Hodge tables of the sections benchmark;
+# None is projective 5-space
+SECTION_TABLES = (
+    [(sp, (2,), None) for sp in ("G(2,6)", "LG(3,6)", "P3xP3", "(P1)^4", "S10",
+                                 "(P1)^6", "(P1)^3xP3", "(P2)^4")]
+    + [(sp, (1,), None) for sp in ("G(2,6)", "LG(3,6)", "P3xP3", "S10", "(P2)^4",
+                                   "G(2,5)xG(2,5)", "(P4)^3")]
+    + [(sp, (1, 1), None) for sp in ("G(2,6)", "S10", "LG(3,6)", "P3xP3")]
+    + [(None, (), 4), (None, (), 8), ("LG(3,6)", (1,), 2)]
+)
+
+
+def _sections_tables():
+    for ambient, cuts, branch in SECTION_TABLES:
+        space = projective_space(5) if ambient is None else CAT.space(ambient)
+        spec = section_spec(space, cuts, branch=branch)
+        (section_hodge if branch is None else double_cover_hodge)(spec)
+
+
+@pytest.mark.parametrize("run, closed", [(lambda: run_verify(CAT), 233),
+                                         (_sections_tables, 470)],
+                         ids=["verify", "sections"])
+def test_every_koszul_complex_e1_closes_lies_inside_the_solver(
+        monkeypatch, run, closed):
+    """Every Koszul restriction that E1 degeneration closes, from cold
+    caches, is exact and lies inside the solver's result on the same terms
+    and seed; the counts are the solves it saves."""
+    seen, e1 = [], hodge._e1_sums
+
+    def recording(terms, top):
+        out = e1(terms, top)
+        if out is not None:
+            seen.append((terms, top, out))
+        return out
+
+    monkeypatch.setattr(hodge, "_e1_sums", recording)
+    for cached in (hodge.restricted_forms, hodge._cotangent_terms, hodge_table):
+        cached.cache_clear()
+    run()
+    assert len(seen) == closed
+    for terms, top, out in seen:
+        n_amb = len(terms[0]) - 1
+        seed = {q: 0 for q in range(top + 1, n_amb + 1)}
+        solved = solve_exact_complex(terms, seed, n_amb)[: top + 1]
+        assert all(v.exact and v.lo in iv for v, iv in zip(out, solved))
