@@ -30,6 +30,7 @@ from datetime import datetime, timezone
 
 from .bott import bott, grassmann_bundle, kostant_forms, spinor_bundle
 from .catalog import load_catalog
+from .chase import exact
 from .hodge import (
     closed_form_hcc1,
     deformation_moduli,
@@ -213,7 +214,7 @@ def _cmd_moduli(args) -> int:
                 row = section_hodge(spec)
                 m = row.n // 2
                 iv, extreme = row.entry(m + 1, m), row.entry(m + 2, m - 1)
-                if iv.exact and extreme.exact and 1 in extreme:
+                if iv.exact and extreme == exact(1):
                     routes.append(("hodge-middle", iv.lo))
             except ValueError:
                 pass

@@ -43,7 +43,7 @@ verification layer cross-checks against the Hodge-theoretic route.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 
 from .bott import euler_char, forms_cohomology
@@ -166,17 +166,19 @@ def _groups(cuts, nf: int, k: int, sym: bool):
 
 
 def _e1_sums(terms, top: int):
-    """h^k(F), k = 0..top, for 0 -> T_0 -> ... -> T_m -> F -> 0 exact: the sum
-    of the entries T_i[q] of total degree q + i - m = k, when no nonzero entry
-    has one of total degree k + 1 in a later term, so every differential of
-    the hypercohomology spectral sequence vanishes (E1 degeneration); None
-    otherwise, or when a nonzero entry falls outside 0..top."""
-    m = len(terms) - 1
-    cells = [(q + i - m, i, d) for i, t in enumerate(terms) for q, d in enumerate(t) if d]
-    if any(not 0 <= k <= top for k, _, _ in cells) or any(
-            k2 == k + 1 and i2 > i for k, i, _ in cells for k2, i2, _ in cells):
-        return None
-    return tuple(exact(sum(d for j, _, d in cells if j == k)) for k in range(top + 1))
+    """h^k(F), k = 0..top, for 0 -> T_0 -> ... -> T_m -> F -> 0 exact: the sum of
+    the entries T_i[q] of total degree q + i - m = k, when no nonzero entry sits
+    at k - 1 in an earlier term (``below``), so the spectral sequence degenerates
+    at E1; None otherwise, or when a nonzero entry falls outside 0..top."""
+    m, sums, below = len(terms) - 1, [0] * (top + 1), set()
+    for i, t in enumerate(terms):
+        ks = [(q + i - m, d) for q, d in enumerate(t) if d]
+        for k, d in ks:
+            if not 0 <= k <= top or k - 1 in below:
+                return None
+            sums[k] += d
+        below.update(k for k, _ in ks)
+    return tuple(map(exact, sums))
 
 
 @lru_cache(maxsize=None)
@@ -256,8 +258,7 @@ def _symmetrize(table, n: int) -> bool:
     for p in range(n // 2 + 1):
         for q in range(p, n - p + 1):
             cells = ((p, q), (q, p), (n - p, n - q), (n - q, n - p))
-            new = table[p][q].meet(table[q][p]).meet(table[n - p][n - q]).meet(
-                table[n - q][n - p])
+            new = reduce(Iv.meet, (table[i][j] for i, j in cells))
             for i, j in cells:
                 if table[i][j] != new:
                     table[i][j], changed = new, True

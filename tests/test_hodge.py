@@ -594,8 +594,10 @@ def test_symmetrize_raises_on_an_orbit_with_an_empty_meet(cell, other):
 
 # ------------------------------------------------------ E1 on Koszul terms
 
-# (ambient, cuts, branch) of the Hodge tables of the sections benchmark;
-# None is projective 5-space
+# (ambient, cuts, branch) of the Hodge tables of the sections benchmark, a
+# copy of SECTION_SPECS in bench/workloads.py (None is projective 5-space).
+# The count of 470 closed complexes below is tied to that list: when it
+# changes, copy it here again and re-pin the count.
 SECTION_TABLES = (
     [(sp, (2,), None) for sp in ("G(2,6)", "LG(3,6)", "P3xP3", "(P1)^4", "S10",
                                  "(P1)^6", "(P1)^3xP3", "(P2)^4")]
