@@ -30,9 +30,7 @@ from datetime import datetime, timezone
 
 from .bott import bott, grassmann_bundle, kostant_forms, spinor_bundle
 from .catalog import load_catalog
-from .chase import exact
 from .hodge import (
-    closed_form_hcc1,
     deformation_moduli,
     linear_section,
     moduli_routes,
@@ -178,9 +176,7 @@ def _spec_from_args(cat, args):
     space = cat.space(args.space)
     if args.linear is not None:
         return linear_section(space, args.linear)
-    if args.cut is not None:
-        return section_spec(space, args.cut)
-    raise SystemExit("need --cut or --linear")
+    return section_spec(space, args.cut)
 
 
 def _cmd_hodge(args) -> int:
@@ -203,21 +199,8 @@ def _cmd_moduli(args) -> int:
     spec = _spec_from_args(cat, args)
     if args.all_routes:
         routes = [(r.route, r.value) for r in moduli_routes(spec)]
-        if args.linear is not None:
-            try:
-                routes.append(("closed-form",
-                               closed_form_hcc1(spec.ambient, args.linear)))
-            except ValueError:
-                pass
-        if spec.dim % 2:  # h^{m+1,m} is a middle cell only when dim X = 2m + 1
-            try:  # and counts moduli only where X is of CY type, h^{m+2,m-1} = 1
-                row = section_hodge(spec)
-                m = row.n // 2
-                iv, extreme = row.entry(m + 1, m), row.entry(m + 2, m - 1)
-                if iv.exact and extreme == exact(1):
-                    routes.append(("hodge-middle", iv.lo))
-            except ValueError:
-                pass
+        if not routes:
+            raise SystemExit(f"{spec.describe()}: no moduli route applies")
         payloads = [{"routes": dict(routes)}]
         values = [v for _, v in routes]
         words = [str(v) for v in values[:1]]  # "=" only between equal neighbours
@@ -308,11 +291,13 @@ def main(argv=None) -> int:
     for name, fn in (("hodge", _cmd_hodge), ("moduli", _cmd_moduli)):
         p = sub.add_parser(name)
         p.add_argument("--space", required=True)
-        p.add_argument("--cut", type=_csv_ints, help="cut degrees, e.g. 2 or 1,1")
-        p.add_argument("--linear", type=_strict_int, help="number of hyperplane cuts")
+        cuts = p.add_mutually_exclusive_group(required=True)
+        cuts.add_argument("--cut", type=_csv_ints, help="cut degrees, e.g. 2 or 1,1")
+        cuts.add_argument("--linear", type=_strict_int, help="number of hyperplane cuts")
         if name == "moduli":
-            p.add_argument("--all-routes", action="store_true", dest="all_routes")
-            p.add_argument("--route", choices=("grassmannian", "cohomological"))
+            route = p.add_mutually_exclusive_group()
+            route.add_argument("--all-routes", action="store_true", dest="all_routes")
+            route.add_argument("--route", choices=("grassmannian", "cohomological"))
         fmt_flags(p)
         p.set_defaults(func=fn)
 

@@ -43,6 +43,7 @@ verification layer cross-checks against the Hodge-theoretic route.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from contextlib import suppress
 from functools import lru_cache, reduce
 from math import comb
 
@@ -553,14 +554,26 @@ def _route_count(spec: SectionSpec, route: str | None) -> ModuliReport:
 
 
 def moduli_routes(spec: SectionSpec) -> tuple[ModuliReport, ...]:
-    """Every applicable deformation_moduli route for the spec."""
-    if spec.branch_degree is not None:
-        return (deformation_moduli(spec),)
-    out = []
-    if spec.cut_degrees and all(c == spec.ambient.ample for c in spec.cut_degrees):
-        out.append(deformation_moduli(spec, "grassmannian"))
-    if spec.cut_degrees and len({c for c in spec.cut_degrees}) == 1:
+    """Every moduli count of the spec, in the order ``--all-routes`` prints
+    them: grassmannian, cohomological, closed-form where closed_form_hcc1
+    answers, and hodge-middle, an exact h^{m+1,m} on an X of odd dimension
+    2m + 1 whose extreme-piece clause passes; refused as deformation_moduli."""
+    cuts, space = spec.cut_degrees, spec.ambient
+    if spec.branch_degree is not None or not cuts:
+        return (deformation_moduli(spec),)  # one count, or the no-cuts refusal
+    linear = all(c == space.ample for c in cuts)
+    out = [deformation_moduli(spec, "grassmannian")] if linear else []
+    if len(set(cuts)) == 1:
         out.append(deformation_moduli(spec, "cohomological"))
+    with suppress(ValueError):  # the closed form answers at s = r - c + 1 only
+        if linear:
+            out.append(ModuliReport(closed_form_hcc1(space, len(cuts)), "closed-form", ()))
+    if spec.dim % 2:  # h^{m+1,m} is a middle cell only when dim X = 2m + 1
+        with suppress(ValueError):  # section_hodge refuses the spec
+            row, m = section_hodge(spec), spec.dim // 2
+            iv, verdict = row.entry(m + 1, m), cy_type_verdict(row)
+            if iv.exact and ("extreme-piece", "pass") in (c[:2] for c in verdict.clauses):
+                out.append(ModuliReport(iv.lo, "hodge-middle", ()))
     return tuple(out)
 
 

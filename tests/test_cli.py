@@ -11,6 +11,7 @@ from importlib import resources
 
 import pytest
 
+from bwb.bott import bott, grassmann_bundle, grassmann_sequence, sequence_cohomology
 from bwb.catalog import load_catalog
 from bwb.chase import Iv
 from bwb.cli import main
@@ -91,6 +92,25 @@ def test_moduli_all_routes(capsys):
                                "--all-routes"])
     assert (rc, out) == (
         0, "45 = 45 = 45  (grassmannian, cohomological, hodge-middle)\n")
+    # the list belongs to the section, not to its spelling
+    for space, s, count in (("OP2", 9, 84), ("S12", 6, 90), ("G(2,10)", 5, 101),
+                            ("S14", 4, 149)):
+        line = (f"{count} = {count} = {count} = {count}  "
+                "(grassmannian, cohomological, closed-form, hodge-middle)\n")
+        for flags in (["--linear", str(s)], ["--cut", ",".join(["1"] * s)]):
+            rc, out = run_cli(capsys, ["moduli", "--space", space, *flags,
+                                       "--all-routes"])
+            assert (rc, out) == (0, line), (space, flags)
+    # cuts of unequal degree, not all linear: no route applies, and a text
+    # code to SystemExit is exit status 1
+    with pytest.raises(SystemExit) as exc:
+        main(["moduli", "--space", "P3xP3", "--cut", "1,2", "--all-routes"])
+    assert exc.value.code == "P3xP3, cut (1, 1), cut (2, 2): no moduli route applies"
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit, match=re.escape(
+            "the ambient space itself has no moduli to count")):
+        main(["moduli", "--space", "S10", "--linear", "0", "--all-routes"])
+    assert capsys.readouterr().out == ""
 
 
 def test_moduli_all_routes_marks_the_counts_that_differ(capsys):
@@ -506,6 +526,35 @@ def test_form_and_schur_are_mutually_exclusive(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not allowed with argument --form" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moduli", "--space", "OP2", "--linear", "9", "--cut", "1"],
+     "argument --cut: not allowed with argument --linear"),
+    (["hodge", "--space", "S10", "--cut", "2", "--linear", "1"],
+     "argument --linear: not allowed with argument --cut"),
+    (["hodge", "--space", "S10"], "one of the arguments --cut --linear is required"),
+    (["moduli", "--space", "S10", "--cut", "2", "--all-routes", "--route",
+      "cohomological"], "argument --route: not allowed with argument --all-routes"),
+], ids=["moduli-linear-cut", "hodge-cut-linear", "hodge-neither", "all-routes-route"])
+def test_section_and_route_flags_are_mutually_exclusive(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+def test_schur_grassmannian_label_equals_both_oracles(capsys):
+    """The Grassmannian branch of --schur: Q* and E blocks on G(2,6) go
+    through grassmann_bundle, and the printed group equals the epsilon-
+    sequence rule and the generic walk."""
+    space = load_catalog().space("G(2,6)")
+    assert sequence_cohomology(grassmann_sequence(space, (2, 1), (3,), -3)) == (6, 35)
+    assert bott(grassmann_bundle(space, (2, 1), (3,), -3)).dims() == {6: 35}
+    assert run_cli(capsys, ["bott", "--space", "G(2,6)", "--schur", "Q*:21;E:3",
+                            "--twist", "-3"]) == (0, "H^6, dim 35\n")
 
 
 def test_module_entry_point():

@@ -58,7 +58,8 @@ def test_middle_equals_moduli_all_routes():
         s = space_facts(space)["s"]
         spec = linear_section(space, s)
         routes = {m.route: m.value for m in moduli_routes(spec)}
-        assert routes == {"grassmannian": count, "cohomological": count}, name
+        assert routes == dict.fromkeys(("grassmannian", "cohomological",
+                                        "closed-form", "hodge-middle"), count), name
         assert closed_form_hcc1(space, s) == count
         row = section_hodge(spec)
         m = (row.n - 1) // 2
@@ -69,8 +70,9 @@ def test_middle_equals_moduli_all_routes():
 
 def test_closed_form_answers_only_at_the_series_sections():
     """C(s+c-2, c-1) - s^2 is the count of the series' dual hypersurfaces,
-    so it answers at the four maximal series sections only, and there it
-    equals both deformation routes; every other (space, s) is refused."""
+    so it answers at the four maximal series sections only, and there
+    moduli_routes lists it equal to its other three routes; every other
+    (space, s) is refused."""
     answered = {}
     for name in CAT.spaces:
         space = CAT.space(name)
@@ -83,7 +85,7 @@ def test_closed_form_answers_only_at_the_series_sections():
                         for name, count in SERIES_MODULI.items()}
     for (name, s), count in answered.items():
         routes = moduli_routes(linear_section(CAT.space(name), s))
-        assert [m.value for m in routes] == [count, count], name
+        assert [m.value for m in routes] == [count] * 4, name
     with pytest.raises(ValueError, match=re.escape(
             "(P1)^4 is outside the special series")):
         closed_form_hcc1(CAT.space("(P1)^4"), 2)
@@ -272,7 +274,8 @@ def test_hyperplane_section_moduli_table():
     for name, count in LINEAR_MODULI.items():
         spec = linear_section(CAT.space(name), 1)
         routes = {m.route: m.value for m in moduli_routes(spec)}
-        assert routes == {"grassmannian": count, "cohomological": count}, name
+        assert routes == dict.fromkeys(("grassmannian", "cohomological",
+                                        "hodge-middle"), count), name
 
 
 def test_theta_diagonal_hodge_numbers():
@@ -399,6 +402,9 @@ def test_double_cover_moduli_honours_the_route():
 def test_every_deformation_moduli_refusal(spec, route, message):
     with pytest.raises(ValueError, match=message):
         deformation_moduli(spec, route=route)
+    if route is None and len(set(spec.cut_degrees)) < 2:  # its first route refuses
+        with pytest.raises(ValueError, match=message):
+            moduli_routes(spec)
 
 
 @pytest.mark.parametrize("ambient, cuts, branch",
