@@ -30,21 +30,23 @@ lists ``(lo, hi)`` of length top + 3: slot q + 1 holds degree q, and the two
 end slots are the exact zeros at degrees -1 and top + 1.  Each chase picks
 its one unbounded marker ``inf`` from its inputs.  B_0 and T_0 share one
 vector, and a complex of fewer than two terms gets zero terms prepended.
-The equations of sequence i in degree q form slot (i, q), and one FIFO of
-slots runs a slot again only when one of the variables it reads narrowed: a
-narrowed h^q(B_i) pushes slots (i, q), (i + 1, q) and (i + 1, q - 1) (whose
-rank cap reads it), a narrowed r_i[q] slots (i, q) and (i, q + 1), a
-narrowed h^q(T_i) slot (i, q).  One pass over a linear equation is its own
-fixpoint, so what a slot's sum equation narrows, r_i[q] aside, only holds
-the slot's place: it is skipped unless a reader pushed it meanwhile.  The
+The equations of sequence i in degree q form slot (i, q), with one queued
+flag, and one FIFO of slots runs a slot again only when one of the
+variables it reads narrowed: a narrowed h^q(B_i) pushes slots (i, q),
+(i + 1, q) and (i + 1, q - 1) (whose rank cap reads it), a narrowed r_i[q]
+slots (i, q) and (i, q + 1), a narrowed h^q(T_i) slot (i, q).  One pass
+over a linear equation is its own fixpoint, so what a slot's sum equation
+narrows, r_i[q] aside, pushes only the other slots that read it.  The
 start sets the telescoped upper bounds and rank caps forward; backward, it
 applies each sum equation to the upper end of h^q(B_{i-1}), lowers the rank
-caps that read it, and pushes slot (i, q) only when one of its five
-variables is an interval (with all five exact it is checked once).  Every
-narrowing is a monotone contraction, so by the chaotic-iteration theorem the
-fixpoint does not depend on the order the slots run in, and an empty
-interval is reached in every order or in none; a ``ChaseError`` names the
-first one to come out empty, in the start or then in the FIFO.
+caps that read it, and appends slot (i, q), in the order it reaches them,
+only when one of its five variables is an interval (with all five exact it
+is checked once).  Every narrowing is a monotone contraction, so by the
+chaotic-iteration theorem the fixpoint does not depend on the order the
+slots run in, and an empty interval is reached in every order or in none;
+only the text of a ``ChaseError`` follows the order (one test pins such a
+text): it names the first interval to come out empty, in the start or then
+in the FIFO.
 """
 
 from __future__ import annotations
@@ -228,19 +230,19 @@ def _chase(T, target, top: int, inf: int) -> int:
     R = [_vec(top, inf) for _ in range(m + 1)]
     cap = inf >> 2
     # Slot (i, s) reads A[s], A[s+1] (in the rank cap), C[s], T_i[s], R_i[s-1]
-    # and R_i[s], where A = B_{i-1} and C = B_i, and is queued whenever one of
-    # them narrows.  Block 0 (B_0 = T_0 has no equations), block m + 1 and both
-    # pads count as queued forever, so a push there is dropped.  A slot is
-    # queued 2, or held 1 (skipped when reached).  The visit limit is a guard.
-    closed = [2] * (top + 3)
-    queued = [closed] + [[2] + [0] * (top + 1) + [2] for _ in range(m)] + [closed]
+    # and R_i[s], where A = B_{i-1} and C = B_i.  What its own sum equation
+    # narrows pushes only the other readers: one pass over one linear equation
+    # is its own fixpoint.  One queued flag per slot; block 0 (B_0 = T_0 has no
+    # equations), block m + 1 and both pads count as queued forever, so a push
+    # there is dropped.  The visit limit is a guard.
+    closed = [1] * (top + 3)
+    queued = [closed] + [[1] + [0] * (top + 1) + [1] for _ in range(m)] + [closed]
     work = deque()
 
-    def push(i, s, state=2):
-        if queued[i][s] < state:
-            if not queued[i][s]:
-                work.append((i, s))
-            queued[i][s] = state
+    def push(i, s):
+        if not queued[i][s]:
+            queued[i][s] = 1
+            work.append((i, s))
 
     # The sparse start.  Forward, block by block: the telescoped upper bounds
     # h^q(B_i) <= h^{q+1}(B_{i-1}) + h^q(T_i) and the rank caps.
@@ -257,8 +259,8 @@ def _chase(T, target, top: int, inf: int) -> int:
     # Backward, i and s descending: A[s] <= T_i[s] + R_i[s-1] + R_i[s] - C[s].lo,
     # then the rank caps R_i[s-1], R_{i-1}[s] on A[s].  No later step moves a
     # variable of slot (i, s): with all five exact (a rank only at 0) it can
-    # narrow nothing and its sum is checked once; else it joins the front of
-    # the FIFO, which so starts in (i, s) order.
+    # narrow nothing and its sum is checked once; else it joins the FIFO, in
+    # the order this pass reaches it.
     for i in range(m, 0, -1):
         (alo, ahi), (clo, chi), (tlo, thi) = B[i - 1], B[i], T[i]
         rhi, below, qi = R[i][1], R[i - 1][1], queued[i]
@@ -272,16 +274,14 @@ def _chase(T, target, top: int, inf: int) -> int:
                 rhi[s - 1], below[s] = min(rhi[s - 1], b), min(below[s], b)
             if (alo[s] != ahi[s] or clo[s] != chi[s] or tlo[s] != thi[s]
                     or rhi[s - 1] or rhi[s]):
-                work.appendleft((i, s))
-                qi[s] = 2
+                work.append((i, s))
+                qi[s] = 1
             elif tlo[s] != alo[s] + clo[s]:
                 raise ChaseError(f"inexact sequence {i} in degree {s - 1}")
     visits, limit = 0, 10000 * (m + 1) * (top + 1)
     while work:
         i, s = work.popleft()
-        state, queued[i][s] = queued[i][s], 0
-        if state == 1:
-            continue
+        queued[i][s] = 0
         visits += 1
         if visits > limit:
             raise ChaseError("chase failed to reach a fixpoint")
@@ -292,20 +292,18 @@ def _chase(T, target, top: int, inf: int) -> int:
         # h^q(T) = A[q] - r[q-1] + C[q] - r[q]
         nlo = alo[s] + clo[s] - rhi[s - 1] - rhi[s]
         nhi = ahi[s] + chi[s] - rlo[s - 1] - rlo[s]
-        if (nlo > tlo[s] or nhi < thi[s]) and _narrow(tlo, thi, s, nlo, nhi, cap):
-            push(i, s, 1)
+        if nlo > tlo[s] or nhi < thi[s]:  # T_i[s] has no other reader
+            _narrow(tlo, thi, s, nlo, nhi, cap)
         # A[q], C[q] = h^q(T) + r[q-1] + r[q] - the other end
         u_lo = tlo[s] + rlo[s - 1] + rlo[s]
         u_hi = thi[s] + rhi[s - 1] + rhi[s]
         nlo, nhi = u_lo - ahi[s], u_hi - alo[s]
         if (nlo > clo[s] or nhi < chi[s]) and _narrow(clo, chi, s, nlo, nhi, cap):
-            push(i, s, 1)
             push(i + 1, s)
             push(i + 1, s - 1)
         nlo, nhi = u_lo - chi[s], u_hi - clo[s]
         if (nlo > alo[s] or nhi < ahi[s]) and _narrow(alo, ahi, s, nlo, nhi, cap):
             push(i - 1, s)
-            push(i, s, 1)
             push(i, s - 1)
         # r[q], r[q-1] = A[q] + C[q] - h^q(T) - the other rank
         d_lo = alo[s] + clo[s] - thi[s]
@@ -316,7 +314,6 @@ def _chase(T, target, top: int, inf: int) -> int:
         if s > 1 and (nlo > rlo[s - 1] or nhi < rhi[s - 1]) and _narrow(
                 rlo, rhi, s - 1, nlo, nhi, cap):
             push(i, s - 1)
-            push(i, s, 1)
         # a rank is bounded by both ends of its map
         nhi = chi[s] if chi[s] < ahi[s + 1] else ahi[s + 1]
         if nhi < rhi[s] and _narrow(rlo, rhi, s, 0, nhi, cap) or r_ch:

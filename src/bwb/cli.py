@@ -149,10 +149,8 @@ def _cmd_bott(args) -> int:
     space = cat.space(args.space)
     if args.schur is not None:
         bundles = [_parse_schur(space, args.schur, args.twist)]
-    elif args.form is not None:
-        bundles = [b.twisted(args.twist) for b in kostant_forms(space, args.form)]
     else:
-        raise SystemExit("bott needs --form or --schur")
+        bundles = [b.twisted(args.twist) for b in kostant_forms(space, args.form)]
     text: list[str] = []
     total: dict[int, int] = {}
     for b in bundles:
@@ -277,7 +275,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bott", help="cohomology of one bundle")
     p.add_argument("--space", required=True)
-    bundle = p.add_mutually_exclusive_group()
+    bundle = p.add_mutually_exclusive_group(required=True)
     bundle.add_argument("--form", type=_strict_int,
                         help="exterior power p of the cotangent bundle")
     bundle.add_argument("--schur", help='Schur label, e.g. "Q*:1111;E:4"')

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwb import chase, hodge
+from bwb import chase, hodge, report
 from bwb.catalog import default_catalog, projective_space
 from bwb.chase import ChaseError, Iv, exact, ses_middle, solve_exact_complex, unknown
 
@@ -77,6 +77,20 @@ def test_truth_lies_inside_every_returned_interval(model, data):
     for i in range(1, len(terms)):
         mid = ses_middle(images[i - 1], images[i], top)
         assert all(_inside(t, iv) for t, iv in zip(terms[i], mid))
+
+
+@settings(deadline=None)
+@given(exact_complexes(), st.data())
+def test_a_chase_seeded_with_its_own_result_returns_it(model, data):
+    """What lets hodge_table skip a row that has not changed since its last
+    chase: the result is the greatest fixpoint below the inputs, so seeding
+    the target with it gives it back."""
+    top, images, terms = model
+    hidden = [[_hide(data.draw, v) for v in t] for t in terms]
+    seed = {q: _hide(data.draw, images[-1][q])
+            for q in data.draw(st.sets(st.integers(0, top)))}
+    out = solve_exact_complex(hidden, seed, top)
+    assert solve_exact_complex(hidden, dict(enumerate(out)), top) == out
 
 
 def _projection(terms, top):
@@ -389,11 +403,14 @@ def test_inconsistent_exact_complexes_raise():
 def test_a_chase_error_names_the_interval_the_visit_order_empties_first():
     """The message names the first interval to come out empty, which depends
     on the order the variables narrow in: the forward pass of the start, its
-    backward pass, then the FIFO.  Here the backward pass lowers h^0(B_1)
-    from 6 to 3 before any slot runs, and the first visit of slot (2, 0)
-    empties [1,0] in degree 0; a start without the backward pass let the
-    FIFO empty [4,3] in degree 1 first."""
-    with pytest.raises(ChaseError, match=r"^empty interval \[1,0\] in degree 0$"):
+    backward pass, then the FIFO; this is the one place that shows it.  Here
+    the backward pass lowers h^0(B_1) from 6 to 3 and appends the four slots
+    as it reaches them, block 2 before block 1.  Block 2's slots narrow
+    nothing yet; block 1's close h^0(B_1) to 3 and push block 2's again;
+    slot (2, 1) caps r_2[0] at 1, so slot (2, 0) lifts h^0(T_2) to at least
+    3 - 1 and empties [2,0] in degree 0.  A FIFO started in (i, q) order,
+    block 1 first, empties [1,0] in degree 0 first."""
+    with pytest.raises(ChaseError, match=r"^empty interval \[2,0\] in degree 0$"):
         solve_exact_complex([[0, 5], [1, 3], [0, 3]], {}, 1)
 
 
@@ -444,7 +461,7 @@ DEPENDENCY_CASES = [
     ([[U, 3], [0, 2], [0, U]], {}, 1, None),
     # a narrowed R_i[s - 1] re-runs slot s - 1 of block i
     ([[0, 4], [0, 0]], {}, 1, [exact(4), exact(0)]),
-    # a slot that narrowed re-runs itself
+    # a slot's own sum equation is closed by one visit, with no push of itself
     ([[1], [3]], {}, 0, [exact(2)]),
 ]
 
@@ -454,30 +471,39 @@ def test_every_dirty_mask_dependency(terms, seed, top, want):
     assert _same_as_reference(terms, seed, top) == want
 
 
-# (label, ambient, cuts, branch, slot visits, _narrow calls) of each
-# double-cover table from cold hodge caches.  The tables do not depend on
-# the order the slots run in, so a self-push that runs its slot again, a
+def _double_cover(ambient, cuts, branch):
+    def run():
+        space = (projective_space(5) if ambient is None
+                 else default_catalog().space(ambient))
+        hodge.double_cover_hodge(hodge.section_spec(space, cuts, branch=branch))
+    return run
+
+
+# (label, run, solves, slot visits, _narrow calls) of each double-cover table
+# and of ``bwb verify``, from cold hodge caches.  The results do not depend on
+# the order the slots run in, so a push that runs a slot for nothing, a
 # missing reader push, or a narrowing the start no longer makes, shows only
-# in these counts.  The Koszul solves that E1 degeneration closes run no
-# chase, which took them from 168/100, 186/116 and 620/352 to these.
-DOUBLE_COVER_WORK = [
-    ("P5 double cover, branch 4", None, (), 4, 141, 78),
-    ("P5 double cover, branch 8", None, (), 8, 153, 88),
-    ("LG(3,6) hyperplane double cover, branch 2", "LG(3,6)", (1,), 2, 519, 278),
+# in these counts.
+CHASE_WORK = [
+    ("P5 double cover, branch 4", _double_cover(None, (), 4), 44, 137, 78),
+    ("P5 double cover, branch 8", _double_cover(None, (), 8), 46, 147, 88),
+    ("LG(3,6) hyperplane double cover, branch 2",
+     _double_cover("LG(3,6)", (1,), 2), 67, 457, 224),
+    ("bwb verify", report.run_verify, 302, 9739, 5615),
 ]
 
 
-@pytest.mark.parametrize("label, ambient, cuts, branch, visits, narrows",
-                         DOUBLE_COVER_WORK, ids=[w[0] for w in DOUBLE_COVER_WORK])
+@pytest.mark.parametrize("label, run, solves, visits, narrows",
+                         CHASE_WORK, ids=[w[0] for w in CHASE_WORK])
 def test_slot_visits_and_narrowings_on_the_double_cover_tables(
-        monkeypatch, label, ambient, cuts, branch, visits, narrows):
-    space = projective_space(5) if ambient is None else default_catalog().space(ambient)
+        monkeypatch, label, run, solves, visits, narrows):
     for cached in (hodge.restricted_forms, hodge._cotangent_terms, hodge.hodge_table):
         cached.cache_clear()
-    work = {"visits": 0, "narrows": 0}
+    work = {"solves": 0, "visits": 0, "narrows": 0}
     run_chase, narrow = chase._chase, chase._narrow
 
     def counted_chase(*args):
+        work["solves"] += 1
         work["visits"] += run_chase(*args)
 
     def counted_narrow(*args):
@@ -486,8 +512,8 @@ def test_slot_visits_and_narrowings_on_the_double_cover_tables(
 
     monkeypatch.setattr(chase, "_chase", counted_chase)
     monkeypatch.setattr(chase, "_narrow", counted_narrow)
-    hodge.double_cover_hodge(hodge.section_spec(space, cuts, branch=branch))
-    assert work == {"visits": visits, "narrows": narrows}
+    run()
+    assert work == {"solves": solves, "visits": visits, "narrows": narrows}
 
 
 def test_term_of_the_wrong_length_raises():

@@ -528,6 +528,16 @@ def test_form_and_schur_are_mutually_exclusive(capsys):
     assert "not allowed with argument --form" in captured.err
 
 
+def test_bott_needs_form_or_schur(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bott", "--space", "S10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: one of the arguments --form --schur is required\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["moduli", "--space", "OP2", "--linear", "9", "--cut", "1"],
      "argument --cut: not allowed with argument --linear"),
