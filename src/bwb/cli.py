@@ -126,15 +126,16 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 
 def _emit(args, *blocks: str) -> None:
-    """Print rendered blocks, after a generation timestamp if one was asked;
-    a reader that closes the pipe early (``| head``) ends the run with
-    status 1 and no traceback."""
+    """Print the rendered blocks that are not empty, after a generation
+    timestamp if one was asked; a reader that closes the pipe early
+    (``| head``) ends the run with status 1 and no traceback."""
     if args.timestamp:
         now = datetime.now(timezone.utc).isoformat()
         blocks = (json.dumps({"timestamp": now}) if args.fmt == "json"
                   else f"# generated {now}",) + blocks
     try:
-        print("\n".join(blocks), flush=True)
+        if any(blocks):
+            print("\n".join(b for b in blocks if b), flush=True)
     except BrokenPipeError:  # keep the interpreter's final flush off the pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
@@ -246,8 +247,7 @@ def _cmd_verify(args) -> int:
     if args.fmt in ("text", "markdown"):
         counts = Counter(c.status for c in rep.cells)
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-        out.append("")
-        out.append(f"{len(rep.cells)} cells: {summary}; "
+        out.append(f"\n{len(rep.cells)} cells: {summary}; "
                    f"{len(rep.documented)} documented discrepancies, "
                    f"{len(rep.undocumented)} undocumented")
     _emit(args, *out)

@@ -24,6 +24,7 @@ above it, while staying Fano (|w| > d).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -96,31 +97,60 @@ def _polynomial_series(counts: list[int], degree: int) -> bool:
     return True
 
 
+def _packing(n: int, degree: int, sigma: int):
+    """The packed-series kernel for n+1 weights in degree ``degree`` with
+    socle degree ``sigma``: ``(mask, factor, read)``.
+
+    Kronecker substitution: a series is evaluated at t = X = 2^B on one
+    Python int and reduced mod X^{sigma+1} (``& mask``).  ``factor(v, c)``
+    is ((1 - X^{d-v}) / (1 - X^v))^c, built once per (v, c) by c
+    shift-subtracts and c runs of shift-adds by v, 2v, 4v, ... <= sigma,
+    since 1/(1-u) = prod_k (1 + u^{2^k}) mod X^{sigma+1} for u = X^v.  A
+    weight system's series is the product of its factors, one multiply and
+    mask each.  Truncating at sigma is exact because a polynomial quotient
+    has degree sigma, and t -> X mod 2^{B(sigma+1)} is a ring map, so the
+    factors may come in any order and only the final coefficients must fit.
+
+    Each coefficient of the truncated quotient is at most
+    2^{n+1} C(sigma+n, n) in absolute value: the numerator's absolute
+    coefficient sum times the number of (a_1..a_n) with sum a_i <= sigma
+    (a_0 is then fixed by the degree).  B is one bit more, for the sign,
+    rounded up to whole bytes, so |c_j| < 2^{B-1}.  If every c_j >= 0, the
+    base-X digits of the reduced int are the c_j themselves, each below
+    2^{B-1}; if not, the lowest negative c_j leaves the digit
+    c_j + 2^B >= 2^{B-1}, the digits below it untouched.  So ``read(x)``
+    is None when one AND finds a digit's top bit set, and otherwise maps k
+    to its digit alone (0 outside 0..sigma): only digits asked for are read."""
+    nbytes = (n + 2 + math.comb(sigma + n, n).bit_length() + 7) // 8
+    bits = 8 * nbytes
+    mask = (1 << bits * (sigma + 1)) - 1
+    signs = int.from_bytes(b"\x01".ljust(nbytes, b"\x00") * (sigma + 1), "little") << bits - 1
+    digit = (1 << bits) - 1
+
+    @functools.cache
+    def factor(v: int, c: int) -> int:
+        f = 1
+        for _ in range(c):
+            if degree - v <= sigma:
+                f = (f - (f << bits * (degree - v))) & mask
+            s = v
+            while s <= sigma:
+                f = (f + (f << bits * s)) & mask
+                s += s
+        return f
+
+    def read(x: int):
+        if not x & signs:
+            return lambda k: (x >> bits * k) & digit if 0 <= k <= sigma else 0
+
+    return mask, factor, read
+
+
 def _jacobian_poly(w: tuple[int, ...], degree: int) -> Callable[[int], int]:
     """The Hilbert polynomial of the Jacobian ring of validated weights
     ``w``, prod (1 - t^{d-w_i}) / prod (1 - t^{w_i}), as a function that
-    maps k to its coefficient dim R_k: 0 outside 0..sigma.
-
-    Kronecker substitution: the series is evaluated at t = X = 2^B on one
-    Python int and reduced mod X^{sigma+1}, so every loop over coefficients
-    runs inside int arithmetic.  A numerator factor is one shift-subtract;
-    a denominator factor is the shift-adds by w, 2w, 4w, ... <= sigma, since
-    1/(1-u) = prod_k (1 + u^{2^k}) mod X^{sigma+1} for u = X^w.  Truncating
-    at sigma is exact because a polynomial quotient has degree sigma.
-
-    Every coefficient, of the quotient and of each partial product on the
-    way, is at most 2^{n+1} C(sigma+n, n) in absolute value: the numerator's
-    absolute coefficient sum times the number of (a_1..a_n) with
-    sum a_i <= sigma (a_0 is then fixed by the degree).  B is one bit more
-    than that, for the sign, rounded up to whole bytes, so |c_j| < 2^{B-1}.
-
-    The reduced int x is sum_j c_j X^j mod X^{sigma+1}.  If every c_j >= 0,
-    its base-X digits are the c_j themselves, each below 2^{B-1}.  If not,
-    the lowest negative c_j leaves the digit c_j + 2^B >= 2^{B-1} in its
-    place, the digits below it being untouched.  So the coefficients are all
-    nonnegative exactly when no digit has its top bit set: one AND with the
-    mask of those bits.  A coefficient is then read as its digit alone, and
-    only the digits a caller asks for are read.
+    maps k to its coefficient dim R_k: 0 outside 0..sigma.  It is the
+    product of one ``_packing`` factor per distinct weight.
 
     Raises ValueError when no regular sequence exists in those degrees: the
     series is not a polynomial (rejected before any arithmetic), or it is
@@ -129,28 +159,12 @@ def _jacobian_poly(w: tuple[int, ...], degree: int) -> Callable[[int], int]:
     for wi in w:
         counts[wi] += 1
     if _polynomial_series(counts, degree):
-        n = len(w) - 1
-        sigma = (n + 1) * degree - 2 * sum(w)
-        nbytes = (n + 2 + math.comb(sigma + n, n).bit_length() + 7) // 8
-        bits = 8 * nbytes
-        mask = (1 << bits * (sigma + 1)) - 1
+        mask, factor, read = _packing(len(w) - 1, degree, len(w) * degree - 2 * sum(w))
         x = 1
-        for wi in w:
-            e = degree - wi
-            if e <= sigma:
-                x = (x - (x << bits * e)) & mask
-        for wi in w:
-            s = wi
-            while s <= sigma:
-                x = (x + (x << bits * s)) & mask
-                s += s
-        ones = int.from_bytes(b"\x01".ljust(nbytes, b"\x00") * (sigma + 1), "little")
-        if not x & (ones << bits - 1):
-            digit = (1 << bits) - 1
-
-            def coefficient(k: int) -> int:
-                return (x >> bits * k) & digit if 0 <= k <= sigma else 0
-
+        for v, c in enumerate(counts):
+            if c:
+                x = x * factor(v, c) & mask
+        if coefficient := read(x):
             return coefficient
     raise ValueError(
         f"weights {w} admit no regular sequence in degree {degree}: the "
@@ -186,18 +200,14 @@ def steenbrink_hodge(weights, degree: int) -> WeightedHodgeRow:
     """Primitive middle Hodge row of the generic degree-``degree``
     hypersurface in the weighted projective space of ``weights``."""
     w, degree = _validated(weights, degree)
-    n = len(w) - 1
-    dim = n - 1
-    total = sum(w)
-    piece = _jacobian_poly(w, degree)
+    return _row(w, degree, _jacobian_poly(w, degree))
+
+
+def _row(w: tuple[int, ...], degree: int, piece: Callable[[int], int]) -> WeightedHodgeRow:
+    """The row of weights ``w`` whose Jacobian ring has the pieces ``piece``."""
+    dim, total = len(w) - 2, sum(w)
     entries = tuple(piece((dim - p + 1) * degree - total) for p in range(dim + 1))
-    return WeightedHodgeRow(
-        weights=w,
-        degree=degree,
-        dim=dim,
-        entries=entries,
-        moduli=piece(degree),
-    )
+    return WeightedHodgeRow(w, degree, dim, entries, piece(degree))
 
 
 def _multiplicities(length: int, top: int, total: int):
@@ -250,13 +260,16 @@ def _multiplicities(length: int, top: int, total: int):
 def weighted_cy_scan(max_dim: int, max_weight: int, max_degree: int) -> list[WeightedHodgeRow]:
     """All weight systems with entries <= max_weight and degree <= max_degree
     whose generic hypersurface is a Fano of odd dimension 5..max_dim with the
-    Calabi-Yau-type middle shape (|w| = kd for dimension 2k+1).
+    Calabi-Yau-type middle shape (|w| = kd for dimension 2k+1), in
+    (dim, degree, weights) order; the caller decides which rows are backed
+    by stored reference values.
 
     Weight systems are walked as multiplicity vectors, and only those whose
-    Hilbert series is a polynomial become tuples for ``steenbrink_hodge``.
-    Results are sorted by (dim, degree, weights); the caller decides which
-    rows are backed by stored reference values.
-    """
+    Hilbert series is a polynomial are multiplied out.  Every row has socle
+    degree (n+1)d - 2kd = 3d, so one ``_packing`` kernel serves a (dim,
+    degree) block.  prefix[v] is the product of the factors of levels 1..v,
+    and a vector that passes the gate multiplies again only from the lowest
+    level whose count changed since the last vector that passed."""
     max_dim = _integer(max_dim, "max_dim")
     max_weight = _integer(max_weight, "max_weight")
     max_degree = _integer(max_degree, "max_degree")
@@ -266,15 +279,22 @@ def weighted_cy_scan(max_dim: int, max_weight: int, max_degree: int) -> list[Wei
         k = (dim - 1) // 2
         for degree in range(2, max_degree + 1):
             top = min(max_weight, degree - 1)
+            mask, factor, read = _packing(n, degree, 3 * degree)
+            last, prefix = [0] * (top + 1), [1] * (top + 1)
             for counts in _multiplicities(n + 1, top, k * degree):
                 if not _polynomial_series(counts, degree):
                     continue
-                w = tuple(v for v in range(1, top + 1) for _ in range(counts[v]))
-                try:
-                    rows.append(steenbrink_hodge(w, degree))
-                except ValueError:
-                    continue  # a negative coefficient: no regular sequence
-    rows.sort(key=lambda r: (r.dim, r.degree, r.weights))
+                v = 1
+                while counts[v] == last[v]:
+                    v += 1
+                last[v:] = counts[v:]
+                for v in range(v, top + 1):
+                    c = counts[v]
+                    prefix[v] = prefix[v - 1] * factor(v, c) & mask if c else prefix[v - 1]
+                piece = read(prefix[top])
+                if piece:  # else a negative coefficient: no regular sequence
+                    w = tuple(v for v in range(1, top + 1) for _ in range(counts[v]))
+                    rows.append(_row(w, degree, piece))
     return rows
 
 

@@ -198,6 +198,22 @@ def test_jacring_scan(capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", [["--json"], []], ids=["json", "text"])
+def test_an_empty_scan_prints_no_line(capsys, fmt):
+    # no weight system fits these bounds: a JSON-lines reader that parses
+    # every line must not meet a blank one, and text prints nothing either
+    rc, out = run_cli(capsys, ["jacring", "--scan", "5", "1", "2", *fmt])
+    assert (rc, out) == (0, "")
+
+
+def test_an_empty_scan_prints_only_its_timestamp(capsys):
+    rc, out = run_cli(capsys, ["jacring", "--scan", "5", "1", "2", "--json",
+                               "--timestamp"])
+    assert rc == 0
+    assert [list(json.loads(line)) for line in out.splitlines()] == [["timestamp"]]
+    assert out.endswith("}\n")
+
+
 def test_jacring_rejects_bad_weights(capsys):
     with pytest.raises(SystemExit, match="regular sequence"):
         main(["jacring", "--weights", "2,2,2,2,2,2,2", "--degree", "7"])

@@ -137,16 +137,42 @@ def test_scan_equals_the_brute_force_scan(bounds):
 
 
 def test_scan_divides_only_what_the_gate_passes(monkeypatch):
-    # the cyclotomic gate runs first, so every system handed on becomes a row
-    calls = []
+    # the cyclotomic gate runs first, so every system it passes becomes a
+    # row; each pass multiplies one packed factor per level from the lowest
+    # one whose count changed since the last pass (797 with no reuse: one
+    # per distinct weight of each row)
+    passes, products = [], []
+    gate, packing = jacring._polynomial_series, jacring._packing
 
-    def counted(w, degree):
-        calls.append((w, degree))
-        return steenbrink_hodge(w, degree)
+    def counted_gate(counts, degree):
+        passed = gate(counts, degree)
+        passes.append(passed)
+        return passed
 
-    monkeypatch.setattr(jacring, "steenbrink_hodge", counted)
+    def counted_packing(n, degree, sigma):
+        mask, factor, read = packing(n, degree, sigma)
+
+        def counted_factor(v, c):
+            products.append((v, c))
+            return factor(v, c)
+        return mask, counted_factor, read
+
+    monkeypatch.setattr(jacring, "_polynomial_series", counted_gate)
+    monkeypatch.setattr(jacring, "_packing", counted_packing)
     rows = weighted_cy_scan(9, 5, 10)
-    assert len(calls) == len(rows) == 219
+    assert sum(passes) == len(rows) == 219
+    assert len(products) == 646
+
+
+def test_scan_at_the_benchmark_bounds_gives_the_public_rows_in_order():
+    # the jacring-scan benchmark's bounds, where the prefix products are
+    # reused deepest (the brute-force oracle's bounds stop at weight 5);
+    # the walk alone yields the (dim, degree, weights) order, with no sort
+    rows = weighted_cy_scan(13, 7, 14)
+    assert len(rows) == 2839
+    assert all(r == steenbrink_hodge(r.weights, r.degree) for r in rows)
+    keys = [(r.dim, r.degree, r.weights) for r in rows]
+    assert keys == sorted(set(keys))
 
 
 @settings(max_examples=200, deadline=None)
