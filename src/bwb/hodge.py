@@ -49,7 +49,7 @@ from math import comb
 
 from .bott import euler_char, forms_cohomology
 from .catalog import HomogSpace, _integer, projective_space
-from .chase import Iv, exact, ses_middle, solve_exact_complex, unknown
+from .chase import Iv, exact, ses_middle, solve_exact_complex
 
 # Spaces whose minimal linear sections of dimension 2*coindex - 1 carry a
 # one-dimensional extreme middle Hodge piece, and whose projective duals are
@@ -284,7 +284,7 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
     space, cuts = spec.ambient, spec.cut_degrees
     n_x = spec.dim
     zero = (0,) * len(space.factors)
-    table = [[unknown() for _ in range(n_x + 1)] for _ in range(n_x + 1)]
+    table = [[] for _ in range(n_x + 1)]  # the first round chases with seed {}
     chased = [None] * (n_x + 1)  # row p right after its last chase
 
     changed = True

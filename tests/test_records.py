@@ -98,7 +98,7 @@ def test_record_contracts():
     assert other == rs and not other != rs and hash(other) == hash(rs)
     assert root_system("B", 3) != root_system("C", 3)
     # only k * iv is an interval product; a tuple base would repeat iv * k
-    assert 2 * Iv(1, 2) == Iv(2, 4) and 0 * Iv(1, None) == exact(0)
+    assert 2 * Iv(1, 2) == Iv(2, 4) and 0 * Iv(1, 5) == exact(0)
     with pytest.raises(TypeError):
         Iv(1, 2) * 2
     with pytest.raises(TypeError):
