@@ -15,7 +15,6 @@ from .hodge import (
     deformation_moduli,
     double_cover_hodge,
     dual_correspondence,
-    lemma_nonvan_check,
     lemma_van_scan,
     linear_section,
     section_hodge,

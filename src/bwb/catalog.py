@@ -14,21 +14,12 @@ variable (or an explicit path) overrides it.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from collections import namedtuple
 from functools import cached_property
 from math import gcd
 
-from .rootsys import _immutable, root_system, weyl_dim
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int, refused (not rounded) when it is no integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+from .rootsys import _immutable, _integer, root_system, weyl_dim
 
 
 class Factor(namedtuple("Factor", "rs node")):

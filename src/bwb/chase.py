@@ -174,6 +174,7 @@ def solve_exact_complex(terms, target_seed, top: int):
 
     Returns the narrowed target as a list of Iv, indices 0..top.
     """
+    top = _integer(top, "top degree")
     seed = target_seed or {}
     if set(map(type, seed)) - {int}:
         seed = {_integer(q, "seed degree"): v for q, v in seed.items()}
@@ -295,6 +296,7 @@ def ses_middle(left, right, top: int):
     """Interval cohomology of B in 0 -> A -> B -> C -> 0 given the terms
     ``left`` = A and ``right`` = C: the chase of A -> B onto C with B
     unknown, read back at B."""
+    top = _integer(top, "top degree")
     (A, C), free = _vectors([left, right], top)
     B = _vec(top, free)
     _chase([A, B], C, top, free)

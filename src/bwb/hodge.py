@@ -182,14 +182,15 @@ def _e1_sums(terms, top: int):
     return tuple(map(exact, sums))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
     """h^q(X, Omega^a_Sigma(-down)|X) for q = 0..dim X, as intervals.
 
     Closes the Koszul resolution of O_X twisted by Omega^a_Sigma(-down) by
     ``_e1_sums`` or else chases it; support on X caps the degrees at dim X,
-    which the solver exploits.
+    which the solver exploits.  The typed cache sends a = 1.0 to the gate.
     """
+    a = _integer(a, "form degree")
     n_amb = space.dim
     n_x = n_amb - len(cuts)
     if a < 0 or a > n_amb:
@@ -585,8 +586,8 @@ def ci_moduli(ambient_proj_dim: int, degrees) -> ModuliReport:
     """Moduli of a complete intersection of the given degrees in P^N:
     section counts minus the endomorphisms of the defining bundle minus the
     projectivities."""
-    N = ambient_proj_dim
-    degrees = tuple(degrees)
+    N = _integer(ambient_proj_dim, "ambient dimension")
+    degrees = tuple([_integer(d, "degree") for d in degrees])
     if any(d < 2 for d in degrees):
         raise ValueError("complete-intersection degrees must be >= 2")
     if sum(degrees) > N + 1:
@@ -618,26 +619,17 @@ def closed_form_hcc1(space, s: int) -> int:
     codimension-s linear section of a special-series space, at s = r-c+1
     only: an oracle independent of the Hodge route, refused elsewhere."""
     r, c = _series_facts(space)
+    s = _integer(s, "hyperplane count")
     if s != r - c + 1:
         raise ValueError(f"{space.name}, s = {s}: the closed form holds "
                          f"at s = {r - c + 1} only")
     return comb(s + c - 2, c - 1) - s * s
 
 
-def lemma_nonvan_check(space: HomogSpace) -> tuple[int, int]:
-    """The unique cohomology group of Omega^{c-2}(-(r-c+1)): returns its
-    (degree, dimension), expected (r+2, 1)."""
-    r, c = _series_facts(space)
-    coh = forms_cohomology(space, c - 2, r - c + 1)
-    if len(coh) != 1:
-        raise AssertionError(f"expected a single group, got {coh}")
-    ((q, d),) = coh.items()
-    return q, d
-
-
 def lemma_van_scan(space: HomogSpace) -> list[tuple[int, int, int, int]]:
     """Exhaustive scan of H^q(Omega^p(-k)) for p <= c-1, 1 <= k <= r-p,
-    returning every nonzero (p, k, q, dim).
+    returning every nonzero (p, k, q, dim).  The lemmas expect one hit,
+    (c-2, r-c+1, r+2, 1): the nonvanishing group and nothing else.
 
     The p = 0 column stops at k = r-1: O(-r) is the canonical bundle, whose
     top cohomology is one-dimensional for every Fano space, so it cannot be
@@ -778,7 +770,6 @@ __all__ = [
     "moduli_routes",
     "ci_moduli",
     "closed_form_hcc1",
-    "lemma_nonvan_check",
     "lemma_van_scan",
     "dual_correspondence",
     "cy_type_verdict",

@@ -20,7 +20,6 @@ from .hodge import (
     closed_form_hcc1,
     deformation_moduli,
     dual_correspondence,
-    lemma_nonvan_check,
     lemma_van_scan,
     linear_section,
     section_hodge,
@@ -143,8 +142,9 @@ def _series_cells(cat: Catalog) -> list[ReportCell]:
             _cell("dual44", name, "j_dim", None if moduli is None else moduli + 1,
                   dual.j_dim),
         ]
-        q, dim = lemma_nonvan_check(sp)
         hits = lemma_van_scan(sp)
+        nonvan = [(q, d) for p, k, q, d in hits if (p, k) == (c - 2, r - c + 1)]
+        q, dim = nonvan[0] if len(nonvan) == 1 else (None, None)
         where = ",".join(f"(p={p},k={k})" for p, k, _q, _d in hits) or "none"
         cells += [
             _cell("lemma_nonvan", name, "degree", r + 2, q),

@@ -21,6 +21,7 @@ coordinates.  Conventions, fixed once and used by every other module:
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -33,6 +34,14 @@ WEYL_ORDERS = {
     ("E", 7): 2903040,
     ("G", 2): 12,
 }
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, refused (not rounded) when it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def weyl_order(series: str, rank: int) -> int:
@@ -48,21 +57,15 @@ def weyl_order(series: str, rank: int) -> int:
 
 def _edges(series: str, rank: int) -> list[tuple[int, int]]:
     # 0-indexed Dynkin diagram edges (simple-bond adjacency; multiplicities
-    # live in the Cartan matrix, not here).
-    if series in ("A", "B", "C", "G"):
-        return [(i, i + 1) for i in range(rank - 1)]
+    # live in the Cartan matrix, not here) of a system root_system supports.
     if series == "D":
-        if rank < 3:
-            raise ValueError("D needs rank >= 3")
         chain = [(i, i + 1) for i in range(rank - 3)]
         return chain + [(rank - 3, rank - 2), (rank - 3, rank - 1)]
     if series == "E":
-        if rank not in (6, 7):
-            raise ValueError("only E6 and E7 are supported")
         # Bourbaki: 1-3-4-5-6(-7) chain, 2 attached to 4.  0-indexed below.
         chain = [(0, 2), (2, 3), (3, 4), (4, 5)] + ([(5, 6)] if rank == 7 else [])
         return chain + [(1, 3)]
-    raise ValueError(f"unknown series {series!r}")
+    return [(i, i + 1) for i in range(rank - 1)]  # A, B, C, G
 
 
 def _lengths(series: str, rank: int) -> tuple[int, ...]:
@@ -161,13 +164,17 @@ def _lower(v: tuple[int, ...], j: int) -> tuple[int, ...]:
     return v[:j] + (v[j] - 1,) + v[j + 1:]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def root_system(series: str, rank: int) -> RootSystem:
-    """Build (and cache) the root system of the given series and rank."""
+    """Build (and cache) the root system of a supported (series, rank): this
+    is the one support rule.  The cache is typed, so 3.0 meets the gate."""
+    rank = _integer(rank, "rank")
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}")
     if rank < 1 or (series == "D" and rank < 3) or (series == "G" and rank != 2):
         raise ValueError(f"unsupported rank {rank} for series {series}")
+    if series == "E" and rank not in (6, 7):
+        raise ValueError("only E6 and E7 are supported")
     cartan = _cartan(series, rank)
     d = _lengths(series, rank)
     neighbours = tuple(

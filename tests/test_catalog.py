@@ -23,16 +23,23 @@ from bwb.bott import (
     trivial_bundle,
 )
 from bwb.catalog import default_catalog, load_catalog, projective_space, space_facts
+from bwb.chase import ses_middle, solve_exact_complex
 from bwb.cli import main
 from bwb.hodge import (
     chase_section_forms,
     chi_section_forms,
+    ci_moduli,
+    closed_form_hcc1,
     linear_section,
+    restricted_forms,
     section_forms,
     section_spec,
 )
+from bwb.rootsys import root_system
 
 S10 = default_catalog().space("S10")
+OP2 = default_catalog().space("OP2")
+P3xP3 = default_catalog().space("P3xP3")
 
 
 def test_catalog_lists_all_spaces():
@@ -105,6 +112,13 @@ NON_INTEGER_CALLS = {
     "sequence_cohomology-2.5": lambda: sequence_cohomology((2.5, 1, 0)),
     "spinor_sequence_cohomology-halves":
         lambda: spinor_sequence_cohomology((1.5, 0.5)),
+    # the integer rank first: an untyped cache handed 3.0 the slot of 3
+    "root_system-3.0": lambda: (root_system("A", 3), root_system("A", 3.0)),
+    "solve_exact_complex-top-0.0": lambda: solve_exact_complex([[1]], {}, 0.0),
+    "ses_middle-top-0.0": lambda: ses_middle([1], [1], 0.0),
+    "closed_form_hcc1-9.0": lambda: closed_form_hcc1(OP2, 9.0),
+    "ci_moduli-7.0": lambda: ci_moduli(7.0, (3,)),
+    "ci_moduli-(3.0,)": lambda: ci_moduli(7, (3.0,)),
 }
 
 
@@ -125,6 +139,7 @@ NON_INTEGER_FORM_DEGREES = {
     "section_forms": lambda p: section_forms(S10_Q, p),
     "chase_section_forms": lambda p: chase_section_forms(S10, ((2,),), p, (0,)),
     "chi_section_forms": lambda p: chi_section_forms(S10_Q, p),
+    "restricted_forms": lambda p: restricted_forms(P3xP3, ((1, 1),), p, (0, 0)),
 }
 
 

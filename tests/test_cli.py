@@ -11,6 +11,7 @@ from importlib import resources
 
 import pytest
 
+from bwb import report
 from bwb.bott import bott, grassmann_bundle, grassmann_sequence, sequence_cohomology
 from bwb.catalog import load_catalog
 from bwb.chase import Iv
@@ -334,6 +335,20 @@ def test_verify_fails_when_a_documented_value_drifts(capsys, tmp_path,
     assert rc == 1
     assert "documented discrepancy" not in out
     assert out.rstrip().endswith("0 documented discrepancies, 1 undocumented")
+
+
+def test_verify_reports_a_missing_nonvanishing_group_as_mismatches(capsys,
+                                                                  monkeypatch):
+    # the lemma_nonvan cells read the scan's hit at (c-2, r-c+1): with no
+    # hit they are mismatches, and verify exits 1 rather than raising
+    monkeypatch.setattr(report, "lemma_van_scan", lambda space: [])
+    rep = run_verify(load_catalog(), ("lemma_nonvan",))
+    assert {(c.column, c.computed, c.status) for c in rep.cells} == {
+        ("degree", None, "mismatch"), ("dim", None, "mismatch")}
+    assert len(rep.cells) == len(rep.undocumented) == 8
+    rc, out = run_cli(capsys, ["verify", "--table", "lemma_nonvan"])
+    assert rc == 1
+    assert out.rstrip().endswith("0 documented discrepancies, 8 undocumented")
 
 
 def test_each_table_filter_gives_the_full_run_cells():

@@ -27,7 +27,6 @@ from bwb.hodge import (
     double_cover_hodge,
     dual_correspondence,
     hodge_table,
-    lemma_nonvan_check,
     lemma_van_scan,
     linear_section,
     moduli_routes,
@@ -446,11 +445,6 @@ def test_dual_correspondence_table():
 # ------------------------------------------------------------ range lemmas
 
 
-def test_nonvanishing_at_index_plus_two():
-    for name, degree in [("OP2", 14), ("S12", 12), ("G(2,10)", 12), ("S14", 14)]:
-        assert lemma_nonvan_check(CAT.space(name)) == (degree, 1), name
-
-
 def test_vanishing_scan_finds_single_cell():
     for name, (p, k, degree) in SCAN_CELLS.items():
         space = CAT.space(name)
@@ -549,21 +543,20 @@ def consistent_table(draw):
     """Intervals around one table that both symmetries fix, so no meet of
     an orbit is empty; each upper end may be far above the truth."""
     n = draw(st.integers(0, 6))
+    cells = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    reps = sorted({min(orbit(n, p, q)) for p, q in cells})
+    # one list draw per kind: the orbit values, then each cell's two offsets,
+    # the lower one taken mod v + 1 so it spans 0..v
+    values = draw(st.lists(st.integers(0, 50), min_size=len(reps), max_size=len(reps)))
+    downs = draw(st.lists(st.integers(0, 50), min_size=len(cells), max_size=len(cells)))
+    ups = draw(st.lists(st.one_of(st.integers(0, 20), st.integers(21, 10**6)),
+                        min_size=len(cells), max_size=len(cells)))
     truth = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if (p, q) not in truth:
-                v = draw(st.integers(0, 50))
-                truth.update(dict.fromkeys(orbit(n, p, q), v))
-    table = []
-    for p in range(n + 1):
-        row = []
-        for q in range(n + 1):
-            v = truth[p, q]
-            up = draw(st.one_of(st.integers(0, 20), st.integers(21, 10**6)))
-            row.append(Iv(v - draw(st.integers(0, v)), v + up))
-        table.append(row)
-    return n, table
+    for rep, v in zip(reps, values):
+        truth.update(dict.fromkeys(orbit(n, *rep), v))
+    flat = [Iv(truth[c] - down % (truth[c] + 1), truth[c] + up)
+            for c, down, up in zip(cells, downs, ups)]
+    return n, [flat[p * (n + 1):(p + 1) * (n + 1)] for p in range(n + 1)]
 
 
 @settings(max_examples=300, deadline=None)
