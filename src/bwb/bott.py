@@ -55,9 +55,9 @@ from functools import lru_cache
 from itertools import combinations, compress, starmap
 from math import prod
 
-from .catalog import HomogSpace, _integer
-from .rootsys import (coroot_pairings, minimal_coset_reps, to_dominant, weyl_dim,
-                      weyl_dim_levi)
+from .catalog import HomogSpace
+from .rootsys import (_integer, coroot_pairings, minimal_coset_reps, to_dominant,
+                      weyl_dim, weyl_dim_levi)
 
 
 class Bundle(namedtuple("Bundle", "space weights")):
@@ -100,14 +100,11 @@ def trivial_bundle(space: HomogSpace) -> Bundle:
     return Bundle(space, tuple((0,) * f.rs.rank for f in space.factors))
 
 
-class CohomologyTable:
+class CohomologyTable(namedtuple("CohomologyTable", "group", defaults=(None,))):
     """Borel-Weil-Bott gives at most one nonzero group: ``group`` is
     ``(degree, per-factor dominant weight, dim)``, or None when acyclic."""
 
-    __slots__ = ("group",)
-
-    def __init__(self, group=None):
-        self.group = group
+    __slots__ = ()
 
     @property
     def acyclic(self) -> bool:

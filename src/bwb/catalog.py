@@ -149,9 +149,6 @@ class HomogSpace(namedtuple("HomogSpace", "name factors")):
     def cominuscule(self) -> bool:
         return all(f.cominuscule for f in self.factors)
 
-    def describe(self) -> str:
-        return " x ".join(f.describe() for f in self.factors)
-
     def __repr__(self) -> str:
         return f"HomogSpace({self.name})"
 
@@ -174,6 +171,7 @@ def space_facts(space: HomogSpace) -> dict:
 def projective_space(n: int) -> HomogSpace:
     """P^n as a marked space (type A, first node); not part of the catalog
     but needed as a double-cover base and complete-intersection ambient."""
+    n = _integer(n, "projective dimension")
     if n < 1:
         raise ValueError("projective space needs n >= 1")
     return HomogSpace(name=f"P{n}", factors=(Factor(rs=root_system("A", n), node=0),))

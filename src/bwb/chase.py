@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from functools import partial
 
-from .catalog import _integer
+from .rootsys import _integer
 
 
 class ChaseError(Exception):

@@ -48,8 +48,9 @@ from functools import lru_cache, reduce
 from math import comb
 
 from .bott import euler_char, forms_cohomology
-from .catalog import HomogSpace, _integer, projective_space
+from .catalog import HomogSpace, projective_space
 from .chase import Iv, exact, ses_middle, solve_exact_complex
+from .rootsys import _integer
 
 # Spaces whose minimal linear sections of dimension 2*coindex - 1 carry a
 # one-dimensional extreme middle Hodge piece, and whose projective duals are
@@ -326,10 +327,6 @@ class HodgeRow(namedtuple("HodgeRow", "spec table")):
             return self.table[p][q]
         return exact(0)
 
-    def exact_middle(self):
-        """List of ints for resolved entries, (lo, hi) pairs otherwise."""
-        return [v.lo if v.exact else (v.lo, v.hi) for v in self.middle]
-
     def as_json(self) -> dict:
         def enc(v: Iv):
             return v.lo if v.exact else {"lo": v.lo, "hi": v.hi, "indeterminate": True}
@@ -491,17 +488,21 @@ def _section_aut_dim(spec: SectionSpec) -> int | None:
     return None
 
 
+def _counted(what: str, rep: ModuliReport) -> ModuliReport:
+    """``rep``, refused when it counts below 0 moduli of ``what``."""
+    if rep.value < 0:
+        raise ValueError(f"{what}: the {rep.route} route counts "
+                         f"{rep.value} moduli; a count below 0 is refused")
+    return rep
+
+
 def deformation_moduli(spec: SectionSpec, route: str | None = None) -> ModuliReport:
     """Number of moduli of X (or of the double cover), via the requested
     route; defaults to the Grassmannian quotient for linear sections and to
     section counting otherwise.  A double cover has one route,
     ``double-cover-count``, and refuses any other.  A count below 0, where
     the route's assumptions fail, is refused."""
-    rep = _route_count(spec, route)
-    if rep.value < 0:
-        raise ValueError(f"{spec.describe()}: the {rep.route} route counts "
-                         f"{rep.value} moduli; a count below 0 is refused")
-    return rep
+    return _counted(spec.describe(), _route_count(spec, route))
 
 
 def _route_count(spec: SectionSpec, route: str | None) -> ModuliReport:
@@ -585,9 +586,11 @@ def _comb0(n: int, k: int) -> int:
 def ci_moduli(ambient_proj_dim: int, degrees) -> ModuliReport:
     """Moduli of a complete intersection of the given degrees in P^N:
     section counts minus the endomorphisms of the defining bundle minus the
-    projectivities."""
+    projectivities.  A count below 0 is refused, as in deformation_moduli."""
     N = _integer(ambient_proj_dim, "ambient dimension")
     degrees = tuple([_integer(d, "degree") for d in degrees])
+    if N < 1 or not degrees:
+        raise ValueError(f"P{N} with degrees {degrees}: need N >= 1 and a degree")
     if any(d < 2 for d in degrees):
         raise ValueError("complete-intersection degrees must be >= 2")
     if sum(degrees) > N + 1:
@@ -595,11 +598,11 @@ def ci_moduli(ambient_proj_dim: int, degrees) -> ModuliReport:
     sections = sum(comb(N + d, d) for d in degrees)
     endos = sum(_comb0(N + di - dj, N) for di in degrees for dj in degrees)
     pgl = (N + 1) ** 2 - 1
-    return ModuliReport(
+    return _counted(f"degrees {degrees} in P{N}", ModuliReport(
         value=sections - endos - pgl,
         route="hypersurface-count" if len(degrees) == 1 else "cayley-ci",
         inputs=(("sections", sections), ("endos", endos), ("pgl", pgl)),
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -773,5 +776,4 @@ __all__ = [
     "lemma_van_scan",
     "dual_correspondence",
     "cy_type_verdict",
-    "projective_space",
 ]

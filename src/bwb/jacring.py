@@ -30,7 +30,7 @@ import operator
 from collections import namedtuple
 from collections.abc import Callable
 
-from .catalog import _integer
+from .rootsys import _integer
 
 
 def _validated(weights, degree) -> tuple[tuple[int, ...], int]:

@@ -85,27 +85,31 @@ def _weights_label(weights) -> str:
 
 # ---------------------------------------------------------------- cell crops
 
+def _fact_cells(cat: Catalog, table: str, name: str, facts: dict) -> list[ReportCell]:
+    """One cell for each column of ``table`` that names a ``space_facts`` key."""
+    fix = cat.fixture(name, table)
+    return [_cell(table, name, col, fix.get(col), facts[col])
+            for col in cat.table(table)["columns"] if col in facts]
+
+
 def _facts_cells(cat: Catalog, table: str, cuts) -> list[ReportCell]:
-    """dim/index(/coindex) columns plus the moduli column of a section table."""
+    """The fact columns plus the moduli column of a section table."""
     cells = []
     tab = cat.table(table)
     for name in tab["rows"]:
         sp = cat.space(name)
-        fix = cat.fixture(name, table)
-        facts = space_facts(sp)
-        for col in ("dim", "index", "coindex"):
-            if col in tab["columns"]:
-                cells.append(_cell(table, name, col, fix.get(col), facts[col]))
+        cells += _fact_cells(cat, table, name, space_facts(sp))
         if "moduli" in tab["columns"]:
             rep = deformation_moduli(section_spec(sp, cuts))
-            cells.append(_cell(table, name, "moduli", fix.get("moduli"),
+            cells.append(_cell(table, name, "moduli", cat.fixture(name, table).get("moduli"),
                                rep.value, note=f"route={rep.route}"))
     return cells
 
 
 def _series_cells(cat: Catalog) -> list[ReportCell]:
-    """The five tables on the series spaces (series41, moduli43, dual44,
-    lemma_nonvan, lemma_van), computed in one walk over series41's rows."""
+    """The six tables on the series spaces (series41, moduli43, dual44,
+    middle41, lemma_nonvan, lemma_van), computed in one walk over series41's
+    rows."""
     rows = cat.table("series41")["rows"]
     other = [t for t in ("moduli43", "dual44")
              if cat.tables.get(t, {}).get("rows") != rows]
@@ -119,16 +123,14 @@ def _series_cells(cat: Catalog) -> list[ReportCell]:
         fix, mfix, dfix = (cat.fixture(name, t)
                            for t in ("series41", "moduli43", "dual44"))
         moduli = mfix.get("moduli")
-        r, c = facts["index"], facts["coindex"]
+        r, c, s = facts["index"], facts["coindex"], facts["s"]
         dual = dual_correspondence(sp)
-        cells += [_cell("series41", name, col, fix.get(col), facts[col])
-                  for col in ("dim", "index", "coindex")]
+        cells += _fact_cells(cat, "series41", name, facts)
+        cells += _fact_cells(cat, "moduli43", name, facts)
         cells.append(_cell("series41", name, "dual_degree", fix.get("dual_degree"),
                            c - 1, note=dual.description))
-        cells += [_cell("moduli43", name, col, mfix.get(col), facts[col])
-                  for col in ("s", "N", "delta")]
         cells.append(_cell("moduli43", name, "aut", mfix.get("aut"), _group_name(sp)))
-        spec = linear_section(sp, facts["s"])
+        spec = linear_section(sp, s)
         for route, col in (("grassmannian", "moduli"),
                            ("cohomological", "moduli_cohomological")):
             rep = deformation_moduli(spec, route=route)
@@ -146,11 +148,16 @@ def _series_cells(cat: Catalog) -> list[ReportCell]:
         nonvan = [(q, d) for p, k, q, d in hits if (p, k) == (c - 2, r - c + 1)]
         q, dim = nonvan[0] if len(nonvan) == 1 else (None, None)
         where = ",".join(f"(p={p},k={k})" for p, k, _q, _d in hits) or "none"
+        row = section_hodge(spec)
+        m = (row.n - 1) // 2
         cells += [
             _cell("lemma_nonvan", name, "degree", r + 2, q),
             _cell("lemma_nonvan", name, "dim", 1, dim),
             _cell("lemma_van", name, "cells", 1, len(hits)),
             _cell("lemma_van", name, "at", f"(p={c - 2},k={r - c + 1})", where),
+            _cell("middle41", name, "h_extreme", 1, row.entry(m + 2, m - 1)),
+            _cell("middle41", name, "h_middle", moduli, row.entry(m + 1, m)),
+            _cell("middle41", name, "closed_form", moduli, closed_form_hcc1(sp, s)),
         ]
     return cells
 
@@ -205,21 +212,6 @@ def _theta_cells(cat: Catalog) -> list[ReportCell]:
     return cells
 
 
-def _middle41_cells(cat: Catalog) -> list[ReportCell]:
-    cells = []
-    for name in cat.table("series41")["rows"]:
-        sp = cat.space(name)
-        facts = space_facts(sp)
-        mfix = cat.fixture(name, "moduli43").get("moduli")
-        row = section_hodge(linear_section(sp, facts["s"]))
-        m = (row.n - 1) // 2
-        cells.append(_cell("middle41", name, "h_extreme", 1, row.entry(m + 2, m - 1)))
-        cells.append(_cell("middle41", name, "h_middle", mfix, row.entry(m + 1, m)))
-        cells.append(_cell("middle41", name, "closed_form", mfix,
-                           closed_form_hcc1(sp, facts["s"])))
-    return cells
-
-
 # table id, as verify prints it -> the crop that computes its cells
 _CROPS = {
     "linear33": lambda cat: _facts_cells(cat, "linear33", (1,)),
@@ -228,7 +220,7 @@ _CROPS = {
     "dual44": _series_cells, "weighted31": _weighted31_cells,
     "quadric34": _quadric34_cells, "lemma_nonvan": _series_cells,
     "lemma_van": _series_cells, "theta35": _theta_cells,
-    "middle41": _middle41_cells,
+    "middle41": _series_cells,
 }
 
 
@@ -253,7 +245,7 @@ def run_verify(cat: Catalog | None = None,
     if missing:
         raise ValueError(f"unknown table {', '.join(missing)}; "
                          f"known: {', '.join(_CROPS)}")
-    # each crop runs once, though the five series tables share one
+    # each crop runs once, though the six series tables share one
     crops = dict.fromkeys(_CROPS[t] for t in tables or _CROPS)
     cells = sorted((c for f in crops for c in f(cat)
                     if not tables or c.table in tables), key=lambda c: c.key)

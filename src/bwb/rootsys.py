@@ -44,6 +44,15 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _weight(rs, w):
+    """``w`` as ints, one per node of ``rs``; an all-int ``w`` passes as it is."""
+    if set(map(type, w)) != {int}:
+        w = [_integer(c, "weight coordinate") for c in w]
+    if len(w) != rs.rank:
+        raise ValueError(f"weight {tuple(w)} has {len(w)} coordinates, not {rs.rank}")
+    return w
+
+
 def weyl_order(series: str, rank: int) -> int:
     """Order of the Weyl group, used by enumeration cross-checks."""
     if series == "A":
@@ -305,7 +314,7 @@ def to_dominant(rs: RootSystem, w) -> DominanceWalk:
     the most negative coordinate, ties resolved by ``rs.pivot_order``
     (fewer Dynkin neighbours first, then smaller index).
     """
-    cur = list(w)
+    cur = list(_weight(rs, w))
     pivots = []
     neighbours = rs.neighbours
     for _ in range(rs.num_positive + 1):
@@ -330,7 +339,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     (dominant, fundamental coordinates), by the Weyl dimension formula
     prod <lam + rho, alpha^vee> / prod <rho, alpha^vee>.
     Exact integer arithmetic throughout."""
-    num = prod(coroot_pairings(rs, [c + 1 for c in lam]))
+    num = prod(coroot_pairings(rs, [c + 1 for c in _weight(rs, lam)]))
     assert num % rs.dim_den == 0, "Weyl dimension must be an integer"
     return num // rs.dim_den
 

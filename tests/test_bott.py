@@ -575,6 +575,24 @@ def test_raw_twist_vectors_on_products():
     assert euler_char(p3p3, 1, (0, 0)) == -2  # chi(Omega^1) = -h^{1,1}
 
 
+def test_bundle_refuses_a_malformed_weight():
+    p3p3, s10 = CAT.space("P3xP3"), CAT.space("S10")
+    with pytest.raises(ValueError, match="^need one weight per factor$"):
+        bundle(p3p3, ((0, 0, 0),))
+    with pytest.raises(ValueError, match=r"^weight \(0, 0\) has wrong rank for D5/P5$"):
+        bundle(s10, ((0, 0),))
+    with pytest.raises(ValueError, match=r"^weight \(0, -1, 0, 0, 0\) is not "
+                                         r"Levi-dominant at node 2$"):
+        bundle(s10, ((0, -1, 0, 0, 0),))
+    assert bundle(s10, ((0, 0, 0, 0, -3),)).weights == ((0, 0, 0, 0, -3),)
+
+
+def test_euler_char_refuses_a_factor_above_dimension_16():
+    # S14 is D7/P7, of dimension 21; the weight-level sum is binomial in it
+    with pytest.raises(ValueError, match=r"^factor D7/P7 too large for weight-level chi$"):
+        euler_char(CAT.space("S14"), 1)
+
+
 def test_int_twist_equals_its_degree_vector_on_every_space():
     for space in CAT.spaces.values():
         small = all(f.dim <= 16 for f in space.factors)

@@ -35,11 +35,12 @@ from bwb.hodge import (
     section_forms,
     section_spec,
 )
-from bwb.rootsys import root_system
+from bwb.rootsys import root_system, to_dominant, weyl_dim
 
 S10 = default_catalog().space("S10")
 OP2 = default_catalog().space("OP2")
 P3xP3 = default_catalog().space("P3xP3")
+A3 = root_system("A", 3)
 
 
 def test_catalog_lists_all_spaces():
@@ -119,6 +120,13 @@ NON_INTEGER_CALLS = {
     "closed_form_hcc1-9.0": lambda: closed_form_hcc1(OP2, 9.0),
     "ci_moduli-7.0": lambda: ci_moduli(7.0, (3,)),
     "ci_moduli-(3.0,)": lambda: ci_moduli(7, (3.0,)),
+    # 4.0 was the dimension; 0.5 tripped a bare assert, which -O strips
+    "weyl_dim-(1.0, 0, 0)": lambda: weyl_dim(A3, (1.0, 0, 0)),
+    "weyl_dim-(0.5, 0, 0)": lambda: weyl_dim(A3, (0.5, 0, 0)),
+    # the walk read 1.5 as a singular, hence acyclic, weight
+    "to_dominant-(1.5, 0, 0)": lambda: to_dominant(A3, (1.5, 0, 0)),
+    # 0.5 < 1 used to come first, with the range message
+    "projective_space-0.5": lambda: projective_space(0.5),
 }
 
 
@@ -126,6 +134,19 @@ NON_INTEGER_CALLS = {
 def test_every_entry_point_refuses_a_non_integer(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+def test_a_weight_of_the_wrong_length_is_refused():
+    # weyl_dim raised IndexError, and to_dominant read (1, 0) as singular
+    for call in (weyl_dim, to_dominant):
+        with pytest.raises(ValueError, match=r"^weight \(1, 0\) has 2 coordinates, not 3$"):
+            call(A3, (1, 0))
+    assert weyl_dim(A3, [1, 0, 0]) == 4
+
+
+def test_a_bool_projective_dimension_is_its_int():
+    assert projective_space(True) == projective_space(1)
+    assert projective_space(True).name == "P1"
 
 
 S10_Q = section_spec(S10, (2,))
@@ -284,7 +305,8 @@ def test_documented_discrepancies_registry():
 
 def test_env_override_and_schema_guard(tmp_path, monkeypatch):
     cat = default_catalog()
-    raw = json.load(open(cat.path, encoding="utf-8"))
+    with open(cat.path, encoding="utf-8") as fh:
+        raw = json.load(fh)
 
     raw["schema_version"] = 99
     bad = tmp_path / "bad.json"
@@ -304,7 +326,8 @@ def test_env_override_and_schema_guard(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("node", [0, 9, "5", 5.0])
 def test_a_node_outside_its_factor_is_refused_at_load(tmp_path, monkeypatch, node):
-    raw = json.load(open(default_catalog().path, encoding="utf-8"))
+    with open(default_catalog().path, encoding="utf-8") as fh:
+        raw = json.load(fh)
     for entry in raw["spaces"]:
         if entry["name"] == "S10":
             entry["factors"][0]["node"] = node
@@ -333,7 +356,8 @@ def test_a_node_outside_its_factor_is_refused_at_load(tmp_path, monkeypatch, nod
 ], ids=["rank", "series", "no-series", "list-series", "no-factors"])
 def test_a_bad_factor_is_refused_at_load_with_its_space(tmp_path, monkeypatch,
                                                          key, value, message):
-    raw = json.load(open(default_catalog().path, encoding="utf-8"))
+    with open(default_catalog().path, encoding="utf-8") as fh:
+        raw = json.load(fh)
     for entry in raw["spaces"]:
         if entry["name"] == "OP2":
             target = entry if key == "factors" else entry["factors"][0]

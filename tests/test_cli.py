@@ -241,14 +241,20 @@ def test_jacring_scan_refuses_weights_and_degree(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_jacring_needs_weights_or_scan(capsys):
+    with pytest.raises(SystemExit, match="^jacring needs --weights or --scan$"):
+        main(["jacring"])
+    assert capsys.readouterr().out == ""
+
+
 def test_closed_stdout_ends_quietly():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "bwb.cli", "jacring", "--scan", "13", "7", "14"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    proc.stdout.readline()
-    proc.stdout.close()  # like `| head -1`
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "bwb.cli", "jacring", "--scan", "13", "7", "14"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.readline()
+        proc.stdout.close()  # like `| head -1`
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err
     assert err == ""
 
@@ -480,6 +486,7 @@ def test_format_flags_are_mutually_exclusive(capsys):
      "--schur block 'Q' is not used on G(2,6); accepted: Q*, E"),
     ("G(2,6)", "E:1;Q:1",
      "--schur block 'Q' is not used on G(2,6); accepted: Q*, E"),
+    ("P3xP3", "E:1", "--schur labels are not defined for P3xP3"),
 ])
 def test_schur_refuses_unknown_blocks(capsys, space, label, message):
     with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
@@ -622,6 +629,15 @@ BOTT_LINES = [
      "H^9, dim 10\n"),
     (["bott", "--space", "S10", "--form", "0", "--twist", "-10"],
      "H^10, dim 126\n"),
+    (["bott", "--space", "S12", "--form", "5", "--twist", "-8"],
+     "H^14: dim 21021\nH^15: dim 1287\n"),
+    # the plain walk, as --trace prints it off E6
+    (["bott", "--space", "G(2,6)", "--form", "1", "--trace"],
+     "start (1, 1, 2, -1, 2)\n  s4 -> (1, 1, 1, 1, 1)\n\n"
+     "dominant after 1 reflections: H^1 = C\n\nH^1, dim 1\n"),
+    (["bott", "--space", "S10", "--form", "1", "--twist", "-1", "--trace"],
+     "start (1, 1, 2, 1, -2)\n  s5 -> (1, 1, 0, 1, 2)\n\n"
+     "stopped on a wall after 1 reflections: acyclic\n\nacyclic\n"),
 ]
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bwb import hodge
 from bwb.bott import euler_char
 from bwb.catalog import default_catalog, projective_space, space_facts
-from bwb.chase import ChaseError, Iv, solve_exact_complex
+from bwb.chase import ChaseError, Iv, exact, solve_exact_complex
 from bwb.hodge import (
     HodgeRow,
     ModuliReport,
@@ -48,7 +48,7 @@ def test_maximal_linear_sections_middle_rows():
     for name, middle in SERIES_MIDDLE.items():
         space = CAT.space(name)
         row = section_hodge(linear_section(space, space_facts(space)["s"]))
-        assert row.exact_middle() == middle, name
+        assert row.middle == tuple(map(exact, middle)), name
 
 
 def test_middle_equals_moduli_all_routes():
@@ -149,6 +149,16 @@ def test_section_layer_refuses_wrong_length_twists():
         section_spec(CAT.space("P3xP3"), ((1,),))
 
 
+@pytest.mark.parametrize("cuts, branch, message", [
+    (((1, 0),), None, r"degree vector \(1, 0\) must be componentwise >= 1"),
+    ((1,) * 7, None, "more cuts than the ambient dimension"),
+    ((), 3, r"branch degree \(3, 3\) must be componentwise even"),
+], ids=["degree-below-1", "too-many-cuts", "odd-branch"])
+def test_section_spec_refusals(cuts, branch, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        section_spec(CAT.space("P3xP3"), cuts, branch=branch)
+
+
 # ------------------------------------------------------- the spinor tenfold
 
 
@@ -156,7 +166,7 @@ def test_quadric_section_of_s10_middle_row():
     spec = section_spec(CAT.space("S10"), (2,))
     row = section_hodge(spec)
     assert row.n == 9
-    assert row.exact_middle() == [0, 0, 0, 1, 70, 70, 1, 0, 0, 0]
+    assert row.middle == tuple(map(exact, [0, 0, 0, 1, 70, 70, 1, 0, 0, 0]))
 
 
 def test_quadric_section_of_s10_deformations():
@@ -257,6 +267,12 @@ def test_cy_type_verdict_clause_rule(cells, clause, status, detail, verdict):
     clauses = {name: (s, d) for name, s, d in report.clauses}
     assert clauses[clause] == (status, detail)
     assert report.verdict == verdict
+
+
+def test_cy_type_verdict_refuses_an_even_dimension():
+    row = HodgeRow(SectionSpec(projective_space(2)), ((Iv(1, 1),),))
+    with pytest.raises(ValueError, match="^Calabi-Yau type needs odd dimension$"):
+        cy_type_verdict(row)
 
 
 # ------------------------------------------------------------- other tables
@@ -426,6 +442,19 @@ def test_complete_intersection_moduli():
     assert ci_moduli(6, (2, 2, 3)).value == 73
     report = ci_moduli(8, (3,))
     assert dict(report.inputs)["pgl"] == 80     # dim PGL(9)
+
+
+def test_complete_intersection_moduli_refusals():
+    # the conic and the empty list used to count -3 and -15, and P^-1 one
+    with pytest.raises(ValueError, match=r"^degrees \(2,\) in P2: the hypersurface-count "
+                                         r"route counts -3 moduli; a count below 0 is refused$"):
+        ci_moduli(2, (2,))
+    for n, degrees in ((-1, ()), (0, (2,)), (3, ())):
+        with pytest.raises(ValueError, match=rf"^P{n} with degrees .*: need N >= 1 and a degree$"):
+            ci_moduli(n, degrees)
+    # deformation_moduli refuses the same conic as a P2 section, in the same words
+    with pytest.raises(ValueError, match="counts -3 moduli; a count below 0 is refused"):
+        deformation_moduli(section_spec(projective_space(2), (2,)))
 
 
 # ------------------------------------------------------- dual hypersurfaces

@@ -79,6 +79,8 @@ def test_rejects_bad_input():
         steenbrink_hodge((1, 1, 1, 1), 4.0)
     with pytest.raises(ValueError, match="upto must be an integer"):
         hilbert_coefficients((1, 1, 1, 1), 4, 4.0)
+    with pytest.raises(ValueError, match="^upto must be >= 0$"):
+        hilbert_coefficients((1, 1, 1, 1), 4, -1)
     with pytest.raises(ValueError, match="k must be an integer"):
         jacobian_hilbert((1, 1, 1, 1), 4, 2.0)
     with pytest.raises(ValueError, match="max_weight must be an integer"):

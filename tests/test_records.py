@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from bwb.bott import Bundle
+from bwb.bott import Bundle, CohomologyTable, bott
 from bwb.catalog import Catalog, Factor, HomogSpace, projective_space
 from bwb.chase import Iv, exact
 from bwb.hodge import (
@@ -56,6 +56,7 @@ def test_record_contracts():
         Catalog: {"spaces": {"P2": p2}, "fixtures": {}, "tables": {},
                   "discrepancies": [], "path": "catalog.json"},
         Bundle: {"space": p2, "weights": ((0, 0),)},
+        CohomologyTable: {"group": (0, ((0, 0),), 1)},
         SectionSpec: {"ambient": p2, "cut_degrees": ((1,),), "branch_degree": None},
         HodgeRow: {"spec": spec, "table": ((exact(1),),)},
         ModuliReport: {"value": 3, "route": "route", "inputs": (("h0", 3),)},
@@ -90,6 +91,13 @@ def test_record_contracts():
         with pytest.raises(AttributeError):
             del record._hash
     assert SectionSpec(p2) == (p2, (), None)
+    # bott's one record: acyclic by default, and no attribute to set
+    assert CohomologyTable().acyclic and CohomologyTable().dims() == {}
+    table = bott(Bundle(p2, ((0, 0),)))
+    assert table == CohomologyTable((0, ((0, 0),), 1)) and table.dims() == {0: 1}
+    for name in ("group", "other"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, 5)
     assert ReportCell("t", "r", "c", 1, 1, "match").note == ""
     assert ReportCell._fields == ("table", "row", "column", "fixture",
                                   "computed", "status", "note")
