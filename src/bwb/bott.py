@@ -19,10 +19,12 @@ On top of that sit:
   pairings of the non-dominant weight w(rho) - k * omega with the positive
   coroots, which per Kostant weight are tabulated once
   (``_kostant_pairings``) and moved by the twist only where the coroot
-  involves the marked node;
+  involves the marked node.  Serre duality pairs Omega^p(-vec) with
+  Omega^{n-p}(vec), so each pair is summed and cached once;
 * closed-form epsilon-coordinate fast paths for Grassmannians G(k,n) and
   spinor varieties S_{2n} that avoid the dominance walk entirely, plus the
-  Schur-label constructors that feed them;
+  Schur-label constructors that feed them, on a shape derived once per
+  space (a refusal is not cached) and label views cached per (label, parts);
 * :func:`euler_char` — a weight-level Euler characteristic for form bundles
   that works on any marked space, cominuscule or not.
 
@@ -56,8 +58,8 @@ from itertools import combinations, compress, starmap
 from math import prod
 
 from .catalog import HomogSpace
-from .rootsys import (_integer, coroot_pairings, minimal_coset_reps, to_dominant,
-                      weyl_dim, weyl_dim_levi)
+from .rootsys import (_integer, _weight, coroot_pairings, minimal_coset_reps,
+                      to_dominant, weyl_dim, weyl_dim_levi)
 
 
 class Bundle(namedtuple("Bundle", "space weights")):
@@ -137,14 +139,12 @@ def bott(b: Bundle) -> CohomologyTable:
     walk that meets a wall makes the bundle acyclic.  Kuenneth: degrees
     add, weights concatenate and dimensions multiply over the factors'
     groups (:func:`_factor_group`), and a one-factor bundle gets the cached
-    group itself.  A coordinate that is not an int goes through
-    ``_integer`` first (``2.0`` raises ValueError), because ``(2.0,) ==
-    (2,)`` would take the integer weight's cache slot."""
+    group itself.  Each weight passes the one weight gate ``_weight`` first:
+    ``2.0`` raises ValueError, because ``(2.0,) == (2,)`` would take the
+    integer weight's cache slot, and so does a weight of the wrong length."""
     group = None
     for f, lam in zip(b.space.factors, b.weights):
-        if type(lam) is not tuple or set(map(type, lam)) != {int}:
-            lam = tuple([_integer(c, "weight coordinate") for c in lam])
-        g = _factor_group(f.rs, lam)
+        g = _factor_group(f.rs, tuple(_weight(f.rs, lam)))
         if g is None:
             return CohomologyTable()
         group = g if group is None else (
@@ -283,10 +283,20 @@ def _forms_cohomology(space: HomogSpace, p: int, vec) -> tuple[tuple[int, int], 
 
 
 def forms_cohomology(space: HomogSpace, p: int, k=0) -> dict[int, int]:
-    """Aggregated dims of H^*(Omega^p(-k)), cached on ``degree_vector(k)``:
-    ``k`` counts copies of L, or gives the per-factor downward twist."""
+    """Aggregated dims of H^*(Omega^p(-k)): ``k`` counts copies of L, or
+    gives the per-factor downward twist.  On a cominuscule space of
+    dimension n, K (x) (Omega^p)^dual = Omega^{n-p}, so Serre duality gives
+    h^q(Omega^p(-vec)) = h^{n-q}(Omega^{n-p}(vec)): the cache holds one entry
+    per orbit, keyed on the smaller of ``(p, vec)`` and ``(n - p, -vec)``,
+    and the other member reads it with q -> n - q."""
     p = _integer(p, "form degree")
-    return dict(_forms_cohomology(space, p, space.degree_vector(k)))
+    vec = space.degree_vector(k)
+    n = space.dim
+    if n >= p and 2 * p >= n and space.cominuscule:
+        dual = tuple([-v for v in vec])
+        if 2 * p > n or dual < vec:
+            return {n - q: d for q, d in reversed(_forms_cohomology(space, n - p, dual))}
+    return dict(_forms_cohomology(space, p, vec))
 
 
 def euler_char(space: HomogSpace, p: int, k=0) -> int:
@@ -335,6 +345,7 @@ def euler_char(space: HomogSpace, p: int, k=0) -> int:
 # Type A fast path: G(k,n)
 
 
+@lru_cache(maxsize=None)
 def grassmann_shape(space: HomogSpace):
     """(k, n) for a single-factor type A space marked at node n-k."""
     f = space.factors[0]
@@ -346,14 +357,13 @@ def grassmann_shape(space: HomogSpace):
 
 
 def grassmann_sequence(space: HomogSpace, q_label, e_label, twist: int = 0):
-    """Shifted epsilon-sequence of S_{q_label} Q* otimes S_{e_label} E (twist)."""
+    """Shifted epsilon-sequence of S_{q_label} Q* otimes S_{e_label} E (twist):
+    the Q block rho - rev(a) shifted by k + twist, then b + rho."""
     k, n = grassmann_shape(space)
     a = _pad_partition(q_label, n - k)
     b = _pad_partition(e_label, k)
-    twist = _integer(twist, "twist")
-    block_q = [-a[n - k - 1 - i] + twist for i in range(n - k)]
-    seq = block_q + list(b)
-    return tuple(s + (n - 1 - i) for i, s in enumerate(seq))
+    shift = _integer(twist, "twist") + k
+    return tuple([c + shift for c in a.down]) + b.up
 
 
 def grassmann_bundle(space: HomogSpace, q_label, e_label, twist: int = 0) -> Bundle:
@@ -362,10 +372,8 @@ def grassmann_bundle(space: HomogSpace, q_label, e_label, twist: int = 0) -> Bun
     k, n = grassmann_shape(space)
     a = _pad_partition(q_label, n - k)
     b = _pad_partition(e_label, k)
-    coords = [a[i - 1] - a[i] for i in range(n - k - 1, 0, -1)]
-    coords.append(_integer(twist, "twist") - a[0] - b[0])
-    coords.extend(b[i] - b[i + 1] for i in range(k - 1))
-    return Bundle(space, (tuple(coords),))
+    marked = _integer(twist, "twist") - a.lam[0] - b.lam[0]
+    return Bundle(space, (a.rsteps + (marked,) + b.steps,))
 
 
 def sequence_cohomology(seq):
@@ -387,6 +395,7 @@ def sequence_cohomology(seq):
 # Type D fast path: spinor varieties S_{2n}
 
 
+@lru_cache(maxsize=None)
 def spinor_shape(space: HomogSpace) -> int:
     """n for the spinor variety S_{2n}: type D_n marked at its last node."""
     f = space.factors[0]
@@ -396,23 +405,19 @@ def spinor_shape(space: HomogSpace) -> int:
 
 
 def spinor_sequence(space: HomogSpace, label, twist: int = 0):
-    """Shifted sequence of S_label E (twist) with doubled entries."""
-    n = spinor_shape(space)
-    lam = _pad_partition(label, n)
+    """Shifted sequence of S_label E (twist) with doubled entries:
+    2 (rho - rev(label)) + twist."""
+    lab = _pad_partition(label, spinor_shape(space))
     twist = _integer(twist, "twist")
-    return tuple(
-        2 * (n - 1 - i) - 2 * lam[n - 1 - i] + twist for i in range(n)
-    )
+    return tuple([2 * c + twist for c in lab.down])
 
 
 def spinor_bundle(space: HomogSpace, label, twist: int = 0) -> Bundle:
     """S_label E (twist) in fundamental coordinates: the differences of the
     reversed label, then ``twist - label[0] - label[1]`` at the marked node."""
-    n = spinor_shape(space)
-    lam = _pad_partition(label, n)
-    coords = [lam[i - 1] - lam[i] for i in range(n - 1, 0, -1)]
-    coords.append(_integer(twist, "twist") - lam[0] - lam[1])
-    return Bundle(space, (tuple(coords),))
+    lab = _pad_partition(label, spinor_shape(space))
+    marked = _integer(twist, "twist") - lab.lam[0] - lab.lam[1]
+    return Bundle(space, (lab.rsteps + (marked,),))
 
 
 def spinor_sequence_cohomology(seq, doubled: bool = False):
@@ -447,10 +452,11 @@ def _vandermonde_den(n: int, squared: bool) -> int:
                 for a, b in combinations(range(n - 1, -1, -1), 2))
 
 
-def _pad_partition(label, parts: int) -> tuple[int, ...]:
-    """The label as a weakly decreasing tuple of exactly ``parts`` integers
-    >= 0, zeros added or dropped.  Parts go through ``operator.index``
-    before the cache (:func:`_padded`), so 2.0 never takes the slot of 2."""
+def _pad_partition(label, parts: int) -> _Label:
+    """The label's views (:class:`_Label`), its ``lam`` a weakly decreasing
+    tuple of exactly ``parts`` integers >= 0, zeros added or dropped.  Parts
+    go through ``operator.index`` before the cache (:func:`_padded`), so 2.0
+    never takes the slot of 2."""
     try:
         return _padded(tuple(map(operator.index, label)), parts)
     except TypeError:
@@ -459,8 +465,15 @@ def _pad_partition(label, parts: int) -> tuple[int, ...]:
         raise ValueError(f"{label} {exc}") from None
 
 
+_Label = namedtuple("_Label", "lam up down steps rsteps")
+
+
 @lru_cache(maxsize=None)
-def _padded(lam: tuple[int, ...], parts: int) -> tuple[int, ...]:
+def _padded(lam: tuple[int, ...], parts: int) -> _Label:
+    """One entry per (label, parts): the padded label ``lam`` and the views
+    the constructors read, ``lam + rho`` and ``rho - rev(lam)`` with
+    rho = (parts-1, ..., 0), the differences ``lam[i] - lam[i+1]``, and
+    those reversed."""
     if any(map(operator.lt, lam, lam[1:])):
         raise ValueError("is not weakly decreasing")
     if any(lam[parts:]):
@@ -468,4 +481,8 @@ def _padded(lam: tuple[int, ...], parts: int) -> tuple[int, ...]:
     lam = lam[:parts]
     if lam and lam[-1] < 0:
         raise ValueError("has negative parts")
-    return lam + (0,) * (parts - len(lam))
+    lam += (0,) * (parts - len(lam))
+    rho = range(parts - 1, -1, -1)
+    steps = tuple(map(operator.sub, lam, lam[1:]))
+    return _Label(lam, tuple(map(operator.add, lam, rho)),
+                  tuple(map(operator.sub, rho, lam[::-1])), steps, steps[::-1])

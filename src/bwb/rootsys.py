@@ -338,8 +338,12 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible module with highest weight ``lam``
     (dominant, fundamental coordinates), by the Weyl dimension formula
     prod <lam + rho, alpha^vee> / prod <rho, alpha^vee>.
-    Exact integer arithmetic throughout."""
-    num = prod(coroot_pairings(rs, [c + 1 for c in _weight(rs, lam)]))
+    Exact integer arithmetic throughout.  A weight with a negative
+    coordinate is refused: the formula would give 0 or a negative number."""
+    lam = _weight(rs, lam)
+    if min(lam) < 0:
+        raise ValueError(f"weight {tuple(lam)} is not dominant")
+    num = prod(coroot_pairings(rs, [c + 1 for c in lam]))
     assert num % rs.dim_den == 0, "Weyl dimension must be an integer"
     return num // rs.dim_den
 

@@ -14,6 +14,7 @@ from bwb.bott import (
     Bundle,
     _factor_forms,
     _factor_group,
+    _forms_cohomology,
     _kostant_pairings,
     _pad_partition,
     _padded,
@@ -200,15 +201,19 @@ def test_diagonal_hodge_numbers():
 
 
 def test_serre_duality_on_forms():
-    # H^q(Omega^p(-k)) pairs with H^{n-q}(Omega^{n-p}(k))
-    for name in ("LG(3,6)", "G(2,6)", "S10"):
+    # H^q(Omega^p(-k)) pairs with H^{n-q}(Omega^{n-p}(k)); forms_cohomology
+    # answers one side from the other's cache entry, so both sides are
+    # summed here without it
+    direct = _forms_cohomology.__wrapped__
+    for name in ("LG(3,6)", "G(2,6)", "S10", "P3xP3"):
         space = CAT.space(name)
         n = space.dim
         for p in range(n + 1):
             for k in range(-4, 5):
-                lhs = forms_cohomology(space, p, k)
-                rhs = forms_cohomology(space, n - p, -k)
+                lhs = dict(direct(space, p, space.degree_vector(k)))
+                rhs = dict(direct(space, n - p, space.degree_vector(-k)))
                 assert lhs == {n - q: d for q, d in rhs.items()}, (name, p, k)
+                assert forms_cohomology(space, p, k) == lhs, (name, p, k)
 
 
 def test_euler_characteristic_oracle_matches_walk():
@@ -411,20 +416,25 @@ def test_a_refused_schur_label_keeps_its_text_and_leaves_no_cache_entry():
         assert str(exc.value) == text
     assert _padded.cache_info().currsize == 0
     # (2.0, 1) == (2, 1): a key built before the integer gate would share
-    # the slot; the integer label is padded with ints
+    # the slot; the integer label is padded with ints, and so is every view
+    # the entry holds
     got = _pad_partition((2, 1), 3)
-    assert got == (2, 1, 0) and all(type(c) is int for c in got)
+    assert got.lam == (2, 1, 0)
+    assert all(type(c) is int for view in got for c in view)
     with pytest.raises(ValueError, match="must be a sequence of integers"):
         _pad_partition((2.0, 1), 3)
     assert _padded.cache_info().currsize == 1
+    # the views against their definitions, rho = (2, 1, 0)
+    assert _pad_partition([3, 1], 3) == ((3, 1, 0), (5, 2, 0), (2, 0, -3), (2, 1), (1, 2))
+    assert _padded.cache_info().currsize == 2
 
 
 def test_list_and_tuple_labels_pad_to_one_tuple():
     _padded.cache_clear()
     got = _pad_partition([2, 1], 4)
-    assert type(got) is tuple and got == (2, 1, 0, 0)
+    assert type(got.lam) is tuple and got.lam == (2, 1, 0, 0)
     assert _pad_partition((2, 1), 4) is got  # one cache entry for both
-    assert _pad_partition((True, 0, 0, 0, 0), 2) == (1, 0)
+    assert _pad_partition((True, 0, 0, 0, 0), 2).lam == (1, 0)
     assert _padded.cache_info().currsize == 2
 
 
@@ -585,6 +595,13 @@ def test_bundle_refuses_a_malformed_weight():
                                          r"Levi-dominant at node 2$"):
         bundle(s10, ((0, -1, 0, 0, 0),))
     assert bundle(s10, ((0, 0, 0, 0, -3),)).weights == ((0, 0, 0, 0, -3),)
+    # past the constructor, bott's weight gate names the weight itself, not
+    # its rho-shift (1, 1), and the walk cache never sees it
+    walked = _factor_group.cache_info().misses
+    for short in ((0, 0), [0, 0]):
+        with pytest.raises(ValueError, match=r"^weight \(0, 0\) has 2 coordinates, not 5$"):
+            bott(Bundle(s10, (short,)))
+    assert _factor_group.cache_info().misses == walked
 
 
 def test_euler_char_refuses_a_factor_above_dimension_16():
@@ -644,11 +661,13 @@ def test_kuenneth_matches_summed_bott_on_every_product():
 
 def test_walk_free_forms_match_summed_bott_on_every_single_factor_space():
     # forms_cohomology reads degrees and dimensions off its pairing tables
-    # and never walks, so the walking bott route is independent of it
+    # and never walks, so the walking bott route is independent of it; it
+    # covers both members of every Serre orbit of the bundles grid
     singles = sorted(name for name in CAT.spaces
                      if len(CAT.space(name).factors) == 1
-                     and CAT.space(name).cominuscule and CAT.space(name).dim <= 16)
-    assert singles == ["G(2,10)", "G(2,6)", "LG(3,6)", "OP2", "S10", "S12"]
+                     and CAT.space(name).cominuscule)
+    assert singles == ["G(2,10)", "G(2,6)", "G(3,11)", "G(4,9)", "LG(3,6)",
+                       "OP2", "S10", "S12", "S14"]
     for name in singles:
         space = CAT.space(name)
         n = space.dim
@@ -656,6 +675,50 @@ def test_walk_free_forms_match_summed_bott_on_every_single_factor_space():
             for k in range(-n - 2, n + 3):
                 assert forms_cohomology(space, p, k) == summed_bott(space, p, k), (
                     name, p, k)
+
+
+def test_the_forms_cache_holds_one_entry_per_serre_orbit():
+    # (p, vec) and (n - p, -vec) share an entry; the grid of the bundles
+    # benchmark over one space, from a cold cache
+    space = CAT.space("G(2,6)")
+    n = space.dim
+    orbits = set()
+    _forms_cohomology.cache_clear()
+    for p in range(n + 1):
+        for k in range(-n - 2, n + 3):
+            forms_cohomology(space, p, k)
+            orbits.add(frozenset({(p, k), (n - p, -k)}))
+    assert _forms_cohomology.cache_info().currsize == len(orbits) == 95
+
+
+def test_the_middle_degree_tie_takes_the_smaller_twist_and_flips():
+    # 2p = n on P3xP3: (3, (1, 4)) is read from the entry of (3, (-1, -4))
+    space = CAT.space("P3xP3")
+    _forms_cohomology.cache_clear()
+    want = summed_bott(space, 3, (1, 4))
+    assert want == {6: 4}  # the flip moves the degree
+    assert forms_cohomology(space, 3, (1, 4)) == want
+    assert forms_cohomology(space, 3, (-1, -4)) == {0: 4} == summed_bott(space, 3, (-1, -4))
+    # one entry, keyed on the smaller twist: reading it back is a hit
+    info = _forms_cohomology.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    _forms_cohomology(space, 3, (-1, -4))
+    assert _forms_cohomology.cache_info().hits == info.hits + 1
+
+
+def test_the_orbit_fold_keeps_every_refusal_and_the_empty_degrees():
+    text = ("IG(2,6) has a non-cominuscule factor; "
+            "form bundles are not multiplicity-free irreducible sums there")
+    space = CAT.space("IG(2,6)")
+    for p in (1, space.dim, -1, space.dim + 1):
+        with pytest.raises(ValueError) as exc:
+            forms_cohomology(space, p, 1)
+        assert str(exc.value) == text, p
+    for name in ("S10", "P3xP3"):
+        space = CAT.space(name)
+        for k in (-3, 0, 2):
+            assert forms_cohomology(space, -1, k) == {}
+            assert forms_cohomology(space, space.dim + 1, k) == {}
 
 
 TOP_CASES = [

@@ -144,6 +144,14 @@ def test_a_weight_of_the_wrong_length_is_refused():
     assert weyl_dim(A3, [1, 0, 0]) == 4
 
 
+def test_weyl_dim_refuses_a_weight_that_is_not_dominant():
+    # the formula read (-5, 0, 0) as -4 and (-1, 0, 0) as 0
+    for lam in ((-5, 0, 0), [-1, 0, 0]):
+        with pytest.raises(ValueError, match=rf"^weight \({lam[0]}, 0, 0\) is not dominant$"):
+            weyl_dim(A3, lam)
+    assert weyl_dim(A3, (0, 0, 0)) == 1
+
+
 def test_a_bool_projective_dimension_is_its_int():
     assert projective_space(True) == projective_space(1)
     assert projective_space(True).name == "P1"
