@@ -54,7 +54,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, compress, starmap
+from itertools import combinations, compress, product, starmap
 from math import prod
 
 from .catalog import HomogSpace
@@ -164,42 +164,37 @@ def fiber_dim(b: Bundle) -> int:
 # Kostant decomposition of form bundles
 
 
-def _require_cominuscule(space: HomogSpace) -> None:
-    if not space.cominuscule:
+def _require_cominuscule(space: HomogSpace, p: int) -> None:
+    if p and not space.cominuscule:
         raise ValueError(
             f"{space.name} has a non-cominuscule factor; "
             "form bundles are not multiplicity-free irreducible sums there"
         )
 
 
+def _splittings(per_factor, p: int):
+    """Kuenneth splittings of p: one ``(p_i, x_i)`` choice per factor, the p_i
+    summing to p, as ``(x_1, ..., x_m)`` in nested-loop order."""
+    return (tuple(x for _, x in split) for split in product(*per_factor)
+            if sum(pf for pf, _ in split) == p)
+
+
 @lru_cache(maxsize=None, typed=True)
 def kostant_forms(space: HomogSpace, p: int) -> tuple[Bundle, ...]:
     """Summands of Omega^p as a sum of irreducible bundles.
 
-    Requires every factor to be cominuscule (on a single factor the p-forms
-    are exactly the length-p shifted weights; on products, Omega^p collects
-    all exterior bidegrees summing to p).  The cache is typed, so a
-    refused ``p = 1.0`` never meets the key of ``p = 1``.
+    Requires every factor to be cominuscule for p != 0 (on a single factor
+    the p-forms are exactly the length-p shifted weights; on products,
+    Omega^p collects all exterior bidegrees summing to p, each factor's
+    levels taken from the top down).  The cache is typed, so a refused
+    ``p = 1.0`` never meets the key of ``p = 1``.
     """
     p = _integer(p, "form degree")
-    if p == 0:
-        return (trivial_bundle(space),)
-    _require_cominuscule(space)
-    per_factor = [minimal_coset_reps(f.rs, f.node) for f in space.factors]
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(per_factor):
-            if left == 0:
-                out.append(Bundle(space, tuple(acc)))
-            return
-        levels = per_factor[i]
-        for pf in range(min(left, len(levels) - 1), -1, -1):
-            for w in levels[pf]:
-                rec(i + 1, left - pf, acc + [w])
-
-    rec(0, p, [])
-    return tuple(out)
+    _require_cominuscule(space, p)
+    levels = [minimal_coset_reps(f.rs, f.node) for f in space.factors]
+    choices = [[(pf, w) for pf in range(len(reps) - 1, -1, -1) for w in reps[pf]]
+               for reps in levels]
+    return tuple(Bundle(space, ws) for ws in _splittings(choices, p))
 
 
 @lru_cache(maxsize=None)
@@ -256,8 +251,7 @@ def _forms_cohomology(space: HomogSpace, p: int, vec) -> tuple[tuple[int, int], 
     own Kostant weights (:func:`_factor_forms`, no dominance walk).
     Splittings the remaining factors cannot fill are never visited;
     per-factor sums are shared within the call only."""
-    if p != 0:
-        _require_cominuscule(space)
+    _require_cominuscule(space, p)
     down = tuple(-v for v in vec)
     sums: dict[tuple, dict[int, int]] = {}
     partial: dict[int, dict[int, int]] = {0: {0: 1}}  # degrees used -> H^*
@@ -328,17 +322,8 @@ def euler_char(space: HomogSpace, p: int, k=0) -> int:
                 if g is not None:
                     chi += -g[2] if g[0] % 2 else g[2]
             by_p.append(chi)
-        per_factor.append(by_p)
-
-    def rec(i, left):
-        if i == len(per_factor):
-            return 1 if left == 0 else 0
-        return sum(
-            per_factor[i][pf] * rec(i + 1, left - pf)
-            for pf in range(min(left, len(per_factor[i]) - 1) + 1)
-        )
-
-    return rec(0, p)
+        per_factor.append(tuple(enumerate(by_p)))
+    return sum(map(prod, _splittings(per_factor, p)))
 
 
 # ---------------------------------------------------------------------------

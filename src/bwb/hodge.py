@@ -189,9 +189,11 @@ def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
 
     Closes the Koszul resolution of O_X twisted by Omega^a_Sigma(-down) by
     ``_e1_sums`` or else chases it; support on X caps the degrees at dim X,
-    which the solver exploits.  The typed cache sends a = 1.0 to the gate.
+    which the solver exploits.  The typed cache sends a = 1.0 to the gate;
+    ``down`` and each cut pass ``space.degree_vector`` on a miss.
     """
     a = _integer(a, "form degree")
+    down, cuts = space.degree_vector(down), tuple(map(space.degree_vector, cuts))
     n_amb = space.dim
     n_x = n_amb - len(cuts)
     if a < 0 or a > n_amb:
@@ -227,8 +229,10 @@ def chase_section_forms(space, cuts, p: int, down, seed=None) -> tuple[Iv, ...]:
 
     ``seed`` may carry already-established target entries (from symmetry or
     earlier rounds); no duality is applied here -- callers combine passes.
+    ``down`` and each cut pass ``space.degree_vector``, as in section_forms.
     """
     p = _integer(p, "form degree")
+    down, cuts = space.degree_vector(down), tuple(map(space.degree_vector, cuts))
     n_x = space.dim - len(cuts)
     if p < 0 or p > n_x:
         return (exact(0),) * (n_x + 1)

@@ -1,12 +1,15 @@
 """Shared pytest hooks: tests carrying the ``criterion`` marker get one
 PASS/FAIL summary line each, written as they finish.  ``--hypothesis-profile
 deep`` runs every property test that sets no example count of its own on ten
-times the default examples, derandomized (CI runs the chase tests so)."""
+times the default examples, derandomized (CI runs the chase tests so).  Both
+profiles print a failing example's ``@reproduce_failure`` line, so a random
+failure can be replayed from a log alone."""
 
 import pytest
 from hypothesis import settings
 
-settings.register_profile("deep", max_examples=1000, derandomize=True)
+settings.register_profile("default", print_blob=True)
+settings.register_profile("deep", max_examples=1000, derandomize=True, print_blob=True)
 
 
 def pytest_configure(config):

@@ -177,6 +177,40 @@ def test_second_form_of_s10_is_irreducible():
     assert fiber_dim(b) == 45
 
 
+def _nested_kostant_forms(space, p):
+    """The weights of the summands of Omega^p from nested loops, one per
+    factor with the first outermost, each over its levels from the top down
+    and over the weights of a level in order."""
+    reps = [minimal_coset_reps(f.rs, f.node) for f in space.factors]
+    out = []
+
+    def rec(i, left, acc):
+        if i == len(reps):
+            if left == 0:
+                out.append(tuple(acc))
+            return
+        for pf in range(min(left, len(reps[i]) - 1), -1, -1):
+            for w in reps[i][pf]:
+                rec(i + 1, left - pf, acc + [w])
+
+    rec(0, p, [])
+    return out
+
+
+def test_forms_summands_come_in_nested_loop_order_on_products():
+    # bwb bott --form p --trace prints the summands in this order.  A loop
+    # over the splittings first gives the same summands in another order; on
+    # G(2,4)^3, whose middle level holds two weights, even with the
+    # splittings in the same order
+    g24 = Factor(root_system("A", 3), 1)
+    spaces = [CAT.space(name) for name in
+              ("(P1)^4", "(P1)^6", "(P1)^3xP3", "(P2)^4", "(P4)^3")]
+    for space in spaces + [HomogSpace("G(2,4)^3", (g24,) * 3)]:
+        for p in range(-1, space.dim + 2):
+            got = [b.weights for b in kostant_forms(space, p)]
+            assert got == _nested_kostant_forms(space, p), (space.name, p)
+
+
 def test_forms_on_non_cominuscule_spaces():
     for name in ("IG(2,6)", "G2ad"):
         space = CAT.space(name)

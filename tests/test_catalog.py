@@ -190,6 +190,39 @@ def test_every_form_degree_entry_point_takes_an_index_object(call):
     assert call(One()) == call(1)
 
 
+# The Koszul and cotangent chases pass the twist and every cut through
+# degree_vector.  A zip read (3, 99) as (3,) and a cut (2, 7) as (2,), and a
+# short twist was refused under its sum with a cut, (1,) for (0,).
+WRONG_LENGTH_CHASE_CALLS = {
+    "restricted_forms-twist-(3, 99)": (
+        lambda: restricted_forms(S10, ((2,),), 1, (3, 99)), "S10, got (3, 99)"),
+    "chase_section_forms-twist-(1, -50)": (
+        lambda: chase_section_forms(S10, ((2,),), 2, (1, -50)), "S10, got (1, -50)"),
+    "restricted_forms-cut-(2, 7)": (
+        lambda: restricted_forms(S10, ((2, 7),), 1, (3,)), "S10, got (2, 7)"),
+    "chase_section_forms-cut-(2, 7)": (
+        lambda: chase_section_forms(S10, ((2, 7),), 2, (1,)), "S10, got (2, 7)"),
+    "restricted_forms-twist-(0,)": (
+        lambda: restricted_forms(P3xP3, ((1, 1),), 1, (0,)), "P3xP3, got (0,)"),
+}
+
+
+@pytest.mark.parametrize("call, named", WRONG_LENGTH_CHASE_CALLS.values(),
+                         ids=WRONG_LENGTH_CHASE_CALLS)
+def test_the_chases_refuse_a_vector_of_the_wrong_length(call, named):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"need one twist per factor of {named}"
+
+
+def test_the_chases_read_an_integer_twist_as_copies_of_l():
+    # an int twist raised TypeError in the vector sum
+    assert restricted_forms(S10, ((2,),), 1, 3) == restricted_forms(S10, ((2,),), 1, (3,))
+    assert restricted_forms(P3xP3, ((1, 1),), 1, -1) == restricted_forms(
+        P3xP3, ((1, 1),), 1, (-1, -1))
+    assert chase_section_forms(S10, ((2,),), 2, 1) == chase_section_forms(S10, ((2,),), 2, (1,))
+
+
 def test_a_refused_float_twist_leaves_the_integer_cache_clean():
     # a float key equal to an integer one used to take its cache slot:
     # forms_cohomology(S10, 1, (-3,)) then returned {0: 1200.0}

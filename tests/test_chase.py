@@ -171,7 +171,8 @@ def _reference_solve(terms, seed, top):
     """The solver's equations swept round-robin, every equation of every
     block, until nothing narrows; intervals are Iv.  Unknowns start at
     [0, F] for an F far above the solver's start bound, so an equal result
-    shows that bound never binds."""
+    shows that bound never binds.  Like the solver when its visits run out,
+    the sweep raises ChaseError when its rounds do."""
     zero = exact(0)
 
     def vec(t):  # degrees -1 .. top + 1, zero at both ends
@@ -222,7 +223,7 @@ def _reference_solve(terms, seed, top):
                 narrow(r, s, 0, min(C[s].hi, A[s + 1].hi))
         if not changed:
             return B[m][1:-1]
-    raise AssertionError("the reference sweep found no fixpoint")
+    raise ChaseError("the reference sweep found no fixpoint")
 
 
 def _same_as_reference(terms, seed, top):
@@ -252,6 +253,13 @@ def test_solver_equals_round_robin_reference(model, data):
             else data.draw(intervals())[0]
             for q in data.draw(st.sets(st.integers(0, top)))}
     _same_as_reference(hidden, seed, top)
+
+
+def test_a_wide_inconsistent_draw_raises_in_the_solver_and_the_reference():
+    """A draw of the test above: the solver empties [1,0] in degree 0, while
+    the sweep closes in on the contradiction one unit per round and runs out
+    of its 10,000 rounds first.  Both raise ChaseError."""
+    assert _same_as_reference([[1, Iv(0, 10090), 0, 0], [0, 0, 0, 0]], {}, 3) is None
 
 
 def _check_sparse(model, data):
@@ -415,6 +423,17 @@ def test_inconsistent_exact_complexes_raise():
     # every variable of the one slot is exact from the start
     with pytest.raises(ChaseError, match="inexact sequence 1 in degree 0"):
         solve_exact_complex([[0], [1]], {0: 0}, 0)
+
+
+def test_a_wide_inconsistent_complex_ends_whichever_way_it_fails():
+    """No exact complex fits h^0(T_0) = 1 against a zero T_1, and the entry
+    [0, w] beside it lets the chase close in on that one unit at a time: at
+    width 10,090 an interval comes out empty first, at 10**5 the visit limit
+    ends the chase (in about 0.1 s)."""
+    with pytest.raises(ChaseError, match=r"^empty interval \[1,0\] in degree 0$"):
+        solve_exact_complex([[1, Iv(0, 10090), 0, 0], [0, 0, 0, 0]], {}, 3)
+    with pytest.raises(ChaseError, match="^chase failed to reach a fixpoint$"):
+        solve_exact_complex([[1, Iv(0, 10**5), 0, 0], [0, 0, 0, 0]], {}, 3)
 
 
 def test_a_chase_error_names_the_interval_the_visit_order_empties_first():
