@@ -58,8 +58,8 @@ from itertools import combinations, compress, product, starmap
 from math import prod
 
 from .catalog import HomogSpace
-from .rootsys import (_integer, _weight, coroot_pairings, minimal_coset_reps,
-                      to_dominant, weyl_dim, weyl_dim_levi)
+from .rootsys import (_integer, _integers, _weight, coroot_pairings,
+                      minimal_coset_reps, to_dominant, weyl_dim, weyl_dim_levi)
 
 
 class Bundle(namedtuple("Bundle", "space weights")):
@@ -85,21 +85,15 @@ class Bundle(namedtuple("Bundle", "space weights")):
 def bundle(space: HomogSpace, weights, twist=0) -> Bundle:
     """Validated constructor: integer coordinates, every unmarked one >= 0;
     ``twist`` is an integer or one integer per factor."""
-    weights = tuple(tuple(_integer(c, "weight coordinate") for c in w)
-                    for w in weights)
+    weights = tuple(weights)
     if len(weights) != len(space.factors):
         raise ValueError("need one weight per factor")
+    weights = tuple([_weight(f.rs, w) for f, w in zip(space.factors, weights)])
     for f, w in zip(space.factors, weights):
-        if len(w) != f.rs.rank:
-            raise ValueError(f"weight {w} has wrong rank for {f.describe()}")
         for j, c in enumerate(w):
             if j != f.node and c < 0:
                 raise ValueError(f"weight {w} is not Levi-dominant at node {j + 1}")
     return Bundle(space, weights).twisted(twist)
-
-
-def trivial_bundle(space: HomogSpace) -> Bundle:
-    return Bundle(space, tuple((0,) * f.rs.rank for f in space.factors))
 
 
 class CohomologyTable(namedtuple("CohomologyTable", "group", defaults=(None,))):
@@ -144,7 +138,7 @@ def bott(b: Bundle) -> CohomologyTable:
     integer weight's cache slot, and so does a weight of the wrong length."""
     group = None
     for f, lam in zip(b.space.factors, b.weights):
-        g = _factor_group(f.rs, tuple(_weight(f.rs, lam)))
+        g = _factor_group(f.rs, _weight(f.rs, lam))
         if g is None:
             return CohomologyTable()
         group = g if group is None else (
@@ -252,11 +246,11 @@ def _forms_cohomology(space: HomogSpace, p: int, vec) -> tuple[tuple[int, int], 
     Splittings the remaining factors cannot fill are never visited;
     per-factor sums are shared within the call only."""
     _require_cominuscule(space, p)
-    down = tuple(-v for v in vec)
+    up = tuple(-v for v in vec)
     sums: dict[tuple, dict[int, int]] = {}
     partial: dict[int, dict[int, int]] = {0: {0: 1}}  # degrees used -> H^*
     rest = space.dim  # form degrees the factors after f can still hold
-    for f, inc in zip(space.factors, down):
+    for f, inc in zip(space.factors, up):
         rest -= f.dim
         nxt: dict[int, dict[int, int]] = {}
         for used, coh in partial.items():
@@ -304,9 +298,9 @@ def euler_char(space: HomogSpace, p: int, k=0) -> int:
     :func:`forms_cohomology` never reads, so the two share no Bott code.
     """
     p = _integer(p, "form degree")
-    down = tuple(-v for v in space.degree_vector(k))
+    up = tuple(-v for v in space.degree_vector(k))
     per_factor = []
-    for f, inc in zip(space.factors, down):
+    for f, inc in zip(space.factors, up):
         if f.dim > 16:
             raise ValueError(f"factor {f.describe()} too large for weight-level chi")
         by_p = []
@@ -364,9 +358,7 @@ def grassmann_bundle(space: HomogSpace, q_label, e_label, twist: int = 0) -> Bun
 def sequence_cohomology(seq):
     """Cohomology from a shifted type-A sequence: None if two entries repeat,
     else (degree, dim) with degree the number of ascents."""
-    seq = tuple(seq)
-    if set(map(type, seq)) != {int}:  # _integer returns an int as it is
-        seq = tuple([_integer(v, "sequence entry") for v in seq])
+    seq = _integers(seq, "sequence entry")
     if len(set(seq)) != len(seq):
         return None
     degree = sum(starmap(operator.lt, combinations(seq, 2)))
@@ -412,9 +404,7 @@ def spinor_sequence_cohomology(seq, doubled: bool = False):
     ``doubled`` is set.  None if two entries coincide or sum to zero; else
     (degree, dim), degree = ascents + pairs with negative sum.
     """
-    s = tuple(seq)
-    if set(map(type, s)) != {int}:  # _integer returns an int as it is
-        s = tuple([_integer(v, "sequence entry") for v in s])
+    s = _integers(seq, "sequence entry")
     if not doubled:
         s = tuple(2 * v for v in s)
     deg = 0

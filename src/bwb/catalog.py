@@ -19,7 +19,7 @@ from collections import namedtuple
 from functools import cached_property
 from math import gcd
 
-from .rootsys import _immutable, _integer, root_system, weyl_dim
+from .rootsys import _immutable, _integer, _integers, root_system, weyl_dim
 
 
 class Factor(namedtuple("Factor", "rs node")):
@@ -121,7 +121,7 @@ class HomogSpace(namedtuple("HomogSpace", "name factors")):
         tuple or list gives one integer degree per factor, and anything else
         raises ValueError."""
         if isinstance(k, (tuple, list)):
-            vec = tuple([_integer(c, "degree") for c in k])
+            vec = _integers(k, "degree")
             if len(vec) != len(self.factors):
                 raise ValueError(f"need one twist per factor of {self.name}, got {vec}")
             return vec

@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from functools import partial
 
-from .rootsys import _integer
+from .rootsys import _integer, _integers
 
 
 class ChaseError(Exception):
@@ -176,9 +176,7 @@ def solve_exact_complex(terms, target_seed, top: int):
     """
     top = _integer(top, "top degree")
     seed = target_seed or {}
-    if set(map(type, seed)) - {int}:
-        seed = {_integer(q, "seed degree"): v for q, v in seed.items()}
-    seed = {q: _entry(v, q) for q, v in seed.items()}
+    seed = {q: _entry(v, q) for q, v in zip(_integers(seed, "seed degree"), seed.values())}
     if any(seed[q][0] for q in seed if not 0 <= q <= top):
         raise ChaseError("seed outside degree window")
     T, free = _vectors(terms, top)

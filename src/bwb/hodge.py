@@ -50,7 +50,7 @@ from math import comb
 from .bott import euler_char, forms_cohomology
 from .catalog import HomogSpace, projective_space
 from .chase import Iv, exact, ses_middle, solve_exact_complex
-from .rootsys import _integer
+from .rootsys import _integer, _integers
 
 # Spaces whose minimal linear sections of dimension 2*coindex - 1 carry a
 # one-dimensional extreme middle Hodge piece, and whose projective duals are
@@ -592,7 +592,7 @@ def ci_moduli(ambient_proj_dim: int, degrees) -> ModuliReport:
     section counts minus the endomorphisms of the defining bundle minus the
     projectivities.  A count below 0 is refused, as in deformation_moduli."""
     N = _integer(ambient_proj_dim, "ambient dimension")
-    degrees = tuple([_integer(d, "degree") for d in degrees])
+    degrees = _integers(degrees, "degree")
     if N < 1 or not degrees:
         raise ValueError(f"P{N} with degrees {degrees}: need N >= 1 and a degree")
     if any(d < 2 for d in degrees):

@@ -44,12 +44,20 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _weight(rs, w):
-    """``w`` as ints, one per node of ``rs``; an all-int ``w`` passes as it is."""
-    if set(map(type, w)) != {int}:
-        w = [_integer(c, "weight coordinate") for c in w]
+def _integers(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each gated by :func:`_integer`; an
+    all-int sequence passes as it is."""
+    values = tuple(values)
+    if set(map(type, values)) != {int}:
+        values = tuple([_integer(v, name) for v in values])
+    return values
+
+
+def _weight(rs, w) -> tuple[int, ...]:
+    """``w`` as a tuple of ints, one per node of ``rs``."""
+    w = _integers(w, "weight coordinate")
     if len(w) != rs.rank:
-        raise ValueError(f"weight {tuple(w)} has {len(w)} coordinates, not {rs.rank}")
+        raise ValueError(f"weight {w} has {len(w)} coordinates, not {rs.rank}")
     return w
 
 
@@ -294,7 +302,7 @@ def inversions(rs: RootSystem, w) -> int:
     For regular ``w = u(rho + lam)`` this is the length of ``u^{-1}``, hence
     the number of reflections any pivot order needs to reach the chamber.
     """
-    pairings = coroot_pairings(rs, w)
+    pairings = coroot_pairings(rs, _weight(rs, w))
     return -1 if 0 in pairings else sum(s < 0 for s in pairings)
 
 
@@ -342,7 +350,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     coordinate is refused: the formula would give 0 or a negative number."""
     lam = _weight(rs, lam)
     if min(lam) < 0:
-        raise ValueError(f"weight {tuple(lam)} is not dominant")
+        raise ValueError(f"weight {lam} is not dominant")
     num = prod(coroot_pairings(rs, [c + 1 for c in lam]))
     assert num % rs.dim_den == 0, "Weyl dimension must be an integer"
     return num // rs.dim_den
@@ -356,6 +364,7 @@ def weyl_dim_levi(rs: RootSystem, unmarked: frozenset[int], lam) -> int:
     fixed.  Those coroots are the ones pairing to 0 with the sum of the
     marked fundamental weights; their heights are their pairings with rho.
     """
+    lam = _weight(rs, lam)
     marked = coroot_pairings(rs, [int(j not in unmarked) for j in range(rs.rank)])
     levi = [not m for m in marked]
     num = prod(compress(coroot_pairings(rs, [c + 1 for c in lam]), levi))

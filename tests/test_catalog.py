@@ -16,11 +16,11 @@ from bwb.bott import (
     bott,
     bundle,
     euler_char,
+    fiber_dim,
     forms_cohomology,
     kostant_forms,
     sequence_cohomology,
     spinor_sequence_cohomology,
-    trivial_bundle,
 )
 from bwb.catalog import default_catalog, load_catalog, projective_space, space_facts
 from bwb.chase import ses_middle, solve_exact_complex
@@ -35,12 +35,14 @@ from bwb.hodge import (
     section_forms,
     section_spec,
 )
-from bwb.rootsys import root_system, to_dominant, weyl_dim
+from bwb import catalog, hodge, rootsys
+from bwb.rootsys import inversions, root_system, to_dominant, weyl_dim, weyl_dim_levi
 
 S10 = default_catalog().space("S10")
 OP2 = default_catalog().space("OP2")
 P3xP3 = default_catalog().space("P3xP3")
 A3 = root_system("A", 3)
+A3_LEVI = frozenset({1, 2})
 
 
 def test_catalog_lists_all_spaces():
@@ -99,12 +101,49 @@ def test_degree_vector_scales_ample_and_checks_length():
             sp.degree_vector(bad)
 
 
+def _count_integer_calls(monkeypatch):
+    """The names of every ``_integer`` call made from here on through
+    ``rootsys`` (the vector gate) and ``catalog`` (an integer degree)."""
+    names, integer = [], rootsys._integer
+
+    def counted(value, name):
+        names.append(name)
+        return integer(value, name)
+
+    for module in (rootsys, catalog):
+        monkeypatch.setattr(module, "_integer", counted)
+    return names
+
+
+def test_an_all_int_degree_vector_passes_as_it_is(monkeypatch):
+    names = _count_integer_calls(monkeypatch)
+    vec = (1, 0, 0, 3)
+    assert default_catalog().space("(P1)^3xP3").degree_vector(vec) is vec
+    assert P3xP3.degree_vector([2, 1]) == (2, 1)
+    assert names == []
+    got = P3xP3.degree_vector((2, True))
+    assert got == (2, 1) and list(map(type, got)) == [int, int]
+    with pytest.raises(ValueError, match=r"^degree must be an integer, got 2\.0$"):
+        S10.degree_vector((2.0,))
+    with pytest.raises(ValueError, match=r"^need one twist per factor of P3xP3, got \(2,\)$"):
+        P3xP3.degree_vector([2])
+
+
+def test_a_cold_hodge_table_gates_no_degree_coordinate(monkeypatch):
+    spec = section_spec(S10, (2,))
+    for cached in (hodge.restricted_forms, hodge._cotangent_terms, hodge.hodge_table):
+        cached.cache_clear()
+    names = _count_integer_calls(monkeypatch)
+    hodge.hodge_table(spec)
+    assert "degree" not in names
+
+
 # Every entry point that takes a twist, a degree or a Bott sequence refuses
 # a non-integer, 4.0 included, before anything is computed or cached.
 NON_INTEGER_CALLS = {
     "forms_cohomology-1.5": lambda: forms_cohomology(S10, 1, 1.5),
     "forms_cohomology-(-3.0,)": lambda: forms_cohomology(S10, 1, (-3.0,)),
-    "twisted-(2.0,)": lambda: trivial_bundle(S10).twisted((2.0,)),
+    "twisted-(2.0,)": lambda: kostant_forms(S10, 0)[0].twisted((2.0,)),
     "bundle-(1.5,)": lambda: bundle(S10, ((0,) * 5,), (1.5,)),
     "bott-(0, 0, 0, 0, 2.0)": lambda: bott(Bundle(S10, ((0, 0, 0, 0, 2.0),))),
     "section_spec-((2.0,),)": lambda: section_spec(S10, ((2.0,),)),
@@ -127,6 +166,11 @@ NON_INTEGER_CALLS = {
     "to_dominant-(1.5, 0, 0)": lambda: to_dominant(A3, (1.5, 0, 0)),
     # 0.5 < 1 used to come first, with the range message
     "projective_space-0.5": lambda: projective_space(0.5),
+    # weyl_dim_levi read 0.5 as a rank-one Levi weight; inversions counted
+    # 1.5 as singular; fiber_dim tripped a bare assert and gave 2.0 under -O
+    "weyl_dim_levi-(0.5, 0, 0)": lambda: weyl_dim_levi(A3, A3_LEVI, (0.5, 0, 0)),
+    "inversions-(1.5, 0, 0)": lambda: inversions(A3, (1.5, 0, 0)),
+    "fiber_dim-(0.5, 0, 0, 0, 0)": lambda: fiber_dim(Bundle(S10, ((0.5, 0, 0, 0, 0),))),
 }
 
 
@@ -137,11 +181,20 @@ def test_every_entry_point_refuses_a_non_integer(call):
 
 
 def test_a_weight_of_the_wrong_length_is_refused():
-    # weyl_dim raised IndexError, and to_dominant read (1, 0) as singular
-    for call in (weyl_dim, to_dominant):
-        with pytest.raises(ValueError, match=r"^weight \(1, 0\) has 2 coordinates, not 3$"):
-            call(A3, (1, 0))
+    # weyl_dim raised IndexError, and to_dominant read (1, 0) as singular;
+    # weyl_dim_levi read (0, 1, 0, 9) as 3 and raised IndexError on (1, 0),
+    # and inversions read (1, 1, 1, 5) as 0
+    def levi(rs, w):
+        return weyl_dim_levi(rs, A3_LEVI, w)
+
+    for call in (weyl_dim, to_dominant, levi, inversions):
+        for w in ((1, 0), (0, 1, 0, 9), (1, 1, 1, 5)):
+            with pytest.raises(ValueError) as info:
+                call(A3, w)
+            assert str(info.value) == f"weight {w} has {len(w)} coordinates, not 3"
     assert weyl_dim(A3, [1, 0, 0]) == 4
+    assert levi(A3, [0, 1, 0]) == 3
+    assert inversions(A3, [1, 1, 1]) == 0
 
 
 def test_weyl_dim_refuses_a_weight_that_is_not_dominant():
@@ -257,7 +310,8 @@ def test_an_index_object_is_an_integer_twist():
     assert S10.degree_vector(MinusThree()) == (-3,)
     assert S10.degree_vector([MinusThree()]) == (-3,)
     assert forms_cohomology(S10, 1, MinusThree()) == {0: 1200}
-    assert trivial_bundle(S10).twisted(MinusThree()) == trivial_bundle(S10).twisted(-3)
+    o = kostant_forms(S10, 0)[0]
+    assert o.twisted(MinusThree()) == o.twisted(-3)
 
 
 def test_spinor_ample_is_half_spin():
