@@ -82,13 +82,11 @@ class Iv(namedtuple("Iv", "lo hi")):
     def __add__(self, other: "Iv") -> "Iv":
         return Iv(self.lo + other.lo, self.hi + other.hi)
 
-    def __rmul__(self, k: int) -> "Iv":
-        """k copies summed, for a multiplicity k >= 0."""
-        return Iv(k * self.lo, k * self.hi)
-
     def __mul__(self, other):
-        # only ``k * iv`` is defined; the tuple base would repeat ``iv * k``
-        raise TypeError(f"unsupported operand: {self!r} * {other!r}")
+        # no product in either order; the tuple base would repeat the interval
+        raise TypeError(f"intervals have no product: {self!r}, {other!r}")
+
+    __rmul__ = __mul__
 
     def __contains__(self, x: int) -> bool:
         return self.lo <= x <= self.hi

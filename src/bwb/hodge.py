@@ -141,6 +141,12 @@ def linear_section(space: HomogSpace, s: int) -> SectionSpec:
     return section_spec(space, cuts=(1,) * s)
 
 
+def _unbranched(spec: SectionSpec, what: str) -> None:
+    """Refuse a double cover where ``what`` reads the section X only."""
+    if spec.branch_degree is not None:
+        raise ValueError(f"{what} takes an unbranched section, not {spec.describe()}")
+
+
 # ---------------------------------------------------------------------------
 # The two chases
 
@@ -183,17 +189,22 @@ def _e1_sums(terms, top: int):
     return tuple(map(exact, sums))
 
 
-@lru_cache(maxsize=None, typed=True)
 def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
     """h^q(X, Omega^a_Sigma(-down)|X) for q = 0..dim X, as intervals.
 
     Closes the Koszul resolution of O_X twisted by Omega^a_Sigma(-down) by
     ``_e1_sums`` or else chases it; support on X caps the degrees at dim X,
-    which the solver exploits.  The typed cache sends a = 1.0 to the gate;
-    ``down`` and each cut pass ``space.degree_vector`` on a miss.
+    which the solver exploits.  ``a``, ``down`` and each cut are checked
+    (``down`` and the cuts by ``space.degree_vector``) before the cache sees
+    them, so a refusal does not depend on what the cache holds.
     """
     a = _integer(a, "form degree")
-    down, cuts = space.degree_vector(down), tuple(map(space.degree_vector, cuts))
+    down = space.degree_vector(down)
+    return _restricted_forms(space, tuple(map(space.degree_vector, cuts)), a, down)
+
+
+@lru_cache(maxsize=None)
+def _restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
     n_amb = space.dim
     n_x = n_amb - len(cuts)
     if a < 0 or a > n_amb:
@@ -209,18 +220,23 @@ def restricted_forms(space: HomogSpace, cuts, a: int, down) -> tuple[Iv, ...]:
     return _e1_sums(terms, n_x) or tuple(solve_exact_complex(terms, seed, n_amb)[: n_x + 1])
 
 
+restricted_forms.cache_info = _restricted_forms.cache_info
+restricted_forms.cache_clear = _restricted_forms.cache_clear
+
+
 @lru_cache(maxsize=None)
 def _cotangent_terms(space, cuts, p: int, down):
-    """Terms Sym^k E* (x) Omega^{p-k}_Sigma(-down)|X, ordered k = p..0."""
+    """Terms Sym^k E* (x) Omega^{p-k}_Sigma(-down)|X, ordered k = p..0, each
+    summed on int ends: an exact term as ints, an open one as Ivs."""
     n_x = space.dim - len(cuts)
-    nf = len(space.factors)
     out = []
     for k in range(p, -1, -1):
-        acc = (exact(0),) * (n_x + 1)
-        for vec, mult in _groups(cuts, nf, k, True):
+        lo, hi = [0] * (n_x + 1), [0] * (n_x + 1)
+        for vec, mult in _groups(cuts, len(space.factors), k, True):
             rv = restricted_forms(space, cuts, p - k, _vadd(down, vec))
-            acc = tuple(a + mult * r for a, r in zip(acc, rv))
-        out.append(acc)
+            for q, (a, b) in enumerate(rv):
+                lo[q], hi[q] = lo[q] + mult * a, hi[q] + mult * b
+        out.append(tuple(lo) if lo == hi else tuple(map(Iv, lo, hi)))
     return tuple(out)
 
 
@@ -242,7 +258,9 @@ def chase_section_forms(space, cuts, p: int, down, seed=None) -> tuple[Iv, ...]:
 
 def section_forms(spec: SectionSpec, p: int, down=0) -> tuple[Iv, ...]:
     """h^q(X, Omega^p_X(-down)), intervals, with the Serre-dual chase folded
-    in: the same engine run on (n-p, +down) bounds degree n-q."""
+    in: the same engine run on (n-p, +down) bounds degree n-q.  A double
+    cover is refused."""
+    _unbranched(spec, "section_forms")
     p = _integer(p, "form degree")
     space, cuts = spec.ambient, spec.cut_degrees
     down = space.degree_vector(down)
@@ -272,7 +290,6 @@ def _symmetrize(table, n: int) -> bool:
     return changed
 
 
-@lru_cache(maxsize=None)
 def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
     """H[p][q] = h^{p,q}(X) as intervals, narrowed to a fixpoint.
 
@@ -283,10 +300,17 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
     meet.  All three steps only narrow integer intervals that keep the true
     value, so the loop ends, at the first round that changes nothing.  A
     chase seeded with its own last result returns it again, so skipping
-    unchanged rows changes nothing.
+    unchanged rows changes nothing.  The cuts pass
+    ``spec.ambient.degree_vector`` before the cache sees them.
     """
     if spec.branch_degree is not None:
         raise ValueError("branched specs are handled by double_cover_hodge")
+    cuts = tuple(map(spec.ambient.degree_vector, spec.cut_degrees))
+    return _hodge_table(spec._replace(cut_degrees=cuts))
+
+
+@lru_cache(maxsize=None)
+def _hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
     space, cuts = spec.ambient, spec.cut_degrees
     n_x = spec.dim
     zero = (0,) * len(space.factors)
@@ -305,6 +329,10 @@ def hodge_table(spec: SectionSpec) -> tuple[tuple[Iv, ...], ...]:
             changed |= res != row
         changed |= _symmetrize(table, n_x)
     return tuple(tuple(row) for row in table)
+
+
+hodge_table.cache_info = _hodge_table.cache_info
+hodge_table.cache_clear = _hodge_table.cache_clear
 
 
 SMOOTHNESS_NOTE = "cuts assumed generically smooth (not verified)"
@@ -439,7 +467,9 @@ def double_cover_hodge(spec: SectionSpec) -> HodgeRow:
 def chi_section_forms(spec: SectionSpec, p: int, down=0) -> int:
     """Euler characteristic chi(X, Omega^p_X(-down)) by alternating sums of
     ambient characteristics over both complexes.  Works on any marked
-    ambient, cominuscule or not; used as an independent oracle."""
+    ambient, cominuscule or not; used as an independent oracle.  A double
+    cover is refused."""
+    _unbranched(spec, "chi_section_forms")
     space = spec.ambient
     p = _integer(p, "form degree")
     down = space.degree_vector(down)
@@ -474,7 +504,9 @@ class ModuliReport(namedtuple("ModuliReport", "value route inputs")):
 
 
 def section_line_h0(spec: SectionSpec, vec) -> int:
-    """h^0(X, O(vec)) through the Koszul restriction (exact by chase)."""
+    """h^0(X, O(vec)) through the Koszul restriction (exact by chase), on
+    an unbranched X."""
+    _unbranched(spec, "section_line_h0")
     vec = spec.ambient.degree_vector(vec)
     iv = restricted_forms(spec.ambient, spec.cut_degrees, 0, _vneg(vec))[0]
     if not iv.exact:
@@ -734,6 +766,8 @@ def cy_type_verdict(row: HodgeRow, h1tx: ModuliReport | None = None) -> CYTypeRe
     A failed clause beats an inconclusive one, which beats cy-type."""
     if row.n % 2 == 0:
         raise ValueError("Calabi-Yau type needs odd dimension")
+    if row.n < 3:
+        raise ValueError(f"Calabi-Yau type needs dimension at least 3, got {row.n}")
     m = (row.n - 1) // 2
     clauses = [_clause("extreme-piece", row,
                        [(m + 2, m - 1, 1)] + [(m + p + 1, m - p, 0) for p in range(2, m + 1)],

@@ -26,6 +26,7 @@ from bwb.catalog import default_catalog, load_catalog, projective_space, space_f
 from bwb.chase import ses_middle, solve_exact_complex
 from bwb.cli import main
 from bwb.hodge import (
+    SectionSpec,
     chase_section_forms,
     chi_section_forms,
     ci_moduli,
@@ -178,6 +179,33 @@ NON_INTEGER_CALLS = {
 def test_every_entry_point_refuses_a_non_integer(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+S10_FLOAT_CUT = SectionSpec(S10, ((2.0,),))
+
+# each call spelled with ints first, then with one float in a nested vector;
+# a cache keyed on the int call used to answer the float one once warm
+NESTED_FLOATS = {
+    "restricted_forms-cut": (lambda: restricted_forms(S10, ((2,),), 1, (0,)),
+                             lambda: restricted_forms(S10, ((2.0,),), 1, (0,)), "2.0"),
+    "restricted_forms-twist": (lambda: restricted_forms(S10, ((2,),), 1, (0,)),
+                               lambda: restricted_forms(S10, ((2,),), 1, (0.0,)), "0.0"),
+    "hodge_table-cut": (lambda: hodge.hodge_table(section_spec(S10, (2,))),
+                        lambda: hodge.hodge_table(S10_FLOAT_CUT), "2.0"),
+    "section_hodge-cut": (lambda: hodge.section_hodge(section_spec(S10, (2,))),
+                          lambda: hodge.section_hodge(S10_FLOAT_CUT), "2.0"),
+}
+
+
+@pytest.mark.parametrize("warm_up, call, got", NESTED_FLOATS.values(), ids=NESTED_FLOATS)
+def test_a_refusal_does_not_depend_on_the_cache(warm_up, call, got):
+    for warm in (False, True):
+        for cached in (hodge.restricted_forms, hodge._cotangent_terms, hodge.hodge_table):
+            cached.cache_clear()
+        if warm:
+            warm_up()
+        with pytest.raises(ValueError, match=f"^degree must be an integer, got {got}$"):
+            call()
 
 
 def test_a_weight_of_the_wrong_length_is_refused():

@@ -59,6 +59,11 @@ def _hide(draw, truth: int):
     return Iv(lo, truth + draw(st.integers(0, 3)))
 
 
+def _scaled(c: int, v):
+    """``c`` copies of the entry ``v`` summed, an Iv built from its ends."""
+    return Iv(c * v.lo, c * v.hi) if isinstance(v, Iv) else c * v
+
+
 def _inside(truth: int, iv: Iv) -> bool:
     return iv.lo <= truth <= iv.hi
 
@@ -308,19 +313,19 @@ def test_scaling_every_entry_scales_the_result(model, data):
     base = solve_exact_complex(hidden, seed, top)
     middle = ses_middle(hidden[0], images[0], top)
     for c in (2**64, 2**200):
-        got = solve_exact_complex([[c * v for v in t] for t in hidden],
-                                  {q: c * v for q, v in seed.items()}, top)
-        assert got == [c * v for v in base]
-        got = ses_middle([c * v for v in hidden[0]],
+        got = solve_exact_complex([[_scaled(c, v) for v in t] for t in hidden],
+                                  {q: _scaled(c, v) for q, v in seed.items()}, top)
+        assert got == [_scaled(c, v) for v in base]
+        got = ses_middle([_scaled(c, v) for v in hidden[0]],
                          [c * v for v in images[0]], top)
-        assert got == [c * v for v in middle]
+        assert got == [_scaled(c, v) for v in middle]
 
 
 def test_entries_above_two_to_the_62_are_finite():
     # a fixed marker 2^62 read the lower bound 2^64 as above "no bound"
     terms = [[2**64, 2**65, 0], [3 * 2**64, 2**66, 2**64]]
     assert solve_exact_complex(terms, {}, 2) == [
-        2**64 * v for v in solve_exact_complex([[1, 2, 0], [3, 4, 1]], {}, 2)]
+        _scaled(2**64, v) for v in solve_exact_complex([[1, 2, 0], [3, 4, 1]], {}, 2)]
 
 
 def test_non_integer_entries_are_refused():
@@ -453,14 +458,14 @@ def test_a_chase_error_names_the_interval_the_visit_order_empties_first():
 def test_entries_meet_zero_to_infinity():
     # a negative lower end is clamped to 0, an empty entry raises, in a term
     # mixing ints and Ivs and in one made only of Ivs
-    for zero, one in ((0, 1), (exact(0), exact(1))):
+    for zero, one, five in ((0, 1, 5), (exact(0), exact(1), exact(5))):
         assert solve_exact_complex([[Iv(-2, 3), zero], [one, zero]], {}, 1) == [
             Iv(0, 1), exact(0)]
         with pytest.raises(ChaseError, match=r"^empty interval \[3,1\] in degree 0$"):
             solve_exact_complex([[Iv(3, 1), zero]], {}, 1)
         # wide ends: h^0 of the target is 5 - h^0(T_0), so it is at most 4,
         # and h^1 is h^1(T_1), which only its own ends bound
-        assert solve_exact_complex([[Iv(1, 9), zero], [5 * one, Iv(0, 7)]],
+        assert solve_exact_complex([[Iv(1, 9), zero], [five, Iv(0, 7)]],
                                    {}, 1) == [Iv(0, 4), Iv(0, 7)]
         assert solve_exact_complex([[Iv(1, 9), zero]], {}, 1) == [
             Iv(1, 9), exact(0)]
@@ -622,7 +627,9 @@ def test_interval_sum_multiple_meet_and_membership(ax, by, k, z):
     assert (z in a) == (a.lo <= z <= a.hi)
     assert x in a and y in b
     assert x + y in a + b
-    assert k * x in k * a and 0 * a == exact(0)
+    for product in (lambda: k * a, lambda: a * k):  # no interval product
+        with pytest.raises(TypeError, match="^intervals have no product"):
+            product()
     probes = [*range(20), 100]
     common = [v for v in probes if v in a and v in b]
     if not common:

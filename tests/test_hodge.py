@@ -137,6 +137,23 @@ def test_every_hodge_table_gate(build, spec, message):
         build(section_spec(ambient, cuts, branch=branch))
 
 
+# the P5 double cover branched in degree 4: row 2 is 0 0 1 [90,125] 0 0, while
+# P5's chi(Omega^2) is 1 and h^0(O(2)) is 21 on P5 and 22 on the cover
+P5_COVER = section_spec(projective_space(5), (), branch=4)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("section_forms", lambda: section_forms(P5_COVER, 2)),
+    ("chi_section_forms", lambda: chi_section_forms(P5_COVER, 2)),
+    ("section_line_h0", lambda: section_line_h0(P5_COVER, 2)),
+], ids=["section_forms", "chi_section_forms", "section_line_h0"])
+def test_the_base_readers_refuse_a_double_cover(name, call):
+    # each used to answer for the base P5
+    with pytest.raises(ValueError, match=rf"^{name} takes an unbranched section, "
+                                         r"not P5, double cover branched in \(4,\)$"):
+        call()
+
+
 def test_section_layer_refuses_wrong_length_twists():
     spec = section_spec(CAT.space("P3xP3"), (1,))
     for bad in ((0,), (0, 0, 5)):
@@ -273,6 +290,14 @@ def test_cy_type_verdict_refuses_an_even_dimension():
     row = HodgeRow(SectionSpec(projective_space(2)), ((Iv(1, 1),),))
     with pytest.raises(ValueError, match="^Calabi-Yau type needs odd dimension$"):
         cy_type_verdict(row)
+
+
+def test_cy_type_verdict_refuses_a_curve():
+    # a plane cubic (m = 0) was judged on the cell h^{2,-1}: "got 0", a fail
+    row = section_hodge(section_spec(projective_space(2), (3,)))
+    with pytest.raises(ValueError, match="^Calabi-Yau type needs dimension at least 3, got 1$"):
+        cy_type_verdict(row)
+    assert [m.route for m in moduli_routes(row.spec)] == ["cohomological"]
 
 
 # ------------------------------------------------------------- other tables
@@ -455,6 +480,33 @@ def test_complete_intersection_moduli_refusals():
     # deformation_moduli refuses the same conic as a P2 section, in the same words
     with pytest.raises(ValueError, match="counts -3 moduli; a count below 0 is refused"):
         deformation_moduli(section_spec(projective_space(2), (2,)))
+
+
+P3XP3_3 = section_spec(CAT.space("P3xP3"), ((1, 1),) * 3)
+
+
+@pytest.mark.parametrize("call, want", [
+    # a form degree outside 0..dim gives the zero row, or 0
+    (lambda: hodge.restricted_forms(P3XP3_3.ambient, P3XP3_3.cut_degrees, 7, (0, 0)),
+     (exact(0),) * 4),
+    (lambda: hodge.chase_section_forms(P3XP3_3.ambient, P3XP3_3.cut_degrees, 4, (0, 0)),
+     (exact(0),) * 4),
+    (lambda: chi_section_forms(P3XP3_3, -1), 0),
+    (lambda: section_hodge(P3XP3_3).entry(4, 0), exact(0)),
+    # h^0(O(3, -2)) on this threefold stays [0,4]
+    (lambda: section_line_h0(P3XP3_3, (3, -2)),
+     r"^h\^0\(P3xP3, cut \(1, 1\), cut \(1, 1\), cut \(1, 1\), O\(\(3, -2\)\)\) "
+     r"did not resolve$"),
+    (lambda: ci_moduli(4, (1, 3)), "^complete-intersection degrees must be >= 2$"),
+    (lambda: ci_moduli(4, (3, 3)), "^not Fano or Calabi-Yau$"),
+], ids=["restricted-forms-a-above-dim", "chase-p-above-dim", "chi-p-below-0",
+        "entry-outside-table", "line-h0-open", "ci-degree-1", "ci-not-fano"])
+def test_the_edges_of_the_section_layer(call, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            call()
+    else:
+        assert call() == want
 
 
 # ------------------------------------------------------- dual hypersurfaces
